@@ -526,10 +526,9 @@ impl CacheLevel {
 
     /// Merges another level's measurements (stats, energy ledger,
     /// movement-queue counters) into this one, finalizing both sides
-    /// first so resident-line reuse histograms fold per shard. Cache
-    /// *contents* are untouched — this is the reduction step of the
-    /// set-sharded runner, where each level only ever populated its own
-    /// sets.
+    /// first so resident-line reuse histograms fold per level. Cache
+    /// *contents* are untouched — a measurement reduction for levels
+    /// that each populated their own disjoint sets.
     pub fn absorb_stats(&mut self, other: &mut CacheLevel) {
         self.finalize();
         other.finalize();

@@ -131,8 +131,8 @@ impl CacheStats {
     }
 
     /// Adds another level's counters into this one (field-wise integer
-    /// addition). Used by the set-sharded runner's reduction; because
-    /// every field is a count, merge order cannot change the result.
+    /// addition); because every field is a count, merge order cannot
+    /// change the result.
     pub fn merge(&mut self, other: &CacheStats) {
         assert_eq!(
             self.hits_per_sublevel.len(),

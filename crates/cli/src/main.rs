@@ -20,24 +20,14 @@
 //!   --replacement <lru|drrip|ship>                      (default lru)
 //!   --inclusive                                         model an inclusive LLC
 //!   --csv <path>                                        also write metrics as CSV
-//!   --jobs <N>          sweep/compare workers           (default SLIP_JOBS or all cores)
-//!   --shards <N>        set-shard workers per run; must be a power of
-//!                       two (the shard owner is a bit field of the
-//!                       line address); sharded runs are bit-identical
-//!                       to serial, and cells occupy jobs/shards pool
-//!                       slots each                    (default SLIP_SHARDS or 1)
+//!   --jobs <N>          sweep/compare workers; a sweep runs each
+//!                       benchmark's policy cells as one fused group
+//!                       (one pass over its trace), split in half until
+//!                       every worker has a group
+//!                                                       (default SLIP_JOBS or all cores)
 //!   --journal <path>    JSONL run journal; a re-run with the same
 //!                       options resumes, skipping completed cells
 //!                                                       (default SLIP_JOURNAL)
-//!   --trace-mode <inline|pipelined|shared|fused>
-//!                       how sweep cells obtain their access streams;
-//!                       fused decodes each benchmark's trace once and
-//!                       steps all of its policy cells in lockstep
-//!                       (incompatible with --shards > 1)
-//!                                                       (default SLIP_TRACE_MODE or shared)
-//!   --trace-cache-mb <N>  shared-trace cache budget in MiB; over-budget
-//!                       groups regenerate pipelined, 0 disables sharing
-//!                                                       (default SLIP_TRACE_CACHE_MB or 1024)
 //!   --topology <node|file>  hierarchy spec: a built-in technology node
 //!                       (45nm, 22nm, stt-llc) or a spec file giving
 //!                       per-level geometry and read/write/insertion
@@ -51,7 +41,7 @@ use sim_engine::experiments::{SuiteOptions, SuiteResults};
 use sim_engine::multicore::run_mix;
 use sim_engine::report::{pct, Table};
 use sim_engine::system::run_workload;
-use sim_engine::{SimResult, SingleCoreSystem, SweepConfig, TraceMode};
+use sim_engine::{SimResult, SingleCoreSystem, SweepConfig};
 use std::io::Write as _;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -73,22 +63,21 @@ const USAGE: &str = "\
 usage:
   slip list
   slip run <workload|file.trc> [--policy P] [--accesses N] [--seed S]
-           [--replacement R] [--inclusive] [--csv out.csv] [--shards N]
+           [--replacement R] [--inclusive] [--csv out.csv]
            [--topology NODE|FILE]
   slip compare <workload> [--accesses N] [--seed S] [--jobs N]
                [--topology NODE|FILE]
-  slip sweep [workload ...] [--accesses N] [--jobs N] [--shards N]
+  slip sweep [workload ...] [--accesses N] [--jobs N]
              [--journal run.jsonl] [--topology NODE|FILE]
-             [--trace-mode inline|pipelined|shared|fused] [--trace-cache-mb N]
   slip mix <bench_a> <bench_b> [--accesses N] [--seed S]
   slip record <workload> <out.trc> [--accesses N] [--seed S]
   slip bench [--quick] [--out bench.json] [--check BENCH_9.json]
              [--tolerance PCT (default SLIP_BENCH_TOL or 20)]
   slip check [--quick|--full] [--oracle] [--iters N] [--seed S] [--max-len N]
              [--accesses N] [--jobs N] [--topology NODE|FILE]
-  slip serve [--addr HOST:PORT] [--jobs N] [--shards N] [--journal-dir DIR]
-             [--trace-mode inline|pipelined|shared|fused]
-             [--trace-cache-mb N] [--port-file FILE] [--quiet]
+  slip serve [--addr HOST:PORT] [--jobs N] [--journal-dir DIR]
+             [--trace-cache-mb N (default SLIP_TRACE_CACHE_MB or 1024)]
+             [--port-file FILE] [--quiet]
   slip submit [workload ...] [--policy P]... [--accesses N] [--warmup N]
               [--topology NODE|FILE] [--connect HOST:PORT] [--verify-offline]
               [--quiet]
@@ -122,14 +111,32 @@ struct Options {
     inclusive: bool,
     csv: Option<String>,
     jobs: usize,
-    shards: usize,
     journal: Option<PathBuf>,
-    trace_mode: TraceMode,
-    trace_cache_mb: u64,
     topology: Option<String>,
 }
 
+/// The error for a flag that used to pick an execution path, naming
+/// what replaced it; `None` for any other flag. Retired flags fail at
+/// parse time instead of being ignored.
+fn retired_flag(flag: &str) -> Option<String> {
+    let why = match flag {
+        "--trace-mode" => {
+            "`slip run` steps its trace inline and sweeps always run fused benchmark groups"
+        }
+        "--shards" => "set-sharded runs were removed; sweeps always run fused benchmark groups",
+        "--trace-cache-mb" => {
+            "sweeps stream each benchmark's trace through one fused group (the cache \
+             budget remains a `slip serve` option)"
+        }
+        _ => return None,
+    };
+    Some(format!(
+        "{flag} is no longer supported: {why}; parallelism is --jobs"
+    ))
+}
+
 fn parse_options(args: &[String]) -> Result<Options, String> {
+    sim_engine::env::check_retired()?;
     let mut o = Options {
         positional: Vec::new(),
         policy: PolicyKind::SlipAbp,
@@ -139,10 +146,7 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
         inclusive: false,
         csv: None,
         jobs: sim_engine::env::jobs(),
-        shards: sim_engine::env::shards()?,
         journal: sim_engine::env::journal(),
-        trace_mode: sim_engine::env::trace_mode(),
-        trace_cache_mb: sim_engine::env::trace_cache_mb(),
         topology: sim_engine::env::topology(),
     };
     let mut it = args.iter();
@@ -185,34 +189,15 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                     .parse()
                     .map_err(|e| format!("--jobs: {e}"))?
             }
-            "--shards" => {
-                let n = value("--shards")?
-                    .parse::<usize>()
-                    .map_err(|e| format!("--shards: {e}"))?;
-                o.shards = sim_engine::validate_shards(n).map_err(|e| format!("--shards: {e}"))?;
-            }
             "--journal" => o.journal = Some(PathBuf::from(value("--journal")?)),
-            "--trace-mode" => {
-                let v = value("--trace-mode")?;
-                o.trace_mode =
-                    TraceMode::parse(&v).ok_or_else(|| format!("unknown trace mode {v:?}"))?;
-            }
-            "--trace-cache-mb" => {
-                o.trace_cache_mb = value("--trace-cache-mb")?
-                    .parse()
-                    .map_err(|e| format!("--trace-cache-mb: {e}"))?
-            }
             "--topology" => o.topology = Some(value("--topology")?),
-            other if other.starts_with("--") => return Err(format!("unknown option {other:?}")),
+            other if other.starts_with("--") => {
+                return Err(
+                    retired_flag(other).unwrap_or_else(|| format!("unknown option {other:?}"))
+                )
+            }
             _ => o.positional.push(a.clone()),
         }
-    }
-    if o.trace_mode == TraceMode::Fused && o.shards > 1 {
-        return Err(
-            "--trace-mode fused runs each benchmark group on one worker and ignores set \
-             shards; drop --shards (or SLIP_SHARDS), or pick another trace mode"
-                .to_owned(),
-        );
     }
     Ok(o)
 }
@@ -267,38 +252,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     } else {
         let spec = workloads::workload(target)
             .ok_or_else(|| format!("unknown workload {target:?} (try `slip list`)"))?;
-        let config = config_from(&o)?;
-        if o.trace_mode == TraceMode::Fused {
-            // Single-cell fused replay: decode one materialized
-            // buffer — the exact path a fused sweep group takes.
-            let buffer = std::sync::Arc::new(workloads::TraceBuffer::materialize(
-                spec.trace(o.accesses, o.seed),
-            ));
-            let mut r = sim_engine::run_group_from_buffer(vec![config], spec.name(), &buffer, 0)
-                .pop()
-                .expect("one config in, one result out");
-            r.exec_mode = Some("fused");
-            r
-        } else {
-            // Sharded and serial runs are bit-identical; --shards only
-            // changes how many threads step the simulation. Report the
-            // effective count when the request is silently reduced —
-            // either the policy carries global state (serial fallback)
-            // or the count exceeds the smallest cache's set count.
-            let effective = sim_engine::effective_shards(o.shards, &config);
-            if effective != o.shards {
-                println!(
-                    "note: running with {effective} shard(s) of {} requested ({})",
-                    o.shards,
-                    if effective == 1 {
-                        "policy state is global; set-sharding falls back to serial"
-                    } else {
-                        "clamped to the smallest cache's set count"
-                    }
-                );
-            }
-            sim_engine::run_workload_sharded(config, &spec, o.accesses, 0, o.shards)
-        }
+        run_workload(config_from(&o)?, &spec, o.accesses)
     };
     print_result(&result);
     if let Some(path) = &o.csv {
@@ -448,16 +402,12 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
         options = options.with_topology(spec);
     }
     let sweep = SweepConfig {
-        jobs: o.jobs,
-        shards: o.shards,
         journal: o.journal.clone(),
         quiet: false,
-        trace_mode: o.trace_mode,
-        trace_cache_mb: o.trace_cache_mb,
-        trace_cache: None,
         // Ctrl-C stops dispatching cells and seals the journal so a
         // re-run resumes instead of starting over.
         cancel: Some(sweep_runner::interrupt::install()),
+        ..SweepConfig::with_jobs(o.jobs)
     };
     let suite = SuiteResults::run_with(options, &sweep).map_err(|e| {
         if e.kind() == std::io::ErrorKind::Interrupted {
@@ -615,48 +565,14 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
             s.wall_secs
         );
     }
-    let inline_sweep = report
-        .sweep_modes
-        .iter()
-        .find(|s| s.name == "sweep/inline")
-        .map(|s| s.accesses_per_sec);
-    for s in &report.sweep_modes {
-        let vs_inline = match inline_sweep {
-            Some(base) if base > 0.0 => format!(", {:.2}x vs inline", s.accesses_per_sec / base),
-            _ => String::new(),
-        };
-        println!(
-            "{:<40} {:>9.0} kacc/s ({} cells in {:.3}s{vs_inline})",
-            s.name,
-            s.accesses_per_sec / 1e3,
-            s.cells,
-            s.wall_secs
-        );
-    }
-    let serial_run = report
-        .shard_runs
-        .iter()
-        .find(|s| s.name == "run/shards1")
-        .map(|s| s.accesses_per_sec);
-    for s in &report.shard_runs {
-        let vs_serial = match serial_run {
-            Some(base) if base > 0.0 => format!(", {:.2}x vs serial", s.accesses_per_sec / base),
-            _ => String::new(),
-        };
-        println!(
-            "{:<40} {:>9.0} kacc/s ({} accesses in {:.3}s{vs_serial})",
-            s.name,
-            s.accesses_per_sec / 1e3,
-            s.accesses,
-            s.wall_secs
-        );
-    }
-    if report.shard_runs.len() < 3 {
-        println!(
-            "{:<40} skipped (host parallelism {})",
-            "run/shards>1", report.host_parallelism
-        );
-    }
+    let s = &report.sweep;
+    println!(
+        "{:<40} {:>9.0} kacc/s ({} cells in {:.3}s)",
+        s.name,
+        s.accesses_per_sec / 1e3,
+        s.cells,
+        s.wall_secs
+    );
     println!(
         "{:<40} {:>9.0} kacc/s (geometric mean)",
         "suite",
@@ -848,9 +764,9 @@ fn cmd_check(args: &[String]) -> Result<(), String> {
 const DEFAULT_SERVE_ADDR: &str = "127.0.0.1:7511";
 
 fn cmd_serve(args: &[String]) -> Result<(), String> {
-    // Surface a bad SLIP_SHARDS as a normal CLI error before
-    // `ServerConfig::new` (which panics on one) reads it.
-    sim_engine::env::shards()?;
+    // Surface a retired knob as a normal CLI error before
+    // `ServerConfig::new` (which panics on one) reads the environment.
+    sim_engine::env::check_retired()?;
     let mut config = slip_serve::ServerConfig::new("slip-serve-journals");
     config.addr = DEFAULT_SERVE_ADDR.to_owned();
     let mut port_file: Option<PathBuf> = None;
@@ -868,18 +784,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
                     .parse()
                     .map_err(|e| format!("--jobs: {e}"))?
             }
-            "--shards" => {
-                let n = value("--shards")?
-                    .parse::<usize>()
-                    .map_err(|e| format!("--shards: {e}"))?;
-                config.shards =
-                    sim_engine::validate_shards(n).map_err(|e| format!("--shards: {e}"))?;
-            }
-            "--trace-mode" => {
-                let v = value("--trace-mode")?;
-                config.trace_mode =
-                    TraceMode::parse(&v).ok_or_else(|| format!("unknown trace mode {v:?}"))?;
-            }
             "--journal-dir" => config.journal_dir = PathBuf::from(value("--journal-dir")?),
             "--trace-cache-mb" => {
                 config.trace_cache_mb = value("--trace-cache-mb")?
@@ -888,15 +792,12 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             }
             "--port-file" => port_file = Some(PathBuf::from(value("--port-file")?)),
             "--quiet" => config.quiet = true,
-            other => return Err(format!("unknown option {other:?}")),
+            other => {
+                return Err(
+                    retired_flag(other).unwrap_or_else(|| format!("unknown option {other:?}"))
+                )
+            }
         }
-    }
-    if config.trace_mode == TraceMode::Fused && config.shards > 1 {
-        return Err(
-            "--trace-mode fused runs each benchmark group on one worker and ignores set \
-             shards; drop --shards (or SLIP_SHARDS), or pick another trace mode"
-                .to_owned(),
-        );
     }
     let server = slip_serve::Server::bind(config).map_err(|e| format!("bind: {e}"))?;
     if let Some(path) = port_file {
@@ -1091,14 +992,8 @@ mod tests {
             "out.csv",
             "--jobs",
             "3",
-            "--shards",
-            "4",
             "--journal",
             "run.jsonl",
-            "--trace-mode",
-            "pipelined",
-            "--trace-cache-mb",
-            "64",
         ]))
         .unwrap();
         assert_eq!(o.policy, PolicyKind::NuRapid);
@@ -1108,13 +1003,10 @@ mod tests {
         assert!(o.inclusive);
         assert_eq!(o.csv.as_deref(), Some("out.csv"));
         assert_eq!(o.jobs, 3);
-        assert_eq!(o.shards, 4);
         assert_eq!(
             o.journal.as_deref(),
             Some(std::path::Path::new("run.jsonl"))
         );
-        assert_eq!(o.trace_mode, TraceMode::Pipelined);
-        assert_eq!(o.trace_cache_mb, 64);
     }
 
     #[test]
@@ -1132,35 +1024,70 @@ mod tests {
         assert!(parse_options(&s(&["--accesses", "many"])).is_err());
         assert!(parse_options(&s(&["--csv"])).is_err());
         assert!(parse_options(&s(&["--jobs", "few"])).is_err());
-        assert!(parse_options(&s(&["--shards", "some"])).is_err());
         assert!(parse_options(&s(&["--journal"])).is_err());
-        assert!(parse_options(&s(&["--trace-mode", "magic"])).is_err());
-        assert!(parse_options(&s(&["--trace-cache-mb", "lots"])).is_err());
+    }
+
+    /// The error a retired flag spelling produces on `cmd`, which must
+    /// fail at parse time — before any simulation — naming the
+    /// replacement.
+    fn retired_error(cmd: fn(&[String]) -> Result<(), String>, args: &[&str]) -> String {
+        let err = cmd(&s(args)).unwrap_err();
+        assert!(err.contains("no longer supported"), "{args:?}: {err}");
+        assert!(err.contains("--jobs"), "{args:?}: {err}");
+        err
     }
 
     #[test]
     fn rejects_non_power_of_two_shards_at_parse_time() {
-        for bad in ["0", "3", "6", "12", "100"] {
-            let err = parse_options(&s(&["--shards", bad]))
-                .map(|_| ())
-                .unwrap_err();
-            assert!(err.contains("power of two"), "--shards {bad}: {err}");
-        }
-        for good in ["1", "2", "4", "64"] {
-            assert!(parse_options(&s(&["--shards", good])).is_ok(), "{good}");
+        // Set sharding is gone: every --shards value fails at parse time.
+        for n in ["0", "3", "1", "2", "64"] {
+            let err = parse_options(&s(&["--shards", n])).map(|_| ()).unwrap_err();
+            assert!(
+                err.contains("fused benchmark groups"),
+                "--shards {n}: {err}"
+            );
         }
     }
 
     #[test]
-    fn fused_mode_parses_and_rejects_set_shards() {
-        let o = parse_options(&s(&["--trace-mode", "fused"])).unwrap();
-        assert_eq!(o.trace_mode, TraceMode::Fused);
-        let err = parse_options(&s(&["--trace-mode", "fused", "--shards", "2"]))
-            .map(|_| ())
-            .unwrap_err();
-        assert!(err.contains("fused"), "{err}");
-        // Order must not matter.
-        assert!(parse_options(&s(&["--shards", "2", "--trace-mode", "fused"])).is_err());
+    fn run_rejects_retired_trace_mode() {
+        retired_error(cmd_run, &["gcc", "--trace-mode", "fused"]);
+    }
+
+    #[test]
+    fn run_rejects_retired_shards() {
+        retired_error(cmd_run, &["gcc", "--shards", "2"]);
+    }
+
+    #[test]
+    fn sweep_rejects_retired_trace_mode() {
+        let err = retired_error(cmd_sweep, &["gcc", "--trace-mode", "shared"]);
+        assert!(err.contains("fused benchmark groups"), "{err}");
+    }
+
+    #[test]
+    fn sweep_rejects_retired_shards() {
+        let err = retired_error(cmd_sweep, &["gcc", "--shards", "2"]);
+        assert!(err.contains("fused benchmark groups"), "{err}");
+    }
+
+    #[test]
+    fn sweep_rejects_retired_trace_cache_mb() {
+        let err = retired_error(cmd_sweep, &["gcc", "--trace-cache-mb", "64"]);
+        assert!(err.contains("slip serve"), "{err}");
+    }
+
+    #[test]
+    fn serve_rejects_retired_trace_mode() {
+        retired_error(
+            cmd_serve,
+            &["--addr", "127.0.0.1:0", "--trace-mode", "fused"],
+        );
+    }
+
+    #[test]
+    fn serve_rejects_retired_shards() {
+        retired_error(cmd_serve, &["--addr", "127.0.0.1:0", "--shards", "2"]);
     }
 
     #[test]

@@ -319,7 +319,7 @@ end
 /// whose reads cost ~0.6x the SRAM read (denser, lower-leakage array)
 /// but whose writes cost 6x the read, after "Reuse Detector"
 /// (Rodríguez-Rodríguez et al.). Under these parameters SLIP's
-/// insertion-energy term dominates the L3 account — see DESIGN.md §15
+/// insertion-energy term dominates the L3 account — see DESIGN.md §14
 /// and EXPERIMENTS.md for the measured ordering.
 pub const BUILTIN_STT_LLC: &str = "\
 # SLIP built-in node: stt-llc (45 nm SRAM L1/L2, STT-RAM L3).
@@ -460,7 +460,7 @@ impl HierarchySpec {
     /// spec is constructed programmatically (the parser enforces the
     /// same rules with positions). The limits exist so every spec stays
     /// eligible for the optimized execution paths: power-of-two sets
-    /// keep set-sharding's bit-field ownership exact, `ways <= 16` at
+    /// index with a mask instead of a division, `ways <= 16` at
     /// L1 fits the packed-nibble LRU stack, `ways <= 32` fits
     /// `WayMask`, and `sublevels <= 8` bounds the EOU's `2^S`
     /// enumeration.

@@ -14,8 +14,8 @@ pub const DRAM_LATENCY_CYCLES: u32 = 100;
 /// The DRAM backing store: pure traffic/energy accounting.
 ///
 /// Energy is derived from the transfer counters on demand (one multiply
-/// per counter), so two shards' counters can be summed and the combined
-/// energy is bit-identical to a serial run's.
+/// per counter), so two models' counters can be summed and the combined
+/// energy is bit-identical to one model that saw both streams.
 ///
 /// # Example
 ///
@@ -127,8 +127,7 @@ impl Dram {
         acct
     }
 
-    /// Adds another DRAM model's transfer counters into this one (the
-    /// set-sharded runner's reduction step).
+    /// Adds another DRAM model's transfer counters into this one.
     pub fn absorb(&mut self, other: &Dram) {
         self.reads += other.reads;
         self.writes += other.writes;

@@ -20,8 +20,7 @@ pub struct LruPea {
     sublevel_masks: Vec<WayMask>,
     weights: Vec<u64>,
     /// One deterministic stream per set, so the cluster chosen for a
-    /// fill is a pure function of that set's fill history (which lets a
-    /// set-shard of the cache reproduce the serial choices exactly).
+    /// fill is a pure function of that set's fill history.
     rngs: Vec<SplitMix64>,
 }
 

@@ -2,8 +2,8 @@
 //!
 //! Prints, for every suite workload, the nanoseconds per access spent
 //! synthesizing the trace and simulating it (baseline policy), plus
-//! generation's share of an inline cell — the number that bounds what
-//! the shared-trace sweep mode can save (DESIGN.md §9).
+//! generation's share of an inline cell — the cost a fused sweep group
+//! pays once for all its policy cells (DESIGN.md §12).
 
 use std::time::Instant;
 

@@ -18,7 +18,6 @@
 
 use crate::config::{PolicyKind, SystemConfig};
 use crate::experiments::{SuiteOptions, SuiteResults};
-use crate::pipeline::TraceMode;
 use crate::system::SingleCoreSystem;
 use crate::SweepConfig;
 use std::time::Instant;
@@ -84,20 +83,17 @@ pub struct SystemResult {
     pub accesses_per_sec: f64,
 }
 
-/// One execution mode of the sweep A/B: a small benchmark × policy
-/// grid run end to end (trace handling included) under one
-/// [`TraceMode`].
+/// The end-to-end sweep run: a small benchmark × policy grid executed
+/// as fused groups, trace generation included.
 #[derive(Debug, Clone)]
-pub struct SweepModeResult {
-    /// Run name, e.g. `sweep/shared`.
+pub struct SweepResult {
+    /// Run name (`sweep/fused`).
     pub name: String,
     /// Cells in the grid.
     pub cells: u64,
     /// Total simulated accesses across the grid.
     pub accesses: u64,
-    /// Wall seconds of the best repetition. Wall clock, not thread CPU
-    /// time: the pipelined mode spends its CPU on a producer thread,
-    /// which the calling thread's schedstat cannot see.
+    /// Wall seconds of the best repetition.
     pub wall_secs: f64,
     /// Simulated accesses per wall second (best repetition).
     pub accesses_per_sec: f64,
@@ -112,24 +108,12 @@ pub struct BenchReport {
     pub kernels: Vec<KernelResult>,
     /// Full-system throughput runs.
     pub systems: Vec<SystemResult>,
-    /// The trace-mode sweep A/B (inline vs pipelined vs shared vs
-    /// fused), interleaved in the same measurement window.
-    pub sweep_modes: Vec<SweepModeResult>,
+    /// The end-to-end fused sweep.
+    pub sweep: SweepResult,
     /// Hit-run scanner throughput runs, in their own section so the
     /// headline geomean keeps the established `systems` set and
     /// regression checks compare like with like across PRs.
     pub fastpath_runs: Vec<SystemResult>,
-    /// The set-sharding A/B: one single run at 1, 2, and 4 shards,
-    /// interleaved in the same measurement window. Shard counts the
-    /// host cannot run in parallel are skipped (see
-    /// [`host_parallelism`](Self::host_parallelism)), so a 2-core CI
-    /// box reports `run/shards{1,2}` and no `run/shards4` section —
-    /// checks must treat missing sections as "not measurable here",
-    /// not as a regression.
-    pub shard_runs: Vec<SystemResult>,
-    /// `std::thread::available_parallelism()` at measurement time —
-    /// the gate for which `shard_runs` sections exist.
-    pub host_parallelism: usize,
     /// Geometric mean of the system throughputs — the suite's headline
     /// number and the value regression checks compare.
     pub suite_accesses_per_sec: f64,
@@ -150,26 +134,16 @@ impl BenchReport {
                     .with("accesses_per_sec", Value::f64(s.accesses_per_sec)),
             )
         });
-        let sweeps = self.sweep_modes.iter().fold(Value::object(), |o, s| {
-            o.with(
-                &s.name,
-                Value::object()
-                    .with("cells", Value::u64(s.cells))
-                    .with("accesses", Value::u64(s.accesses))
-                    .with("wall_secs", Value::f64(s.wall_secs))
-                    .with("accesses_per_sec", Value::f64(s.accesses_per_sec)),
-            )
-        });
+        let s = &self.sweep;
+        let sweeps = Value::object().with(
+            &s.name,
+            Value::object()
+                .with("cells", Value::u64(s.cells))
+                .with("accesses", Value::u64(s.accesses))
+                .with("wall_secs", Value::f64(s.wall_secs))
+                .with("accesses_per_sec", Value::f64(s.accesses_per_sec)),
+        );
         let fastpath_runs = self.fastpath_runs.iter().fold(Value::object(), |o, s| {
-            o.with(
-                &s.name,
-                Value::object()
-                    .with("accesses", Value::u64(s.accesses))
-                    .with("wall_secs", Value::f64(s.wall_secs))
-                    .with("accesses_per_sec", Value::f64(s.accesses_per_sec)),
-            )
-        });
-        let shard_runs = self.shard_runs.iter().fold(Value::object(), |o, s| {
             o.with(
                 &s.name,
                 Value::object()
@@ -188,8 +162,6 @@ impl BenchReport {
             .with("systems", systems)
             .with("sweep_modes", sweeps)
             .with("fastpath_runs", fastpath_runs)
-            .with("shard_runs", shard_runs)
-            .with("host_parallelism", Value::u64(self.host_parallelism as u64))
             .with(
                 "suite_accesses_per_sec",
                 Value::f64(self.suite_accesses_per_sec),
@@ -386,10 +358,9 @@ fn kernel_benches(quick: bool) -> Vec<KernelResult> {
         });
     }
 
-    // Trace synthesis vs materialized replay: the per-access generation
-    // cost the pipeline overlaps (pipelined) or amortizes across a
-    // group (shared), and the unpack cost that replaces it. Their ratio
-    // bounds the sweep-mode win.
+    // Trace synthesis vs materialized replay: the per-access cost a
+    // streamed fused group pays once per group, and the unpack cost a
+    // `slip serve` group replaying a cached buffer pays instead.
     {
         let spec = workloads::workload("gcc").expect("known benchmark");
         let seed = config.seed;
@@ -477,13 +448,10 @@ fn system_benches(quick: bool) -> Vec<SystemResult> {
         .collect()
 }
 
-/// The trace-mode A/B: one small benchmark × policy grid, executed end
-/// to end (trace handling included, `--jobs 1`) under each
-/// [`TraceMode`], repetitions interleaved round-robin so every mode
-/// sees the same measurement window. Timed on the wall clock — the
-/// pipelined mode's generation runs on a producer thread the calling
-/// thread's CPU clock cannot see.
-fn sweep_mode_benches(quick: bool) -> Vec<SweepModeResult> {
+/// The end-to-end sweep: one small benchmark × policy grid executed as
+/// fused groups (trace generation included, `--jobs 1`), best of the
+/// repetitions on the wall clock.
+fn sweep_bench(quick: bool) -> SweepResult {
     let accesses: u64 = if quick { 40_000 } else { 200_000 };
     let reps = if quick { 3 } else { 5 };
     let options = || {
@@ -492,34 +460,21 @@ fn sweep_mode_benches(quick: bool) -> Vec<SweepModeResult> {
             .with_accesses(accesses)
     };
     let cells = (options().benchmarks.len() * options().policies.len()) as u64;
-    let modes = [
-        TraceMode::Inline,
-        TraceMode::Pipelined,
-        TraceMode::Shared,
-        TraceMode::Fused,
-    ];
-    let mut best = [f64::INFINITY; 4];
+    let mut best = f64::INFINITY;
     for _ in 0..reps {
-        for (i, mode) in modes.iter().enumerate() {
-            let sweep = SweepConfig::serial().with_trace_mode(*mode);
-            let t = Instant::now();
-            let suite = SuiteResults::run_with(options(), &sweep).expect("journal-less sweep");
-            let secs = t.elapsed().as_secs_f64();
-            std::hint::black_box(&suite);
-            best[i] = best[i].min(secs);
-        }
+        let t = Instant::now();
+        let suite =
+            SuiteResults::run_with(options(), &SweepConfig::serial()).expect("journal-less sweep");
+        best = best.min(t.elapsed().as_secs_f64());
+        std::hint::black_box(&suite);
     }
-    modes
-        .iter()
-        .zip(best)
-        .map(|(mode, secs)| SweepModeResult {
-            name: format!("sweep/{}", mode.label()),
-            cells,
-            accesses: cells * accesses,
-            wall_secs: secs,
-            accesses_per_sec: (cells * accesses) as f64 / secs,
-        })
-        .collect()
+    SweepResult {
+        name: "sweep/fused".to_owned(),
+        cells,
+        accesses: cells * accesses,
+        wall_secs: best,
+        accesses_per_sec: (cells * accesses) as f64 / best,
+    }
 }
 
 /// Hit-run scanner throughput: a Baseline system over a trace that
@@ -553,67 +508,20 @@ fn fastpath_run_benches(quick: bool) -> Vec<SystemResult> {
     }]
 }
 
-/// The set-sharding A/B: one single run (gcc/Baseline over one
-/// pre-materialized trace) executed at 1, 2, and 4 shards, repetitions
-/// interleaved round-robin so every shard count sees the same
-/// measurement window. Timed on the wall clock — shard workers run on
-/// their own threads, invisible to the calling thread's CPU clock. The
-/// shards=1 entry takes the serial fallback path, so the ratio is the
-/// true single-run parallel speedup. Shard counts exceeding
-/// `host_parallelism` are skipped: oversubscribed shard workers would
-/// measure the scheduler, not the sharding.
-fn shard_run_benches(quick: bool, host_parallelism: usize) -> Vec<SystemResult> {
-    let accesses: u64 = if quick { 150_000 } else { 600_000 };
-    let reps = if quick { 3 } else { 5 };
-    let config = SystemConfig::paper_45nm(PolicyKind::Baseline);
-    let spec = workloads::workload("gcc").expect("known benchmark");
-    let buffer = TraceBuffer::materialize(spec.trace(accesses, config.seed));
-    let shard_counts: Vec<usize> = [1usize, 2, 4]
-        .into_iter()
-        .filter(|&s| s <= host_parallelism)
-        .collect();
-    let mut best = vec![f64::INFINITY; shard_counts.len()];
-    for _ in 0..reps {
-        for (i, &shards) in shard_counts.iter().enumerate() {
-            let t = Instant::now();
-            let r = crate::shard::run_buffer_sharded(config.clone(), "gcc", &buffer, 0, shards);
-            let secs = t.elapsed().as_secs_f64();
-            std::hint::black_box(r);
-            best[i] = best[i].min(secs);
-        }
-    }
-    shard_counts
-        .iter()
-        .zip(best)
-        .map(|(&shards, secs)| SystemResult {
-            name: format!("run/shards{shards}"),
-            accesses,
-            wall_secs: secs,
-            accesses_per_sec: accesses as f64 / secs,
-        })
-        .collect()
-}
-
 /// Runs the whole suite. `quick` trades precision for CI speed.
 pub fn run(quick: bool) -> BenchReport {
-    let host_parallelism = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
     let kernels = kernel_benches(quick);
     let systems = system_benches(quick);
-    let sweep_modes = sweep_mode_benches(quick);
+    let sweep = sweep_bench(quick);
     let fastpath_runs = fastpath_run_benches(quick);
-    let shard_runs = shard_run_benches(quick, host_parallelism);
     let geomean =
         systems.iter().map(|s| s.accesses_per_sec.ln()).sum::<f64>() / systems.len() as f64;
     BenchReport {
         quick,
         kernels,
         systems,
-        sweep_modes,
+        sweep,
         fastpath_runs,
-        shard_runs,
-        host_parallelism,
         suite_accesses_per_sec: geomean.exp(),
     }
 }
@@ -657,26 +565,19 @@ mod tests {
                 wall_secs: 0.5,
                 accesses_per_sec: 2000.0,
             }],
-            sweep_modes: vec![SweepModeResult {
-                name: "sweep/shared".into(),
+            sweep: SweepResult {
+                name: "sweep/fused".into(),
                 cells: 10,
                 accesses: 10_000,
                 wall_secs: 2.0,
                 accesses_per_sec: 5000.0,
-            }],
+            },
             fastpath_runs: vec![SystemResult {
                 name: "system/hit_run".into(),
                 accesses: 4000,
                 wall_secs: 0.1,
                 accesses_per_sec: 40_000.0,
             }],
-            shard_runs: vec![SystemResult {
-                name: "run/shards4".into(),
-                accesses: 1000,
-                wall_secs: 0.125,
-                accesses_per_sec: 8000.0,
-            }],
-            host_parallelism: 8,
             suite_accesses_per_sec: 2000.0,
         };
         let v = report.to_value();
@@ -684,7 +585,7 @@ mod tests {
         let sweeps = v.get("sweep_modes").unwrap();
         assert_eq!(
             sweeps
-                .get("sweep/shared")
+                .get("sweep/fused")
                 .unwrap()
                 .get("accesses_per_sec")
                 .unwrap()
@@ -695,19 +596,8 @@ mod tests {
             v.get("suite_accesses_per_sec").unwrap().as_f64(),
             Some(2000.0)
         );
-        assert_eq!(
-            v.get("shard_runs")
-                .unwrap()
-                .get("run/shards4")
-                .unwrap()
-                .get("accesses_per_sec")
-                .unwrap()
-                .as_f64(),
-            Some(8000.0)
-        );
         let k = v.get("kernels_ns_per_iter").unwrap();
         assert_eq!(k.get("k/one").unwrap().as_f64(), Some(12.5));
-        assert_eq!(v.get("host_parallelism").unwrap().as_f64(), Some(8.0));
         // Round-trips through the JSON text form.
         let parsed = Value::parse(&v.to_json()).unwrap();
         assert_eq!(

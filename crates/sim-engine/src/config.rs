@@ -164,10 +164,10 @@ impl SystemConfig {
     /// --topology FILE`, `SLIP_TOPOLOGY`, or a built-in node name). The
     /// spec is re-validated so programmatically constructed specs go
     /// through the same eligibility rulebook as parsed ones: power-of-two
-    /// sets keep set-sharding exact, `l1 ways <= 16` fits the packed-LRU
-    /// fast path, total ways fit `WayMask`, and the sublevel count
-    /// bounds the EOU's `2^S` enumeration — so every spec-built config
-    /// stays eligible for the shard, fused, and fast-path runners.
+    /// sets index with a mask, `l1 ways <= 16` fits the packed-LRU fast
+    /// path, total ways fit `WayMask`, and the sublevel count bounds the
+    /// EOU's `2^S` enumeration — so every spec-built config stays
+    /// eligible for the fused and fast-path runners.
     ///
     /// Knobs the spec does not describe (policy internals, sampling,
     /// seed, core model) keep their paper defaults; loading the built-in

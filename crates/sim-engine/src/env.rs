@@ -10,17 +10,13 @@
 //! | `SLIP_WARMUP`         | unmeasured warmup accesses           | 0 |
 //! | `SLIP_JOBS`           | sweep worker count                   | available parallelism |
 //! | `SLIP_JOURNAL`        | run-journal path (enables resume)    | unset (off) |
-//! | `SLIP_TRACE_MODE`     | trace execution: `inline` \| `pipelined` \| `shared` \| `fused` | `shared` |
-//! | `SLIP_TRACE_CACHE_MB` | shared-trace cache budget in MiB (0 disables sharing) | 1024 |
+//! | `SLIP_TRACE_CACHE_MB` | `slip serve` trace cache budget in MiB (0 disables it) | 1024 |
 //! | `SLIP_FUZZ_ITERS`     | `slip check` differential-fuzz iteration budget | unset (mode default) |
-//! | `SLIP_SHARDS`         | set-shard workers per single run (power of two; 1 = serial) | 1 |
 //! | `SLIP_TOPOLOGY`       | hierarchy spec: built-in node name or file path | unset (built-in 45 nm) |
 //!
-//! One exception to the garbage-falls-back rule: a *set* `SLIP_SHARDS`
-//! that is not a power of two (or not a number) is an error, not a
-//! silent round-down — see [`shards`].
-
-use crate::pipeline::TraceMode;
+//! One exception to the garbage-falls-back rule: the retired knobs
+//! `SLIP_TRACE_MODE` and `SLIP_SHARDS` are errors when set, not silently
+//! ignored — see [`check_retired`].
 use std::path::PathBuf;
 use std::str::FromStr;
 
@@ -56,12 +52,13 @@ pub fn journal() -> Option<PathBuf> {
         .map(PathBuf::from)
 }
 
-/// Default shared-trace cache budget in MiB (128 M accesses' worth).
+/// Default `slip serve` trace cache budget in MiB (128 M accesses'
+/// worth).
 pub const DEFAULT_TRACE_CACHE_MB: u64 = 1024;
 
-/// Shared-trace cache budget in MiB (`SLIP_TRACE_CACHE_MB`). Groups
-/// whose materialized trace would exceed the remaining budget fall back
-/// to pipelined regeneration; 0 disables sharing entirely.
+/// `slip serve` trace cache budget in MiB (`SLIP_TRACE_CACHE_MB`).
+/// Streams whose materialized trace would exceed the whole budget are
+/// streamed instead of cached; 0 disables the cache entirely.
 pub fn trace_cache_mb() -> u64 {
     parse_var("SLIP_TRACE_CACHE_MB").unwrap_or(DEFAULT_TRACE_CACHE_MB)
 }
@@ -73,23 +70,38 @@ pub fn fuzz_iters() -> Option<u64> {
     parse_var("SLIP_FUZZ_ITERS")
 }
 
-/// Set-shard workers per single run (`SLIP_SHARDS`); 1 means serial.
-/// Unset or empty means 1. A *set* value that is not a positive power
-/// of two is rejected with a clear error instead of being silently
-/// rounded down — the shard owner is a fixed bit field of the line
-/// address, so `SLIP_SHARDS=3` cannot mean what it says.
-/// Non-shardable configurations still fall back to serial per cell
-/// (see [`crate::shard::effective_shards`]), which the runners report.
-pub fn shards() -> Result<usize, String> {
-    let raw = match std::env::var("SLIP_SHARDS") {
-        Ok(s) if !s.trim().is_empty() => s,
-        _ => return Ok(1),
-    };
-    let parsed: usize = raw
-        .trim()
-        .parse()
-        .map_err(|_| format!("SLIP_SHARDS={:?}: not a number", raw.trim()))?;
-    crate::shard::validate_shards(parsed).map_err(|e| format!("SLIP_SHARDS: {e}"))
+/// Environment knobs that used to select an execution path, with what
+/// replaced them. Setting one is an error, never a silent no-op.
+const RETIRED: [(&str, &str); 2] = [
+    (
+        "SLIP_TRACE_MODE",
+        "`slip run` steps its trace inline and sweeps always run fused benchmark groups",
+    ),
+    (
+        "SLIP_SHARDS",
+        "set-sharded runs were removed; sweeps always run fused benchmark groups",
+    ),
+];
+
+/// Fails when a retired knob (`SLIP_TRACE_MODE`, `SLIP_SHARDS`) is set
+/// to a non-empty value, naming its replacement.
+pub fn check_retired() -> Result<(), String> {
+    check_retired_in(|name| std::env::var(name).ok())
+}
+
+/// [`check_retired`] over any variable lookup; an empty value counts as
+/// unset.
+fn check_retired_in(var: impl Fn(&str) -> Option<String>) -> Result<(), String> {
+    for (name, replacement) in RETIRED {
+        if let Some(value) = var(name).filter(|v| !v.trim().is_empty()) {
+            return Err(format!(
+                "{name}={:?} is no longer supported: {replacement}; parallelism is \
+                 SLIP_JOBS / --jobs",
+                value.trim()
+            ));
+        }
+    }
+    Ok(())
 }
 
 /// Hierarchy spec argument (`SLIP_TOPOLOGY`): a built-in node name
@@ -106,15 +118,6 @@ pub fn topology() -> Option<String> {
         .filter(|s| !s.is_empty())
 }
 
-/// Trace execution mode (`SLIP_TRACE_MODE`); unknown or unset values
-/// mean the default, [`TraceMode::Shared`].
-pub fn trace_mode() -> TraceMode {
-    std::env::var("SLIP_TRACE_MODE")
-        .ok()
-        .and_then(|s| TraceMode::parse(&s))
-        .unwrap_or(TraceMode::Shared)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -128,23 +131,17 @@ mod tests {
     }
 
     #[test]
-    fn shards_rejects_non_powers_of_two_when_set() {
-        // The only test in this binary touching SLIP_SHARDS; restores
-        // the unset state before returning.
-        std::env::set_var("SLIP_SHARDS", "4");
-        assert_eq!(shards(), Ok(4));
-        std::env::set_var("SLIP_SHARDS", " 2 ");
-        assert_eq!(shards(), Ok(2));
-        std::env::set_var("SLIP_SHARDS", "3");
-        assert!(shards().unwrap_err().contains("power of two"));
-        std::env::set_var("SLIP_SHARDS", "0");
-        assert!(shards().unwrap_err().contains("power of two"));
-        std::env::set_var("SLIP_SHARDS", "lots");
-        assert!(shards().unwrap_err().contains("not a number"));
-        std::env::set_var("SLIP_SHARDS", "");
-        assert_eq!(shards(), Ok(1));
-        std::env::remove_var("SLIP_SHARDS");
-        assert_eq!(shards(), Ok(1));
+    fn retired_knobs_fail_naming_their_replacement() {
+        for name in ["SLIP_TRACE_MODE", "SLIP_SHARDS"] {
+            let set = |value: &'static str| move |n: &str| (n == name).then(|| value.to_owned());
+            let e = check_retired_in(set(" 2 ")).unwrap_err();
+            assert!(e.starts_with(&format!("{name}=\"2\"")), "{e}");
+            assert!(e.contains("fused benchmark groups"), "{e}");
+            assert!(e.contains("--jobs"), "{e}");
+            // Empty means unset.
+            assert_eq!(check_retired_in(set("  ")), Ok(()));
+        }
+        assert_eq!(check_retired_in(|_| None), Ok(()));
     }
 
     #[test]

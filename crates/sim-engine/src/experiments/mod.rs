@@ -15,4 +15,4 @@ pub mod speedup;
 pub mod suite;
 pub mod traffic;
 
-pub use suite::{run_fused_group, run_suite_cell, SuiteOptions, SuiteResults};
+pub use suite::{run_fused_group, SuiteOptions, SuiteResults};

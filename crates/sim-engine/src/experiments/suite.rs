@@ -1,19 +1,20 @@
 //! Shared experiment driver: runs a set of benchmarks under a set of
 //! policies once and exposes the results to the per-figure formatters.
 //!
-//! Cells execute on the [`sweep_runner`] engine: one job per
-//! `(benchmark, policy)` cell, drained by a worker pool
-//! ([`SweepConfig::jobs`]), optionally journaled for checkpoint/resume
-//! ([`SweepConfig::journal`]). Each cell builds its own seeded
-//! [`SystemConfig`], so results are independent of execution order and
-//! a parallel sweep is bit-identical to a serial one.
+//! Cells execute on the [`sweep_runner`] engine as fused groups: the
+//! pending policy cells of one benchmark step in lockstep through one
+//! pass over its access stream ([`crate::fused`]), one pool job per
+//! group ([`SweepConfig::jobs`] workers), optionally journaled for
+//! checkpoint/resume ([`SweepConfig::journal`]). Each cell builds its
+//! own seeded [`SystemConfig`], so results are independent of grouping
+//! and execution order, and a parallel sweep is bit-identical to a
+//! serial one.
 
 use crate::codec;
 use crate::config::{PolicyKind, SystemConfig};
 use crate::env;
-use crate::pipeline::{run_workload_from_buffer, run_workload_pipelined, TraceMode};
+use crate::fused::run_group;
 use crate::result::SimResult;
-use crate::system::run_workload_with_warmup;
 use crate::trace_cache::{TraceCacheStats, TraceKey, TraceLru};
 use energy_model::{HierarchySpec, TechnologyParams};
 use std::collections::HashMap;
@@ -171,77 +172,46 @@ impl SuiteOptions {
 /// produces.
 #[derive(Debug, Clone)]
 pub struct SweepConfig {
-    /// Worker count; 1 is fully serial.
+    /// Worker count; 1 is fully serial. Benchmark groups split until
+    /// every worker has one ([`sweep_runner::group_cells`]).
     pub jobs: usize,
     /// JSONL run-journal path; completed cells found there are restored
     /// instead of re-run.
     pub journal: Option<PathBuf>,
     /// Suppress stderr progress lines.
     pub quiet: bool,
-    /// How cells obtain their access streams. All modes are
-    /// bit-identical; they differ only in throughput. In
-    /// [`TraceMode::Fused`] all policy cells of one benchmark run as a
-    /// single lockstep group that occupies one worker and retires every
-    /// cell at once.
-    pub trace_mode: TraceMode,
-    /// Set-shard workers per cell (1 = serial). Sharded execution is
-    /// bit-identical to serial; configurations with global policy
-    /// state (SLIP, DRRIP, SHiP) fall back to serial transparently.
-    /// When above 1, the sweep divides its worker count by the shard
-    /// count so `jobs × shards` never oversubscribes the pool.
-    /// Ignored in [`TraceMode::Fused`] (a fused group is one worker by
-    /// construction); the CLI rejects the combination outright.
-    pub shards: usize,
-    /// Shared-trace cache budget in MiB. A stream whose materialized
-    /// trace would exceed the whole budget falls back to pipelined
-    /// regeneration; 0 disables sharing entirely. Ignored when
-    /// [`SweepConfig::trace_cache`] supplies an external cache.
-    pub trace_cache_mb: u64,
-    /// Externally owned trace cache shared across sweeps (the
-    /// `slip serve` daemon passes its server-wide LRU here); `None`
-    /// builds a sweep-local cache from [`SweepConfig::trace_cache_mb`].
+    /// Externally owned trace cache shared across sweeps, like the one
+    /// `slip serve` keeps; groups replay its buffers instead of
+    /// streaming. `None` streams every group's trace, so memory stays
+    /// O(chunk) at any trace length.
     pub trace_cache: Option<Arc<TraceLru>>,
     /// Cooperative cancellation flag (e.g. the process SIGINT flag from
     /// `sweep_runner::interrupt::install()`); when it trips, the sweep
-    /// stops dispatching cells, seals the journal, and errors with
+    /// stops dispatching groups, seals the journal, and errors with
     /// [`std::io::ErrorKind::Interrupted`].
     pub cancel: Option<&'static std::sync::atomic::AtomicBool>,
 }
 
 impl SweepConfig {
-    /// Reads `SLIP_JOBS` / `SLIP_JOURNAL` / `SLIP_TRACE_MODE` /
-    /// `SLIP_TRACE_CACHE_MB` / `SLIP_SHARDS`; progress lines on.
+    /// Reads `SLIP_JOBS` / `SLIP_JOURNAL`; progress lines on.
     ///
     /// # Panics
     ///
-    /// Panics when `SLIP_SHARDS` is set to something that is not a
-    /// positive power of two — a silently rounded shard count would
-    /// mislabel what ran. The CLI surfaces the same error politely.
+    /// Panics when a retired knob (`SLIP_TRACE_MODE`, `SLIP_SHARDS`) is
+    /// set — ignoring it would mislabel what ran. The CLI surfaces the
+    /// same error politely.
     pub fn from_env() -> Self {
+        env::check_retired().unwrap_or_else(|e| panic!("{e}"));
         SweepConfig {
-            jobs: env::jobs(),
             journal: env::journal(),
             quiet: false,
-            trace_mode: env::trace_mode(),
-            shards: env::shards().unwrap_or_else(|e| panic!("{e}")),
-            trace_cache_mb: env::trace_cache_mb(),
-            trace_cache: None,
-            cancel: None,
+            ..Self::with_jobs(env::jobs())
         }
     }
 
     /// Serial, journal-less, quiet.
     pub fn serial() -> Self {
-        SweepConfig {
-            jobs: 1,
-            journal: None,
-            quiet: true,
-            trace_mode: TraceMode::Shared,
-            shards: 1,
-            trace_cache_mb: env::DEFAULT_TRACE_CACHE_MB,
-            trace_cache: None,
-            cancel: None,
-        }
+        Self::with_jobs(1)
     }
 
     /// `jobs` workers, journal-less, quiet.
@@ -250,179 +220,34 @@ impl SweepConfig {
             jobs,
             journal: None,
             quiet: true,
-            trace_mode: TraceMode::Shared,
-            shards: 1,
-            trace_cache_mb: env::DEFAULT_TRACE_CACHE_MB,
             trace_cache: None,
             cancel: None,
         }
     }
 
-    /// Overrides the per-cell shard count.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1);
-        self
-    }
-
-    /// Worker count after shard arbitration: cells each occupy
-    /// `shards` threads, so the dispatcher gets `jobs / shards`
-    /// workers (at least one) and the pool stays at or under `jobs`
-    /// threads total. Fused sweeps ignore shards — a fused group is a
-    /// single worker retiring N cells, so the full `jobs` budget goes
-    /// to groups.
-    pub fn effective_jobs(&self) -> usize {
-        if self.shards > 1 && self.trace_mode != TraceMode::Fused {
-            (self.jobs / self.shards).max(1)
-        } else {
-            self.jobs
-        }
-    }
-
-    /// Overrides the trace execution mode.
-    pub fn with_trace_mode(mut self, mode: TraceMode) -> Self {
-        self.trace_mode = mode;
-        self
-    }
-
     /// Runs the sweep against an externally owned (e.g. server-wide)
-    /// trace cache instead of a sweep-local one.
+    /// trace cache instead of streaming.
     pub fn with_trace_cache(mut self, cache: Arc<TraceLru>) -> Self {
         self.trace_cache = Some(cache);
         self
     }
 }
 
-/// Runs one `(benchmark, policy)` cell exactly as
-/// [`SuiteResults::run_with`] would, returning the result and the
-/// `trace_source` metric label. Shared between the offline sweep and
-/// the `slip serve` daemon so both execution paths are bit-identical
-/// by construction: the trace mode and cache only change *how* the
-/// access stream is produced, never its contents.
+/// Runs the `policies` cells of one benchmark as a single fused group
+/// ([`crate::fused::run_group`]): one pass over the benchmark's access
+/// stream steps every cell in lockstep. With a `cache`, the stream is
+/// its materialized buffer (fetched, or built on first use); without
+/// one — or when the cache bypasses a stream too large for its budget —
+/// the trace is generated on the fly. Returns one
+/// `(result, trace_source)` per policy, in order. Shared between the
+/// offline sweep and the `slip serve` daemon so both execution paths
+/// are bit-identical by construction: the cache only changes *how* the
+/// stream is produced, never its contents.
 ///
-/// The returned result's [`SimResult::exec_mode`] names the path that
-/// actually ran — which differs from `trace_mode` whenever a mode falls
-/// back (pipelined + shards runs sharded; a cache-bypassed shared or
-/// fused stream regenerates pipelined) — so downstream A/B comparisons
-/// can't mislabel what executed.
-pub fn run_suite_cell(
-    options: &SuiteOptions,
-    bench: &str,
-    policy: PolicyKind,
-    trace_mode: TraceMode,
-    cache: Option<&TraceLru>,
-    shards: usize,
-) -> (SimResult, Option<&'static str>) {
-    let spec = workloads::workload(bench).expect("known benchmark");
-    let config = options.cell_config(policy);
-    let shards = crate::shard::effective_shards(shards, &config);
-    let pipelined = |config: SystemConfig| {
-        run_workload_pipelined(config, &spec, options.accesses, options.warmup)
-    };
-    let (mut result, trace_source, exec_mode) = match trace_mode {
-        TraceMode::Inline if shards > 1 => (
-            crate::shard::run_workload_sharded(
-                config,
-                &spec,
-                options.accesses,
-                options.warmup,
-                shards,
-            ),
-            Some("sharded"),
-            "sharded",
-        ),
-        TraceMode::Inline => (
-            run_workload_with_warmup(config, &spec, options.accesses, options.warmup),
-            None,
-            "inline",
-        ),
-        // Sharding replaces the single producer/consumer pair: each
-        // shard regenerates the trace on its own thread, so pipelining
-        // would only add a redundant producer.
-        TraceMode::Pipelined if shards > 1 => (
-            crate::shard::run_workload_sharded(
-                config,
-                &spec,
-                options.accesses,
-                options.warmup,
-                shards,
-            ),
-            Some("sharded"),
-            "sharded",
-        ),
-        TraceMode::Pipelined => (pipelined(config), Some("pipelined"), "pipelined"),
-        TraceMode::Shared => {
-            let total = options.warmup + options.accesses;
-            let key = TraceKey::new(spec.name(), config.seed, total);
-            let shared = cache.and_then(|c| {
-                c.get_or_materialize(&key, || {
-                    TraceBuffer::materialize(spec.trace(total, config.seed))
-                })
-            });
-            match shared {
-                Some((buf, _)) if shards > 1 => (
-                    crate::shard::run_buffer_sharded(
-                        config,
-                        spec.name(),
-                        &buf,
-                        options.warmup,
-                        shards,
-                    ),
-                    Some("sharded"),
-                    "sharded",
-                ),
-                Some((buf, outcome)) => (
-                    run_workload_from_buffer(config, spec.name(), &buf, options.warmup),
-                    Some(outcome.label()),
-                    "shared",
-                ),
-                None if shards > 1 => (
-                    crate::shard::run_workload_sharded(
-                        config,
-                        &spec,
-                        options.accesses,
-                        options.warmup,
-                        shards,
-                    ),
-                    Some("sharded"),
-                    "sharded",
-                ),
-                // The cache refused the stream (over budget or sharing
-                // disabled): the cell regenerated its trace instead of
-                // sharing one. "regenerated" keeps the trace tally
-                // distinct from cells *configured* to run pipelined.
-                None => (pipelined(config), Some("regenerated"), "pipelined"),
-            }
-        }
-        // A lone fused cell is a group of one; sharding is ignored in
-        // fused mode (the CLI rejects the combination).
-        TraceMode::Fused => {
-            let (result, trace_source) = run_fused_group(options, bench, &[policy], cache)
-                .pop()
-                .expect("one cell in, one result out");
-            return (result, trace_source);
-        }
-    };
-    result.exec_mode = Some(exec_mode);
-    (result, trace_source)
-}
-
-/// Runs every policy cell of one benchmark as a single fused group:
-/// the trace buffer is materialized (or fetched from the shared cache)
-/// once, decoded once, and all cells step through it in lockstep
-/// ([`crate::fused::run_group_from_buffer`]). Returns one
-/// `(result, trace_source)` per policy, in order, bit-identical to the
-/// per-cell [`TraceMode::Shared`] replay.
-///
-/// A stream the cache refuses to hold (over budget, or sharing
-/// disabled with a 0 MiB budget) cannot be fused — there is no buffer
-/// to share — so the group degrades to per-cell pipelined regeneration
-/// and labels itself accordingly via [`SimResult::exec_mode`].
-///
-/// Trace-source attribution: the group performs exactly *one* stream
-/// fetch (or one regeneration per member on fallback), so only the
-/// first member carries the cache-outcome label; the rest return
-/// `None`. Attributing the single fetch to every member used to
-/// multiply the sweep footer's trace tally by the group size.
+/// Trace-source attribution: the group fetches its stream exactly
+/// once, so only the first member carries the label (`materialized`,
+/// `cached`, or `streamed`); the rest return `None`. Every result's
+/// [`SimResult::exec_mode`] is `fused`.
 pub fn run_fused_group(
     options: &SuiteOptions,
     bench: &str,
@@ -433,35 +258,27 @@ pub fn run_fused_group(
     let configs: Vec<SystemConfig> = policies.iter().map(|&p| options.cell_config(p)).collect();
     let seed = configs[0].seed;
     let total = options.warmup + options.accesses;
-    let key = TraceKey::new(spec.name(), seed, total);
-    let local;
-    let (buffer, trace_source) = match cache.and_then(|c| {
-        c.get_or_materialize(&key, || TraceBuffer::materialize(spec.trace(total, seed)))
-    }) {
-        Some((buf, outcome)) => (buf, outcome.label()),
-        None if cache.is_some() => {
-            // The cache bypassed the stream: honor its memory budget
-            // and fall back to per-cell pipelined regeneration. Every
-            // member regenerates its own trace, so each one carries a
-            // "regenerated" label (distinct from "pipelined", which
-            // marks cells *configured* to run that way).
-            return configs
-                .into_iter()
-                .map(|config| {
-                    let mut r =
-                        run_workload_pipelined(config, &spec, options.accesses, options.warmup);
-                    r.exec_mode = Some("pipelined");
-                    (r, Some("regenerated"))
-                })
-                .collect();
-        }
-        None => {
-            // No cache supplied at all: materialize group-locally.
-            local = std::sync::Arc::new(TraceBuffer::materialize(spec.trace(total, seed)));
-            (local, "materialized")
-        }
+    let buffer = cache.and_then(|c| {
+        c.get_or_materialize(&TraceKey::new(spec.name(), seed, total), || {
+            TraceBuffer::materialize(spec.trace(total, seed))
+        })
+    });
+    let (results, trace_source) = match buffer {
+        Some((buffer, outcome)) => (
+            run_group(configs, spec.name(), &*buffer, options.warmup),
+            outcome.label(),
+        ),
+        None => (
+            run_group(
+                configs,
+                spec.name(),
+                spec.trace(total, seed),
+                options.warmup,
+            ),
+            "streamed",
+        ),
     };
-    crate::fused::run_group_from_buffer(configs, spec.name(), &buffer, options.warmup)
+    results
         .into_iter()
         .enumerate()
         .map(|(i, mut r)| {
@@ -476,10 +293,10 @@ pub fn run_fused_group(
 pub struct SuiteResults {
     /// The options the suite ran with.
     pub options: SuiteOptions,
-    /// Trace-cache activity scoped to this sweep (`None` unless the
-    /// sweep ran in [`TraceMode::Shared`]); counters are deltas even
-    /// when the cache is a long-lived server-wide one. Serialize with
-    /// [`TraceCacheStats::to_value`].
+    /// Trace-cache activity scoped to this sweep (`None` unless
+    /// [`SweepConfig::trace_cache`] supplied a cache); counters are
+    /// deltas even when the cache is a long-lived server-wide one.
+    /// Serialize with [`TraceCacheStats::to_value`].
     pub trace_cache_stats: Option<TraceCacheStats>,
     results: HashMap<(String, PolicyKind), SimResult>,
 }
@@ -509,24 +326,13 @@ impl SuiteResults {
             .collect();
         let keys: Vec<String> = cells.iter().map(|&(b, p)| options.cell_key(b, p)).collect();
         let sweep_options = SweepOptions {
-            jobs: sweep.effective_jobs(),
+            jobs: sweep.jobs,
             journal: sweep.journal.clone(),
             quiet: sweep.quiet,
             label: "suite".to_owned(),
             cancel: sweep.cancel,
         };
-        // Cells that share a (workload, seed, warmup+len) stream — all
-        // policy cells of one benchmark — share one cache entry; the
-        // first to execute materializes it. Cells restored from the
-        // journal never touch the cache.
-        let local_cache;
-        let cache: Option<&TraceLru> = match &sweep.trace_cache {
-            Some(shared) => Some(shared.as_ref()),
-            None => {
-                local_cache = TraceLru::new(sweep.trace_cache_mb);
-                Some(&local_cache)
-            }
-        };
+        let cache = sweep.trace_cache.as_deref();
         let stats_before = cache.map(TraceLru::stats);
         let encode = |(r, trace_source): &(SimResult, Option<&'static str>),
                       wall: std::time::Duration| {
@@ -540,58 +346,24 @@ impl SuiteResults {
             (metrics, codec::encode_result(r))
         };
         let decode = |p: &Value| codec::decode_result(p).map(|r| (r, None));
-        let ran = if sweep.trace_mode == TraceMode::Fused {
-            // All policy cells of one benchmark become one fused group:
-            // one worker, one decode, N cells retired at once. Groups
-            // re-form from whatever cells the journal did *not*
-            // restore, so a resumed sweep fuses only the survivors.
-            sweep_runner::run_sweep_grouped(
-                &keys,
-                &sweep_options,
-                |pending| {
-                    let mut groups: Vec<Vec<usize>> = Vec::new();
-                    let mut by_bench: HashMap<&'static str, usize> = HashMap::new();
-                    for &i in pending {
-                        match by_bench.get(cells[i].0) {
-                            Some(&g) => groups[g].push(i),
-                            None => {
-                                by_bench.insert(cells[i].0, groups.len());
-                                groups.push(vec![i]);
-                            }
-                        }
-                    }
-                    groups
-                },
-                |members| {
-                    let bench = cells[members[0]].0;
-                    let policies: Vec<PolicyKind> = members.iter().map(|&i| cells[i].1).collect();
-                    run_fused_group(&options, bench, &policies, cache)
-                },
-                encode,
-                decode,
-            )?
-        } else {
-            sweep_runner::run_sweep(
-                &keys,
-                &sweep_options,
-                |i| {
-                    let (bench, policy) = cells[i];
-                    run_suite_cell(
-                        &options,
-                        bench,
-                        policy,
-                        sweep.trace_mode,
-                        cache,
-                        sweep.shards,
-                    )
-                },
-                encode,
-                decode,
-            )?
-        };
-        let trace_cache_stats = matches!(sweep.trace_mode, TraceMode::Shared | TraceMode::Fused)
-            .then(|| Some(cache?.stats().delta_since(stats_before.as_ref()?)))
-            .flatten();
+        // The pending policy cells of each benchmark form one fused
+        // group. Groups re-form from whatever cells the journal did
+        // *not* restore, so a resumed sweep fuses only the survivors.
+        let ran = sweep_runner::run_sweep_grouped(
+            &keys,
+            &sweep_options,
+            |pending| sweep_runner::group_cells(pending, |i| cells[i].0, sweep.jobs),
+            |members| {
+                let bench = cells[members[0]].0;
+                let policies: Vec<PolicyKind> = members.iter().map(|&i| cells[i].1).collect();
+                run_fused_group(&options, bench, &policies, cache)
+            },
+            encode,
+            decode,
+        )?;
+        let trace_cache_stats = cache
+            .zip(stats_before)
+            .map(|(c, before)| c.stats().delta_since(&before));
         if let (false, Some(s)) = (sweep.quiet, &trace_cache_stats) {
             eprintln!(
                 "[suite] trace cache: {} hits, {} misses, {} evictions, {} bypasses \
@@ -681,6 +453,44 @@ impl SuiteResults {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::system::run_workload_with_warmup;
+
+    /// Every cell's encoded result, in grid order.
+    fn fingerprint(suite: &SuiteResults) -> Vec<String> {
+        let mut cells = Vec::new();
+        for &b in suite.benchmarks() {
+            for &p in &suite.options.policies {
+                cells.push(codec::encode_result(suite.get(b, p)).to_json());
+            }
+        }
+        cells
+    }
+
+    /// The grid re-run cell by cell on the verbatim reference hot path.
+    fn reference(opts: &SuiteOptions) -> Vec<String> {
+        let mut cells = Vec::new();
+        for &b in &opts.benchmarks {
+            for &p in &opts.policies {
+                let mut config = opts.cell_config(p);
+                config.reference_hot_path = true;
+                let spec = workloads::workload(b).expect("known benchmark");
+                let r = run_workload_with_warmup(config, &spec, opts.accesses, opts.warmup);
+                cells.push(codec::encode_result(&r).to_json());
+            }
+        }
+        cells
+    }
+
+    /// Streamed groups, and groups replaying a trace cache's buffers.
+    fn trace_sources(jobs: usize) -> [(&'static str, SweepConfig); 2] {
+        [
+            ("streamed", SweepConfig::with_jobs(jobs)),
+            (
+                "cached",
+                SweepConfig::with_jobs(jobs).with_trace_cache(Arc::new(TraceLru::new(64))),
+            ),
+        ]
+    }
 
     #[test]
     fn small_suite_produces_all_cells() {
@@ -698,47 +508,12 @@ mod tests {
         // Savings are well-defined numbers.
         assert!(suite.l2_saving("gcc", PolicyKind::SlipAbp).is_finite());
         assert!(suite.l3_saving("gcc", PolicyKind::SlipAbp).is_finite());
-        // Shared mode reports cache activity: one stream materialized,
-        // the other cell of the group hits.
-        let stats = suite.trace_cache_stats.as_ref().unwrap();
-        assert_eq!((stats.misses, stats.hits), (1, 1));
-        assert_eq!(stats.evictions, 0);
+        // Streamed groups touch no trace cache.
+        assert!(suite.trace_cache_stats.is_none());
     }
 
     #[test]
-    fn sharded_cells_match_serial_cells_bit_exactly() {
-        let opts = SuiteOptions::paper_full()
-            .with_benchmarks(&["gcc"])
-            .with_policies(&[PolicyKind::NuRapid, PolicyKind::SlipAbp])
-            .with_accesses(20_000);
-        let serial = SuiteResults::run_with(opts.clone(), &SweepConfig::serial()).unwrap();
-        let sharded = SuiteResults::run_with(opts, &SweepConfig::serial().with_shards(4)).unwrap();
-        for policy in [
-            PolicyKind::Baseline,
-            PolicyKind::NuRapid,
-            PolicyKind::SlipAbp,
-        ] {
-            let a = codec::encode_result(serial.get("gcc", policy)).to_json();
-            let b = codec::encode_result(sharded.get("gcc", policy)).to_json();
-            assert_eq!(a, b, "{policy:?}");
-        }
-    }
-
-    #[test]
-    fn effective_jobs_divides_the_pool_between_cells_and_shards() {
-        let sweep = SweepConfig::with_jobs(8);
-        assert_eq!(sweep.effective_jobs(), 8);
-        assert_eq!(sweep.clone().with_shards(2).effective_jobs(), 4);
-        assert_eq!(sweep.clone().with_shards(4).effective_jobs(), 2);
-        // More shards than workers: one cell at a time.
-        assert_eq!(sweep.clone().with_shards(16).effective_jobs(), 1);
-        assert_eq!(SweepConfig::serial().with_shards(4).effective_jobs(), 1);
-        // with_shards(0) normalizes to serial.
-        assert_eq!(sweep.with_shards(0).effective_jobs(), 8);
-    }
-
-    #[test]
-    fn fused_sweep_is_bit_exact_across_trace_modes_and_jobs() {
+    fn fused_sweep_is_bit_exact_across_trace_sources_and_jobs() {
         let opts = SuiteOptions::paper_full()
             .with_benchmarks(&["gcc", "soplex"])
             .with_policies(&[
@@ -749,34 +524,16 @@ mod tests {
             ])
             .with_accesses(10_000)
             .with_warmup(2_000);
-        let fingerprint = |suite: &SuiteResults| -> Vec<String> {
-            let mut cells = Vec::new();
-            for &b in suite.benchmarks() {
-                for &p in &suite.options.policies {
-                    cells.push(codec::encode_result(suite.get(b, p)).to_json());
-                }
-            }
-            cells
-        };
-        let reference =
-            fingerprint(&SuiteResults::run_with(opts.clone(), &SweepConfig::serial()).unwrap());
-        for mode in [
-            TraceMode::Inline,
-            TraceMode::Pipelined,
-            TraceMode::Shared,
-            TraceMode::Fused,
-        ] {
-            for jobs in [1, 4] {
-                let sweep = SweepConfig::with_jobs(jobs).with_trace_mode(mode);
+        let reference = reference(&opts);
+        for jobs in [1, 4] {
+            for (source, sweep) in trace_sources(jobs) {
                 let suite = SuiteResults::run_with(opts.clone(), &sweep).unwrap();
-                assert_eq!(fingerprint(&suite), reference, "{mode:?} jobs={jobs}");
-                if mode == TraceMode::Fused {
-                    // No silent fallback: every cell reports the fused
-                    // executor actually ran it.
-                    for &b in suite.benchmarks() {
-                        for &p in &suite.options.policies {
-                            assert_eq!(suite.get(b, p).exec_mode, Some("fused"));
-                        }
+                assert_eq!(fingerprint(&suite), reference, "{source} jobs={jobs}");
+                // No silent fallback: every cell reports the fused
+                // executor actually ran it.
+                for &b in suite.benchmarks() {
+                    for &p in &suite.options.policies {
+                        assert_eq!(suite.get(b, p).exec_mode, Some("fused"));
                     }
                 }
             }
@@ -792,7 +549,7 @@ mod tests {
             .with_benchmarks(&["gcc"])
             .with_policies(&[PolicyKind::Slip, PolicyKind::SlipAbp, PolicyKind::NuRapid])
             .with_accesses(8_000);
-        let mut fused = SweepConfig::serial().with_trace_mode(TraceMode::Fused);
+        let mut fused = SweepConfig::serial();
 
         // Reference: the full fused grid, uninterrupted.
         let reference = SuiteResults::run_with(opts.clone(), &fused).unwrap();
@@ -807,7 +564,11 @@ mod tests {
 
         // Resume the full grid: baseline+slip restore from the journal,
         // and the two survivors re-form one smaller fused group.
-        let resumed = SuiteResults::run_with(opts.clone(), &fused).unwrap();
+        let resumed = SuiteResults::run_with(
+            opts.clone(),
+            &fused.with_trace_cache(Arc::new(TraceLru::new(64))),
+        )
+        .unwrap();
         for &p in &opts.policies {
             assert_eq!(
                 codec::encode_result(resumed.get("gcc", p)).to_json(),
@@ -816,9 +577,62 @@ mod tests {
             );
         }
         // One cache miss and zero hits: the survivors shared a single
-        // group materialization instead of running per cell.
+        // group fetch instead of running per cell.
         let stats = resumed.trace_cache_stats.as_ref().unwrap();
         assert_eq!((stats.misses, stats.hits), (1, 0));
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn journal_with_retired_exec_labels_restores_without_running() {
+        // A journal written when sweeps could run shared, pipelined, or
+        // sharded cells: its records restore bit-exact, and nothing runs.
+        let mut path = std::env::temp_dir();
+        path.push(format!("slip-suite-retired-labels-{}", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let opts = SuiteOptions::paper_full()
+            .with_benchmarks(&["gcc", "soplex"])
+            .with_policies(&[PolicyKind::SlipAbp])
+            .with_accesses(6_000);
+        let sweep = SweepConfig {
+            journal: Some(path.clone()),
+            ..SweepConfig::with_jobs(2)
+        };
+        let fresh = SuiteResults::run_with(opts.clone(), &sweep).unwrap();
+        let labels = [
+            ("shared", "cached"),
+            ("pipelined", "regenerated"),
+            ("sharded", "cached"),
+        ];
+        let text = std::fs::read_to_string(&path).unwrap();
+        let rewritten: String = text
+            .lines()
+            .zip(labels.iter().cycle())
+            .map(|(line, (mode, source))| {
+                let record = Value::parse(line).unwrap();
+                let field = |k: &str| record.get(k).unwrap().clone();
+                let metrics = Value::object()
+                    .with("exec_mode", Value::str(*mode))
+                    .with("trace_source", Value::str(*source));
+                let record = Value::object()
+                    .with("v", field("v"))
+                    .with("key", field("key"))
+                    .with("wall_ms", field("wall_ms"))
+                    .with("metrics", metrics)
+                    .with("payload", field("payload"));
+                format!("{}\n", record.to_json())
+            })
+            .collect();
+        assert!(rewritten.contains("\"exec_mode\":\"pipelined\""));
+        std::fs::write(&path, &rewritten).unwrap();
+
+        let restored = SuiteResults::run_with(opts, &sweep).unwrap();
+        assert_eq!(fingerprint(&restored), fingerprint(&fresh));
+        assert_eq!(
+            std::fs::read_to_string(&path).unwrap(),
+            rewritten,
+            "no cell executed, so nothing was appended"
+        );
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -852,54 +666,46 @@ mod tests {
             .with_accesses(5_000);
         let policies = [PolicyKind::Baseline, PolicyKind::Slip, PolicyKind::SlipAbp];
         let cache = TraceLru::new(64);
-        let group = run_fused_group(&opts, "gcc", &policies, Some(&cache));
-        let labels: Vec<Option<&'static str>> = group.iter().map(|(_, s)| *s).collect();
-        assert_eq!(labels, [Some("materialized"), None, None]);
-        for (r, _) in &group {
-            assert_eq!(r.exec_mode, Some("fused"));
+        for (cache, first) in [(Some(&cache), "materialized"), (None, "streamed")] {
+            let group = run_fused_group(&opts, "gcc", &policies, cache);
+            let labels: Vec<Option<&'static str>> = group.iter().map(|(_, s)| *s).collect();
+            assert_eq!(labels, [Some(first), None, None]);
+            for (r, _) in &group {
+                assert_eq!(r.exec_mode, Some("fused"));
+            }
         }
         assert_eq!(cache.stats().misses, 1);
     }
 
     #[test]
-    fn fused_cache_bypass_labels_each_member_regenerated() {
-        // A 0 MiB cache bypasses every stream: the group cannot fuse
-        // and each member regenerates its own trace. Each member
-        // carries its own "regenerated" label (one regeneration per
-        // member really happened), distinct from "pipelined" — the
-        // label for cells *configured* to run that way — so the footer
-        // tallies no longer double up under one name.
+    fn fused_cache_bypass_streams_the_group() {
+        // A 0 MiB cache bypasses every stream: the group streams its
+        // trace instead, still fused, and says so in its label.
         let opts = SuiteOptions::paper_full()
             .with_benchmarks(&["gcc"])
             .with_accesses(5_000);
         let policies = [PolicyKind::Baseline, PolicyKind::SlipAbp];
         let cache = TraceLru::new(0);
-        let group = run_fused_group(&opts, "gcc", &policies, Some(&cache));
-        for (r, source) in &group {
-            assert_eq!(*source, Some("regenerated"));
-            assert_eq!(r.exec_mode, Some("pipelined"));
+        let bypassed = run_fused_group(&opts, "gcc", &policies, Some(&cache));
+        let labels: Vec<Option<&'static str>> = bypassed.iter().map(|(_, s)| *s).collect();
+        assert_eq!(labels, [Some("streamed"), None]);
+        let streamed = run_fused_group(&opts, "gcc", &policies, None);
+        for ((r, _), (want, _)) in bypassed.iter().zip(&streamed) {
+            assert_eq!(r.exec_mode, Some("fused"));
+            assert_eq!(
+                codec::encode_result(r).to_json(),
+                codec::encode_result(want).to_json()
+            );
         }
         assert_eq!(cache.stats().bypasses, 1);
-
-        // The shared-mode bypass fallback reports the same way.
-        let (r, source) = run_suite_cell(
-            &opts,
-            "gcc",
-            PolicyKind::Baseline,
-            TraceMode::Shared,
-            Some(&cache),
-            1,
-        );
-        assert_eq!(source, Some("regenerated"));
-        assert_eq!(r.exec_mode, Some("pipelined"));
     }
 
     #[test]
     fn topology_45nm_suite_matches_hardcoded_across_modes_and_jobs() {
         // Golden pin: `--topology 45nm` routes through the spec parser
         // and `SystemConfig::from_topology`, yet must be bit-exact with
-        // the compiled-in configuration in every trace mode, serial and
-        // parallel.
+        // the compiled-in configuration from either trace source,
+        // serial and parallel.
         let opts = SuiteOptions::paper_full()
             .with_benchmarks(&["gcc", "soplex"])
             .with_policies(&[PolicyKind::Slip, PolicyKind::SlipAbp])
@@ -908,26 +714,11 @@ mod tests {
         let topo = opts
             .clone()
             .with_topology(HierarchySpec::builtin("45nm").unwrap());
-        let fingerprint = |suite: &SuiteResults| -> Vec<String> {
-            let mut cells = Vec::new();
-            for &b in suite.benchmarks() {
-                for &p in &suite.options.policies {
-                    cells.push(codec::encode_result(suite.get(b, p)).to_json());
-                }
-            }
-            cells
-        };
-        let reference = fingerprint(&SuiteResults::run_with(opts, &SweepConfig::serial()).unwrap());
-        for mode in [
-            TraceMode::Inline,
-            TraceMode::Pipelined,
-            TraceMode::Shared,
-            TraceMode::Fused,
-        ] {
-            for jobs in [1, 4] {
-                let sweep = SweepConfig::with_jobs(jobs).with_trace_mode(mode);
+        let reference = reference(&opts);
+        for jobs in [1, 4] {
+            for (source, sweep) in trace_sources(jobs) {
                 let suite = SuiteResults::run_with(topo.clone(), &sweep).unwrap();
-                assert_eq!(fingerprint(&suite), reference, "{mode:?} jobs={jobs}");
+                assert_eq!(fingerprint(&suite), reference, "{source} jobs={jobs}");
             }
         }
     }

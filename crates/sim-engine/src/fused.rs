@@ -1,15 +1,20 @@
-//! Fused multi-policy replay: decode the trace once, step every cell.
+//! Fused multi-policy replay: read the trace once, step every cell.
 //!
-//! A sweep's policy cells of one benchmark replay the identical packed
-//! trace. [`run_group_from_buffer`] unpacks each [`TraceBuffer`] chunk
-//! once and steps *all* the group's [`SingleCoreSystem`]s through it in
-//! lockstep, with per-cell state kept fully independent so every result
-//! is **bit-identical** to the cell's standalone
-//! [`run_workload_from_buffer`](crate::pipeline::run_workload_from_buffer)
-//! replay (held by the `fused-determinism` conformance check and the
-//! golden tests).
+//! A sweep's policy cells of one benchmark replay the identical access
+//! stream. [`run_group`] pulls that stream once, [`CHUNK_ACCESSES`]
+//! accesses at a time into one reused chunk, and steps *all* the
+//! group's [`SingleCoreSystem`]s through each chunk in lockstep, with
+//! per-cell state kept fully independent so every result is
+//! **bit-identical** to the cell's standalone
+//! [`run_workload_with_warmup`](crate::system::run_workload_with_warmup)
+//! run (held by the `fused-determinism` conformance check and the
+//! golden tests). The stream is either generated on the fly
+//! (`spec.trace(..)`, the offline sweep: memory stays O(chunk) at any
+//! trace length) or replayed from a materialized
+//! [`TraceBuffer`](workloads::TraceBuffer) (the `slip serve` trace
+//! cache).
 //!
-//! On top of the shared decode, groups that qualify get a shared L1:
+//! On top of the shared stream, groups that qualify get a shared L1:
 //! in the default non-inclusive hierarchy the L1 is **policy-invariant**
 //! — it always runs the hardcoded baseline-LRU pair, every L1 miss
 //! fills it regardless of what the lower levels decided, SLIP metadata
@@ -25,15 +30,14 @@
 //! ([`SingleCoreSystem::absorb_l1_hits`]).
 //!
 //! Groups that do not qualify (inclusive LLC, heterogeneous L1
-//! geometry) still fuse the decode: each system steps the shared
-//! unpacked chunk through its ordinary [`SingleCoreSystem::step`].
+//! geometry) still share the stream: each system steps the shared
+//! chunk through its ordinary [`SingleCoreSystem::step_fast`].
 //!
 //! [`run_group_observed`] is the same lockstep loop with a per-access
 //! hook between cells — the conformance fuzzer's cross-policy
 //! divergence probe for prefix minimization.
 
 use crate::config::SystemConfig;
-use crate::pipeline::CHUNK_ACCESSES;
 use crate::result::SimResult;
 use crate::system::{L1Verdict, SingleCoreSystem};
 use cache_sim::{
@@ -42,7 +46,10 @@ use cache_sim::{
 };
 use energy_model::EnergyAccount;
 use std::time::Instant;
-use workloads::{unpack_access, TraceBuffer};
+use workloads::buffer::DEFAULT_CHUNK_ACCESSES;
+
+/// Accesses per lockstep chunk (the reused scratch holds one chunk).
+pub const CHUNK_ACCESSES: usize = DEFAULT_CHUNK_ACCESSES;
 
 /// Whether a group of configurations can share one L1 instance: all
 /// non-inclusive (nothing below the L1 reaches back into it) with
@@ -140,7 +147,7 @@ impl SharedL1 {
     }
 }
 
-/// Reusable per-chunk scratch: the single decode plus the shared-L1
+/// Reusable per-chunk scratch: the chunk of accesses plus the shared-L1
 /// verdicts over it.
 struct GroupScratch {
     accesses: Vec<Access>,
@@ -157,12 +164,14 @@ impl GroupScratch {
         }
     }
 
-    fn decode(&mut self, segment: &[u64]) {
+    /// Refills the chunk with up to `n` accesses from `stream`; returns
+    /// how many it got.
+    fn fill(&mut self, stream: &mut impl Iterator<Item = Access>, n: usize) -> usize {
         self.accesses.clear();
         self.verdicts.clear();
         self.wbs.clear();
-        self.accesses
-            .extend(segment.iter().map(|&w| unpack_access(w)));
+        self.accesses.extend(stream.take(n));
+        self.accesses.len()
     }
 
     fn verdict<'a>(&'a self, i: usize) -> L1Verdict<'a> {
@@ -175,14 +184,12 @@ impl GroupScratch {
     }
 }
 
-/// Steps every system of the group through one decoded segment.
-fn run_segment(
+/// Steps every system of the group through the chunk in `scratch`.
+fn run_chunk(
     systems: &mut [SingleCoreSystem],
     shared: &mut Option<SharedL1>,
-    segment: &[u64],
     scratch: &mut GroupScratch,
 ) {
-    scratch.decode(segment);
     match shared {
         Some(l1) => {
             for &a in &scratch.accesses {
@@ -251,6 +258,17 @@ fn build_group(configs: Vec<SystemConfig>) -> (Vec<SingleCoreSystem>, Option<Sha
     (systems, shared)
 }
 
+/// Zeroes every cell's (and the shared L1's) measurements at the warmup
+/// boundary.
+fn reset_group(systems: &mut [SingleCoreSystem], shared: &mut Option<SharedL1>) {
+    for sys in systems {
+        sys.reset_measurements();
+    }
+    if let Some(l1) = shared {
+        l1.reset_measurements();
+    }
+}
+
 /// Finalizes the group: per-cell results, with the shared L1's stats
 /// and energy (identical to what each cell's own L1 would have
 /// accumulated) written into every result.
@@ -276,46 +294,46 @@ fn finish_group(
         .collect()
 }
 
-/// Runs all `configs` over one materialized trace in lockstep,
-/// returning one result per config (in order). The buffer must hold the
-/// full `warmup + len` stream; measurements reset at the warmup
-/// boundary exactly as in the per-cell runners, and the group's
+/// Runs all `configs` over one access stream in lockstep, returning
+/// one result per config (in order). `accesses` is the cell's full
+/// `warmup + len` stream — `spec.trace(..)` streamed on the fly, or a
+/// materialized buffer's replay; measurements reset at the warmup
+/// boundary exactly as in [`run_workload_with_warmup`], and the group's
 /// measured wall time is split evenly across the cells
 /// (`wall_time_secs` is outside the bit-exact payload).
-pub fn run_group_from_buffer(
+///
+/// # Panics
+///
+/// Panics if `configs` is empty or the stream ends before `warmup`
+/// accesses.
+///
+/// [`run_workload_with_warmup`]: crate::system::run_workload_with_warmup
+pub fn run_group(
     configs: Vec<SystemConfig>,
     name: &str,
-    buffer: &TraceBuffer,
+    accesses: impl IntoIterator<Item = Access>,
     warmup: u64,
 ) -> Vec<SimResult> {
     let (mut systems, mut shared) = build_group(configs);
     let mut scratch = GroupScratch::new();
-    let mut remaining = usize::try_from(warmup).expect("warmup fits usize");
-    let mut chunks = buffer.chunks();
-    let mut tail: &[u64] = &[];
-    for chunk in chunks.by_ref() {
-        if remaining >= chunk.len() {
-            run_segment(&mut systems, &mut shared, chunk, &mut scratch);
-            remaining -= chunk.len();
-        } else {
-            let (head, rest) = chunk.split_at(remaining);
-            run_segment(&mut systems, &mut shared, head, &mut scratch);
-            remaining = 0;
-            tail = rest;
-            break;
-        }
+    let mut stream = accesses.into_iter();
+    let mut remaining = warmup;
+    while remaining > 0 {
+        // Warmup chunks end exactly on the boundary, so the reset
+        // below lands between the same two accesses as a solo run's.
+        let want = remaining.min(CHUNK_ACCESSES as u64) as usize;
+        assert_eq!(
+            scratch.fill(&mut stream, want),
+            want,
+            "trace long enough for warmup"
+        );
+        run_chunk(&mut systems, &mut shared, &mut scratch);
+        remaining -= want as u64;
     }
-    assert_eq!(remaining, 0, "trace long enough for warmup");
-    for sys in &mut systems {
-        sys.reset_measurements();
-    }
-    if let Some(l1) = &mut shared {
-        l1.reset_measurements();
-    }
+    reset_group(&mut systems, &mut shared);
     let started = Instant::now();
-    run_segment(&mut systems, &mut shared, tail, &mut scratch);
-    for chunk in chunks {
-        run_segment(&mut systems, &mut shared, chunk, &mut scratch);
+    while scratch.fill(&mut stream, CHUNK_ACCESSES) > 0 {
+        run_chunk(&mut systems, &mut shared, &mut scratch);
     }
     let wall = started.elapsed().as_secs_f64();
     finish_group(systems, shared, name, wall)
@@ -327,61 +345,48 @@ pub fn run_group_from_buffer(
 /// included). Returning `false` aborts the replay and yields `None` —
 /// the conformance fuzzer uses this to find the shortest prefix on
 /// which two policies diverge. A completed run returns results
-/// bit-identical to [`run_group_from_buffer`] (untimed).
+/// bit-identical to [`run_group`] (untimed).
 pub fn run_group_observed(
     configs: Vec<SystemConfig>,
     name: &str,
-    buffer: &TraceBuffer,
+    accesses: impl IntoIterator<Item = Access>,
     warmup: u64,
     mut observe: impl FnMut(u64, &[SingleCoreSystem]) -> bool,
 ) -> Option<Vec<SimResult>> {
     let (mut systems, mut shared) = build_group(configs);
     let mut wbs: Vec<LineAddr> = Vec::new();
     let mut index = 0u64;
-    for chunk in buffer.chunks() {
-        for &word in chunk {
-            if index == warmup {
-                for sys in &mut systems {
-                    sys.reset_measurements();
-                }
-                if let Some(l1) = &mut shared {
-                    l1.reset_measurements();
-                }
-            }
-            let access = unpack_access(word);
-            match &mut shared {
-                Some(l1) => {
-                    wbs.clear();
-                    let (hit, latency) = l1.step(access, &mut wbs);
-                    let verdict = L1Verdict {
-                        hit,
-                        latency,
-                        writebacks: &wbs,
-                    };
-                    for sys in &mut systems {
-                        sys.step_below_l1(access, &verdict);
-                    }
-                }
-                None => {
-                    for sys in &mut systems {
-                        sys.step(access);
-                    }
-                }
-            }
-            if !observe(index, &systems) {
-                return None;
-            }
-            index += 1;
+    for access in accesses {
+        if index == warmup {
+            reset_group(&mut systems, &mut shared);
         }
+        match &mut shared {
+            Some(l1) => {
+                wbs.clear();
+                let (hit, latency) = l1.step(access, &mut wbs);
+                let verdict = L1Verdict {
+                    hit,
+                    latency,
+                    writebacks: &wbs,
+                };
+                for sys in &mut systems {
+                    sys.step_below_l1(access, &verdict);
+                }
+            }
+            None => {
+                for sys in &mut systems {
+                    sys.step(access);
+                }
+            }
+        }
+        if !observe(index, &systems) {
+            return None;
+        }
+        index += 1;
     }
     assert!(index >= warmup, "trace long enough for warmup");
     if index == warmup {
-        for sys in &mut systems {
-            sys.reset_measurements();
-        }
-        if let Some(l1) = &mut shared {
-            l1.reset_measurements();
-        }
+        reset_group(&mut systems, &mut shared);
     }
     Some(finish_group(systems, shared, name, 0.0))
 }
@@ -391,7 +396,8 @@ mod tests {
     use super::*;
     use crate::codec;
     use crate::config::PolicyKind;
-    use crate::pipeline::run_workload_from_buffer;
+    use crate::system::run_workload_with_warmup;
+    use workloads::TraceBuffer;
 
     fn fingerprint(r: &SimResult) -> String {
         codec::encode_result(r).to_json()
@@ -402,6 +408,31 @@ mod tests {
             .iter()
             .map(|&p| SystemConfig::paper_45nm(p))
             .collect()
+    }
+
+    /// Every cell of a streamed group and of a buffer-fed group must be
+    /// byte-identical to the cell's solo run on the verbatim reference
+    /// hot path.
+    fn assert_matches_reference(configs: &[SystemConfig], bench: &str, len: u64, warmup: u64) {
+        let spec = workloads::workload(bench).unwrap();
+        let seed = configs[0].seed;
+        let streamed = run_group(
+            configs.to_vec(),
+            spec.name(),
+            spec.trace(warmup + len, seed),
+            warmup,
+        );
+        let buffer = TraceBuffer::materialize(spec.trace(warmup + len, seed));
+        let buffered = run_group(configs.to_vec(), spec.name(), &buffer, warmup);
+        assert_eq!(streamed.len(), configs.len());
+        for ((config, s), b) in configs.iter().zip(&streamed).zip(&buffered) {
+            let mut reference = config.clone();
+            reference.reference_hot_path = true;
+            let want = fingerprint(&run_workload_with_warmup(reference, &spec, len, warmup));
+            let tag = format!("{:?} len={len} warmup={warmup}", config.policy);
+            assert_eq!(fingerprint(s), want, "streamed {tag}");
+            assert_eq!(fingerprint(b), want, "buffered {tag}");
+        }
     }
 
     #[test]
@@ -418,21 +449,25 @@ mod tests {
 
     #[test]
     fn fused_group_matches_per_cell_replay_bit_exactly() {
-        let spec = workloads::workload("gcc").unwrap();
+        assert_matches_reference(&group_configs(), "gcc", 20_000, 3_000);
+    }
+
+    #[test]
+    fn streamed_groups_match_reference_at_chunk_boundaries() {
         let configs = group_configs();
-        let seed = configs[0].seed;
-        let buffer = TraceBuffer::materialize(spec.trace(23_000, seed));
-        let fused = run_group_from_buffer(configs.clone(), spec.name(), &buffer, 3_000);
-        assert_eq!(fused.len(), configs.len());
-        for (config, fused) in configs.into_iter().zip(&fused) {
-            let solo = run_workload_from_buffer(config, spec.name(), &buffer, 3_000);
-            assert_eq!(fingerprint(&solo), fingerprint(fused), "{:?}", fused.policy);
+        let chunk = CHUNK_ACCESSES as u64;
+        // One short of, exactly, and one past a chunk.
+        for len in [chunk - 1, chunk, chunk + 1] {
+            assert_matches_reference(&configs, "soplex", len, 0);
         }
+        // Warmup ending exactly on a chunk boundary, then zero measured
+        // accesses after a chunk-sized warmup.
+        assert_matches_reference(&configs, "soplex", 1_000, chunk);
+        assert_matches_reference(&configs, "soplex", 0, chunk);
     }
 
     #[test]
     fn ineligible_group_falls_back_to_plain_lockstep_bit_exactly() {
-        let spec = workloads::workload("soplex").unwrap();
         let mut configs: Vec<SystemConfig> = [PolicyKind::Baseline, PolicyKind::SlipAbp]
             .iter()
             .map(|&p| SystemConfig::paper_45nm(p))
@@ -441,12 +476,7 @@ mod tests {
             c.inclusive_llc = true;
         }
         assert!(!shared_l1_eligible(&configs));
-        let buffer = TraceBuffer::materialize(spec.trace(12_000, configs[0].seed));
-        let fused = run_group_from_buffer(configs.clone(), spec.name(), &buffer, 2_000);
-        for (config, fused) in configs.into_iter().zip(&fused) {
-            let solo = run_workload_from_buffer(config, spec.name(), &buffer, 2_000);
-            assert_eq!(fingerprint(&solo), fingerprint(fused));
-        }
+        assert_matches_reference(&configs, "soplex", 10_000, 2_000);
     }
 
     #[test]
@@ -454,7 +484,7 @@ mod tests {
         let spec = workloads::workload("gcc").unwrap();
         let configs = group_configs();
         let buffer = TraceBuffer::materialize(spec.trace(9_000, configs[0].seed));
-        let fused = run_group_from_buffer(configs.clone(), spec.name(), &buffer, 1_000);
+        let fused = run_group(configs.clone(), spec.name(), &buffer, 1_000);
         let mut seen = 0u64;
         let observed =
             run_group_observed(configs.clone(), spec.name(), &buffer, 1_000, |i, sys| {
@@ -476,8 +506,11 @@ mod tests {
     fn zero_measured_length_is_handled() {
         let spec = workloads::workload("gcc").unwrap();
         let configs = group_configs();
-        let buffer = TraceBuffer::materialize(spec.trace(5_000, configs[0].seed));
-        for r in run_group_from_buffer(configs, spec.name(), &buffer, 5_000) {
+        let seed = configs[0].seed;
+        let buffer = TraceBuffer::materialize(spec.trace(5_000, seed));
+        let streamed = run_group(configs.clone(), spec.name(), spec.trace(5_000, seed), 5_000);
+        let buffered = run_group(configs, spec.name(), &buffer, 5_000);
+        for r in streamed.iter().chain(&buffered) {
             assert_eq!(r.accesses, 0);
             assert_eq!(r.cycles, 0);
         }

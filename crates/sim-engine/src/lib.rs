@@ -6,6 +6,9 @@
 //! * [`system`] — the single-core L1/L2/L3/DRAM driver with the SLIP
 //!   MMU attached for SLIP runs.
 //! * [`multicore`] — the two-core shared-L3 driver of Figure 16.
+//! * [`fused`] — lockstep multi-policy replay of one access stream: the
+//!   executor of every suite sweep and `slip serve` run (single cells,
+//!   `slip run`, step inline through [`system::run_workload`]).
 //! * [`experiments`] — one runner per paper table/figure; each returns
 //!   structured rows and renders the same table the paper prints. The
 //!   shared suite driver executes cells on the `sweep-runner` worker
@@ -36,22 +39,14 @@ pub mod env;
 pub mod experiments;
 pub mod fused;
 pub mod multicore;
-pub mod pipeline;
 pub mod report;
 pub mod result;
-pub mod shard;
 pub mod system;
 pub mod trace_cache;
 
 pub use config::{PolicyKind, ReplacementKind, SystemConfig};
 pub use experiments::suite::SweepConfig;
-pub use fused::{run_group_from_buffer, run_group_observed, shared_l1_eligible};
-pub use pipeline::{
-    run_mix_pipelined, run_workload_from_buffer, run_workload_pipelined, TraceMode,
-};
+pub use fused::{run_group, run_group_observed, shared_l1_eligible};
 pub use result::SimResult;
-pub use shard::{
-    effective_shards, run_buffer_sharded, run_workload_sharded, shardable, validate_shards,
-};
 pub use system::{run_workload, SingleCoreSystem};
 pub use trace_cache::{TraceCacheStats, TraceKey, TraceLru, TraceOutcome};

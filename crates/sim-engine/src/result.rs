@@ -49,11 +49,12 @@ pub struct SimResult {
     /// time is host-specific and deliberately outside the codec's
     /// bit-exact payload).
     pub wall_time_secs: f64,
-    /// Execution path that actually produced this result (`"inline"`,
-    /// `"pipelined"`, `"shared"`, `"sharded"`, `"fused"`), so A/B
-    /// comparisons can't mislabel what ran when a mode falls back to
-    /// another path. `None` when the run predates the label (journal
-    /// restores) or bypassed the suite driver. Like `wall_time_secs`,
+    /// Execution path that actually produced this result (`"fused"` for
+    /// every suite and `slip serve` cell), so A/B comparisons can't
+    /// mislabel what ran. Journals written by older builds also carry
+    /// `"inline"`, `"pipelined"`, `"shared"`, and `"sharded"`. `None`
+    /// when the result was decoded from a journal or ran outside the
+    /// suite (`slip run` steps inline). Like `wall_time_secs`,
     /// this describes *how* the host executed — it stays outside the
     /// codec's bit-exact payload.
     pub exec_mode: Option<&'static str>,

@@ -751,31 +751,6 @@ impl SingleCoreSystem {
         self.flush_hit_run();
     }
 
-    /// Runs a materialized trace chunk by chunk. Each chunk holds
-    /// packed words (see [`workloads::pack_access`]); the access stream
-    /// is the chunks' concatenation, identical to
-    /// [`run`](Self::run) over the trace they were packed from —
-    /// equal-neighbor runs collapse across chunk boundaries too.
-    pub fn run_chunks<'a, I: IntoIterator<Item = &'a [u64]>>(&mut self, chunks: I) {
-        let mut pending: Option<(u64, u64)> = None; // (packed word, run length)
-        for chunk in chunks {
-            for &word in chunk {
-                pending = match pending {
-                    Some((w, n)) if w == word => Some((w, n + 1)),
-                    Some((w, n)) => {
-                        self.step_fast_run(workloads::unpack_access(w), n);
-                        Some((word, 1))
-                    }
-                    None => Some((word, 1)),
-                };
-            }
-        }
-        if let Some((w, n)) = pending {
-            self.step_fast_run(workloads::unpack_access(w), n);
-        }
-        self.flush_hit_run();
-    }
-
     /// Clears all statistics and energy accounting while keeping the
     /// architectural state (cache contents, page table, TLB, sampler
     /// states). Call after a warmup run so measurements reflect steady
@@ -794,26 +769,6 @@ impl SingleCoreSystem {
         }
         self.cycles = 0;
         self.accesses = 0;
-    }
-
-    /// Folds another system's measurements into this one — the
-    /// set-sharded runner's reduction step. Both systems must share a
-    /// configuration; only statistics merge (integer counters and the
-    /// energy ledgers), never architectural state. The SLIP MMU carries
-    /// global state and is never sharded, so `other` must not have one.
-    pub fn absorb(&mut self, other: &mut SingleCoreSystem) {
-        assert!(
-            other.mmu.is_none(),
-            "SLIP systems carry global MMU state and cannot be sharded"
-        );
-        self.flush_hit_run();
-        other.flush_hit_run();
-        self.l1.absorb_stats(&mut other.l1);
-        self.l2.absorb_stats(&mut other.l2);
-        self.l3.absorb_stats(&mut other.l3);
-        self.dram.absorb(&other.dram);
-        self.cycles += other.cycles;
-        self.accesses += other.accesses;
     }
 
     /// Finalizes statistics and extracts the result.

@@ -1,10 +1,10 @@
 //! Server-wide byte-budgeted LRU of materialized trace buffers.
 //!
-//! PR 4's suite-local cache amortized trace decoding across the policy
-//! cells of one sweep; [`TraceLru`] promotes that idea to a process-wide
-//! resource keyed by [`TraceKey`] `(workload, seed, len)` so concurrent
-//! sweeps — the `slip serve` daemon in particular — share one buffer
-//! per distinct stream no matter which request materialized it.
+//! [`TraceLru`] is a process-wide store of materialized access streams
+//! keyed by [`TraceKey`] `(workload, seed, len)`, so concurrent sweeps —
+//! the `slip serve` daemon's runs — share one buffer per distinct
+//! stream no matter which request materialized it. Offline sweeps use
+//! no cache: their fused groups stream the trace.
 //!
 //! Concurrency contract: the map lock is held only to look up or insert
 //! an entry; materialization itself runs outside the lock behind a
@@ -16,7 +16,7 @@
 //! Every outcome is counted ([`TraceCacheStats`]): `hits` (buffer was
 //! resident, including waits on an in-flight build), `misses` (this
 //! call materialized), `evictions`, and `bypasses` (stream larger than
-//! the whole budget — the caller regenerates pipelined instead).
+//! the whole budget — the caller streams the trace instead).
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -186,7 +186,7 @@ impl TraceLru {
 
     /// The shared buffer for `key`, materializing it via `materialize`
     /// on first use. `None` means the stream cannot fit the budget at
-    /// all — the caller must regenerate (pipelined) instead.
+    /// all — the caller must stream the trace instead.
     pub fn get_or_materialize(
         &self,
         key: &TraceKey,

@@ -1,12 +1,13 @@
 //! Tier-1 determinism guarantees of the two-core shared-L3 driver and
-//! the `TraceMode::Shared` suite path: results are bit-identical across
-//! worker counts and trace execution modes.
+//! the fused suite path: results are bit-identical across worker counts
+//! and match inline single-cell runs.
 
 use sim_engine::codec;
 use sim_engine::config::{PolicyKind, SystemConfig};
 use sim_engine::experiments::{SuiteOptions, SuiteResults};
 use sim_engine::multicore::{run_mix, MulticoreResult};
-use sim_engine::{run_mix_pipelined, SweepConfig, TraceMode};
+use sim_engine::system::run_workload_with_warmup;
+use sim_engine::SweepConfig;
 
 const LEN: u64 = 25_000;
 
@@ -47,35 +48,15 @@ fn mixes_are_bit_identical_across_worker_counts() {
 }
 
 #[test]
-fn pipelined_mixes_match_inline_bit_exactly() {
-    for ((a, b), policy) in cells() {
-        let spec_a = workloads::workload(a).expect("known benchmark");
-        let spec_b = workloads::workload(b).expect("known benchmark");
-        let inline = run_mix(SystemConfig::paper_45nm(policy), &spec_a, &spec_b, LEN);
-        let piped = run_mix_pipelined(SystemConfig::paper_45nm(policy), &spec_a, &spec_b, LEN);
-        assert_eq!(
-            fingerprint(&inline),
-            fingerprint(&piped),
-            "mix ({a}, {b}) under {policy:?} diverges between inline and pipelined traces"
-        );
-        // Spot-check the fields Figure 16 is built from.
-        assert_eq!(inline.l3_energy, piped.l3_energy);
-        assert_eq!(inline.dram_total_traffic, piped.dram_total_traffic);
-        assert_eq!(inline.l3_stats.demand_hits, piped.l3_stats.demand_hits);
-    }
-}
-
-#[test]
 fn repeated_mixes_are_bit_identical() {
     let cell = (workloads::MULTICORE_MIXES[0], PolicyKind::SlipAbp);
     assert_eq!(fingerprint(&run_cell(cell)), fingerprint(&run_cell(cell)));
 }
 
-/// The shared-trace suite path (the default `TraceMode`) must agree
-/// bit-for-bit with inline generation and stay deterministic across
-/// worker counts; the three modes differ only in throughput.
+/// The fused suite path must agree bit-for-bit with inline single-cell
+/// runs and stay deterministic across worker counts.
 #[test]
-fn shared_trace_mode_is_deterministic_and_matches_inline() {
+fn fused_suite_is_deterministic_and_matches_inline() {
     let options = || {
         SuiteOptions::paper_full()
             .with_benchmarks(&["gcc", "lbm"])
@@ -86,27 +67,28 @@ fn shared_trace_mode_is_deterministic_and_matches_inline() {
     let suite_fp = |s: &SuiteResults, bench: &str, policy: PolicyKind| {
         codec::encode_result(s.get(bench, policy)).to_json()
     };
-    let shared_mode = |jobs| SweepConfig::with_jobs(jobs).with_trace_mode(TraceMode::Shared);
-
-    let shared_1 = SuiteResults::run_with(options(), &shared_mode(1)).unwrap();
-    let shared_4 = SuiteResults::run_with(options(), &shared_mode(4)).unwrap();
-    let inline = SuiteResults::run_with(
-        options(),
-        &SweepConfig::with_jobs(4).with_trace_mode(TraceMode::Inline),
-    )
-    .unwrap();
-    for &bench in shared_1.benchmarks() {
-        for &policy in &shared_1.options.policies {
-            let reference = suite_fp(&shared_1, bench, policy);
+    let fused_1 = SuiteResults::run_with(options(), &SweepConfig::with_jobs(1)).unwrap();
+    let fused_4 = SuiteResults::run_with(options(), &SweepConfig::with_jobs(4)).unwrap();
+    let opts = options();
+    for &bench in fused_1.benchmarks() {
+        let spec = workloads::workload(bench).expect("known benchmark");
+        for &policy in &fused_1.options.policies {
+            let reference = suite_fp(&fused_1, bench, policy);
             assert_eq!(
                 reference,
-                suite_fp(&shared_4, bench, policy),
-                "shared-mode cell ({bench}, {policy}) differs between jobs=1 and jobs=4"
+                suite_fp(&fused_4, bench, policy),
+                "fused cell ({bench}, {policy}) differs between jobs=1 and jobs=4"
+            );
+            let inline = run_workload_with_warmup(
+                opts.cell_config(policy),
+                &spec,
+                opts.accesses,
+                opts.warmup,
             );
             assert_eq!(
                 reference,
-                suite_fp(&inline, bench, policy),
-                "cell ({bench}, {policy}) differs between shared and inline trace modes"
+                codec::encode_result(&inline).to_json(),
+                "cell ({bench}, {policy}) differs between fused and inline runs"
             );
         }
     }

@@ -1,17 +1,19 @@
-//! Golden equivalence of the trace pipeline: inline, pipelined,
-//! shared-`Arc<TraceBuffer>`, and fused execution must produce
-//! bit-identical `SimResult`s for the benchmark × policy grid — at one
-//! and four workers, unsharded and set-sharded — and a journal resume
-//! across a shared-trace group must stay deterministic. The anchor is
-//! the seed golden: each cell re-run through the verbatim reference hot
-//! path (`reference_hot_path = true`), compared by its exact journal
-//! payload text, the same fingerprint the determinism tier-1 test uses.
+//! Golden equivalence of the sweep executor: fused benchmark groups
+//! must produce bit-identical `SimResult`s for the benchmark × policy
+//! grid at one and four workers, whether they stream the trace or fall
+//! back to streaming past a full trace cache, and a journal resume
+//! across a fused group must stay deterministic. The anchor is the seed
+//! golden: each cell re-run through the verbatim reference hot path
+//! (`reference_hot_path = true`), compared by its exact journal payload
+//! text, the same fingerprint the determinism tier-1 test uses.
 
 use sim_engine::codec;
 use sim_engine::config::PolicyKind;
 use sim_engine::experiments::{SuiteOptions, SuiteResults};
 use sim_engine::system::run_workload_with_warmup;
-use sim_engine::{SweepConfig, TraceMode};
+use sim_engine::trace_cache::TraceLru;
+use sim_engine::SweepConfig;
+use std::sync::Arc;
 
 fn grid_options() -> SuiteOptions {
     SuiteOptions::paper_full()
@@ -40,21 +42,17 @@ fn fingerprints(suite: &SuiteResults) -> Vec<String> {
         .collect()
 }
 
-fn run(mode: TraceMode, jobs: usize, shards: usize) -> Vec<String> {
-    let sweep = SweepConfig::with_jobs(jobs)
-        .with_trace_mode(mode)
-        .with_shards(shards);
-    fingerprints(&SuiteResults::run_with(grid_options(), &sweep).unwrap())
+fn run(sweep: &SweepConfig) -> Vec<String> {
+    fingerprints(&SuiteResults::run_with(grid_options(), sweep).unwrap())
 }
 
 /// The seed golden: every cell of the grid re-run through the verbatim
 /// reference hot path, in the same grid order `fingerprints` uses.
-fn reference_goldens(suite: &SuiteResults) -> Vec<String> {
-    suite
-        .benchmarks()
+fn reference_goldens() -> Vec<String> {
+    let opts = &grid_options();
+    opts.benchmarks
         .iter()
         .flat_map(|&bench| {
-            let opts = &suite.options;
             opts.policies.iter().map(move |&policy| {
                 let mut config = opts.cell_config(policy);
                 config.reference_hot_path = true;
@@ -67,51 +65,27 @@ fn reference_goldens(suite: &SuiteResults) -> Vec<String> {
 }
 
 #[test]
-fn all_modes_agree_with_the_seed_golden_across_jobs_and_shards() {
-    // Anchor: the reference path, cell by cell. Everything else — every
-    // trace mode, worker count, and shard count, all of which run the
-    // batched fast path by default — must reproduce it bit for bit.
-    let inline = SuiteResults::run_with(
-        grid_options(),
-        &SweepConfig::with_jobs(1).with_trace_mode(TraceMode::Inline),
-    )
-    .unwrap();
-    let reference = reference_goldens(&inline);
-    assert_eq!(
-        fingerprints(&inline),
-        reference,
-        "inline serial diverges from the reference-path seed golden"
-    );
-    for mode in [
-        TraceMode::Inline,
-        TraceMode::Pipelined,
-        TraceMode::Shared,
-        TraceMode::Fused,
-    ] {
-        for jobs in [1, 4] {
-            // Fused groups own their worker and ignore shards; running
-            // the shards=2 leg anyway asserts exactly that.
-            for shards in [1, 2] {
-                assert_eq!(
-                    run(mode, jobs, shards),
-                    reference,
-                    "{} at jobs={jobs} shards={shards} diverges from the seed golden",
-                    mode.label()
-                );
-            }
-        }
+fn fused_sweeps_agree_with_the_seed_golden_across_jobs() {
+    // Anchor: the reference path, cell by cell. Fused groups run the
+    // batched fast path by default and must reproduce it bit for bit,
+    // serially and with groups split across four workers.
+    let reference = reference_goldens();
+    for jobs in [1, 4] {
+        assert_eq!(
+            run(&SweepConfig::with_jobs(jobs)),
+            reference,
+            "fused sweep at jobs={jobs} diverges from the seed golden"
+        );
     }
 }
 
 #[test]
 fn zero_cache_budget_falls_back_without_changing_results() {
-    let reference = run(TraceMode::Inline, 1, 1);
-    let starved = SweepConfig {
-        trace_cache_mb: 0,
-        ..SweepConfig::with_jobs(2).with_trace_mode(TraceMode::Shared)
-    };
+    // A 0 MiB trace cache bypasses every stream: groups stream instead.
+    let starved = SweepConfig::with_jobs(2).with_trace_cache(Arc::new(TraceLru::new(0)));
     let suite = SuiteResults::run_with(grid_options(), &starved).unwrap();
-    assert_eq!(fingerprints(&suite), reference);
+    assert_eq!(fingerprints(&suite), reference_goldens());
+    assert_eq!(suite.trace_cache_stats.unwrap().bypasses, 3);
 }
 
 #[test]
@@ -133,27 +107,21 @@ fn journal_resume_across_a_shared_trace_group_is_deterministic() {
         .with_warmup(5_000);
     let sweep = SweepConfig {
         journal: Some(journal.clone()),
-        ..SweepConfig::with_jobs(2).with_trace_mode(TraceMode::Shared)
+        ..SweepConfig::with_jobs(2)
     };
     SuiteResults::run_with(partial, &sweep).unwrap();
     let lines_first = std::fs::read_to_string(&journal).unwrap().lines().count();
     assert_eq!(lines_first, 2); // baseline + slip
 
-    // Second pass widens the group: restored cells skip the cache
-    // entirely while the new cells materialize and share the trace.
-    // The combined suite must equal an unjournaled inline run.
-    let full = grid_options();
+    // Second pass widens the grid: restored cells skip execution while
+    // the gcc survivors re-form a smaller fused group. The combined
+    // suite must equal the seed golden.
     // 3 benchmarks x 4 policies (baseline is always added), minus the
     // 2 gcc cells already journaled.
-    let resumed = SuiteResults::run_with(full, &sweep).unwrap();
+    let resumed = SuiteResults::run_with(grid_options(), &sweep).unwrap();
     let lines_second = std::fs::read_to_string(&journal).unwrap().lines().count();
     assert_eq!(lines_second, 12, "exactly the 10 new cells were appended");
-    let fresh = SuiteResults::run_with(
-        grid_options(),
-        &SweepConfig::with_jobs(1).with_trace_mode(TraceMode::Inline),
-    )
-    .unwrap();
-    assert_eq!(fingerprints(&resumed), fingerprints(&fresh));
+    assert_eq!(fingerprints(&resumed), reference_goldens());
 
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -7,12 +7,12 @@
 //! The scenario is replayed through the *reference* hot path
 //! (`SystemConfig::reference_hot_path = true`: line-array probes and
 //! the allocating f64 EOU loop) and through the *optimized* paths (SWAR
-//! tag filter, fused q16-distribution EOU kernel) in several execution
-//! modes — inline stepping, chunked replay from a packed
-//! [`TraceBuffer`], and (for workload-spec iterations) the pipelined
-//! producer thread. The full [`sim_engine::SimResult`] of every variant
-//! is compared bit-exactly via the JSON codec, which excludes only wall
-//! time.
+//! tag filter, fused q16-distribution EOU kernel) through every
+//! execution path that ships — inline stepping (`slip run`), and a
+//! singleton fused group either streaming the trace (sweeps) or
+//! replaying a packed [`TraceBuffer`] (`slip serve`). The full
+//! [`sim_engine::SimResult`] of every variant is compared bit-exactly
+//! via the JSON codec, which excludes only wall time.
 //!
 //! On divergence the trace prefix is binary-searched for the first
 //! length at which the variant disagrees, and the offending access is
@@ -24,9 +24,8 @@ use cache_sim::rng::SplitMix64;
 use cache_sim::Access;
 use sim_engine::codec;
 use sim_engine::config::{PolicyKind, ReplacementKind, SystemConfig};
-use sim_engine::pipeline::{run_workload_from_buffer, run_workload_pipelined};
 use sim_engine::system::run_workload_with_warmup;
-use sim_engine::SingleCoreSystem;
+use sim_engine::{run_group, SimResult, SingleCoreSystem};
 use slip_core::EouObjective;
 use workloads::TraceBuffer;
 
@@ -50,7 +49,7 @@ pub struct Scenario {
     /// Trace length in accesses.
     pub len: u64,
     /// `Some(benchmark)` for iterations that exercise the
-    /// workload-spec-driven paths (pipelined producer) instead of an
+    /// workload-spec-driven paths (generated streams) instead of an
     /// adversarial trace.
     pub benchmark: Option<&'static str>,
 }
@@ -81,8 +80,9 @@ impl Scenario {
         } else {
             EouObjective::InsertionAware
         };
-        // Every 5th iteration drives the workload-spec paths (pipelined
-        // producer + packed-buffer replay) with a real benchmark trace.
+        // Every 5th iteration drives the workload-spec paths (inline,
+        // streamed and buffer-fed fused groups) with a real benchmark
+        // trace.
         let benchmark = if iteration % 5 == 4 {
             let names = workloads::BENCHMARK_NAMES;
             Some(names[rng.next_below(names.len() as u64) as usize])
@@ -227,16 +227,35 @@ fn fingerprint_inline(config: SystemConfig, trace: &[Access]) -> String {
     fingerprint(system)
 }
 
-/// Replays `trace` through the packed-buffer chunked path.
-fn fingerprint_chunked(config: SystemConfig, trace: &[Access]) -> String {
+/// Replays `trace` as a singleton fused group streaming it.
+fn fingerprint_fused_streamed(config: SystemConfig, trace: &[Access]) -> String {
+    encoded(fused_cell(config, "fuzz", trace.iter().copied(), 0))
+}
+
+/// Replays `trace` as a singleton fused group fed from a packed buffer.
+fn fingerprint_fused_buffered(config: SystemConfig, trace: &[Access]) -> String {
     let buffer = TraceBuffer::materialize(trace.iter().copied());
-    let mut system = SingleCoreSystem::new(config);
-    system.run_chunks(buffer.chunks());
-    fingerprint(system)
+    encoded(fused_cell(config, "fuzz", &buffer, 0))
+}
+
+/// One cell as a singleton fused group over `accesses`.
+fn fused_cell(
+    config: SystemConfig,
+    name: &str,
+    accesses: impl IntoIterator<Item = Access>,
+    warmup: u64,
+) -> SimResult {
+    run_group(vec![config], name, accesses, warmup)
+        .pop()
+        .expect("one config in, one result out")
 }
 
 fn fingerprint(system: SingleCoreSystem) -> String {
-    codec::encode_result(&system.finish("fuzz")).to_json()
+    encoded(system.finish("fuzz"))
+}
+
+fn encoded(result: SimResult) -> String {
+    codec::encode_result(&result).to_json()
 }
 
 /// Binary-searches the shortest prefix of `trace` on which `diverges`
@@ -288,7 +307,8 @@ pub fn run_fuzz(opts: &FuzzOptions) -> Vec<Divergence> {
 type FuzzVariant = (&'static str, fn(SystemConfig, &[Access]) -> String);
 
 /// Adversarial-trace iteration: reference inline vs optimized inline
-/// and optimized chunked-buffer replay, with prefix minimization.
+/// and optimized fused groups (streamed and buffer-fed), with prefix
+/// minimization.
 fn fuzz_adversarial(
     iteration: u64,
     scenario: &Scenario,
@@ -297,9 +317,10 @@ fn fuzz_adversarial(
 ) {
     let trace = adversarial::generate(scenario.pattern, scenario.trace_seed, scenario.len);
     let reference = fingerprint_inline(scenario.config(true), &trace);
-    let variants: [FuzzVariant; 2] = [
+    let variants: [FuzzVariant; 3] = [
         ("optimized-inline", fingerprint_inline),
-        ("optimized-chunked", fingerprint_chunked),
+        ("optimized-fused-streamed", fingerprint_fused_streamed),
+        ("optimized-fused-buffered", fingerprint_fused_buffered),
     ];
     for (variant, run) in variants {
         if run(scenario.config(false), &trace) == reference {
@@ -321,9 +342,11 @@ fn fuzz_adversarial(
 }
 
 /// Workload-spec iteration: the spec-driven reference run vs the
-/// pipelined producer and the packed-buffer replay. These three build
-/// the identical trace from `(spec, seed)`, so their results must be
-/// bit-identical too.
+/// optimized inline run and singleton fused groups streaming the
+/// generated trace and replaying it from a packed buffer. All four
+/// build the identical trace from `(spec, seed)`, so their results must
+/// be bit-identical too. The streams are internal to the runners, so
+/// divergences are reported unminimized.
 fn fuzz_workload(
     iteration: u64,
     scenario: &Scenario,
@@ -334,50 +357,33 @@ fn fuzz_workload(
     let spec = workloads::workload(bench).expect("benchmark name from BENCHMARK_NAMES");
     let warmup = scenario.len / 10;
     let len = scenario.len - warmup;
-    let reference = codec::encode_result(&run_workload_with_warmup(
-        scenario.config(true),
-        &spec,
-        len,
-        warmup,
-    ))
-    .to_json();
-    let pipelined = codec::encode_result(&run_workload_pipelined(
-        scenario.config(false),
-        &spec,
-        len,
-        warmup,
-    ))
-    .to_json();
-    if pipelined != reference {
-        findings.push(Divergence {
-            iteration,
-            scenario: scenario.describe(),
-            variant: "optimized-pipelined",
-            // The producer thread is internal to the pipelined runner;
-            // prefixes cannot be replayed through it, so report the
-            // divergence unminimized.
-            minimized_len: None,
-            offending: None,
-            repro: repro.to_string(),
-        });
-    }
-    let buffer = TraceBuffer::materialize(spec.trace(warmup + len, scenario.config_seed));
-    let buffered = codec::encode_result(&run_workload_from_buffer(
-        scenario.config(false),
-        bench,
-        &buffer,
-        warmup,
-    ))
-    .to_json();
-    if buffered != reference {
-        findings.push(Divergence {
-            iteration,
-            scenario: scenario.describe(),
-            variant: "optimized-buffered",
-            minimized_len: None,
-            offending: None,
-            repro: repro.to_string(),
-        });
+    let run =
+        |reference: bool| run_workload_with_warmup(scenario.config(reference), &spec, len, warmup);
+    let reference = encoded(run(true));
+    let trace = || spec.trace(warmup + len, scenario.config_seed);
+    let buffer = TraceBuffer::materialize(trace());
+    let config = || scenario.config(false);
+    for (variant, result) in [
+        ("optimized-inline", run(false)),
+        (
+            "optimized-fused-streamed",
+            fused_cell(config(), bench, trace(), warmup),
+        ),
+        (
+            "optimized-fused-buffered",
+            fused_cell(config(), bench, &buffer, warmup),
+        ),
+    ] {
+        if encoded(result) != reference {
+            findings.push(Divergence {
+                iteration,
+                scenario: scenario.describe(),
+                variant,
+                minimized_len: None,
+                offending: None,
+                repro: repro.to_string(),
+            });
+        }
     }
 }
 

@@ -8,19 +8,24 @@
 //! trace families — the repeat-heavy ones that exercise the way memo
 //! and hit-run batching hardest, plus tag aliases, address edges, and
 //! TLB thrash that stress its invalidation and residency gating —
-//! through three executions per case:
+//! through the reference path (`reference_hot_path = true`) and every
+//! optimized execution that ships:
 //!
-//! 1. the reference path (`reference_hot_path = true`),
-//! 2. the optimized buffer replay (`run_chunks` + hit-run scanner),
-//! 3. the optimized per-access inline loop (`step_fast` directly),
+//! 1. inline `run` — equal-neighbor runs collapsed into
+//!    `step_fast_run`, the `slip run` path,
+//! 2. inline `step_fast`, one access at a time,
+//! 3. a singleton fused group streaming the trace (the sweep path),
+//! 4. a singleton fused group replaying a packed buffer (the `slip
+//!    serve` path),
 //!
 //! and compares all encoded results byte for byte.
 
 use crate::adversarial::{self, Pattern};
 use crate::invariants::Violation;
+use cache_sim::Access;
 use sim_engine::config::{PolicyKind, SystemConfig};
 use sim_engine::system::SingleCoreSystem;
-use sim_engine::{codec, run_workload_from_buffer};
+use sim_engine::{codec, run_group, SimResult};
 use workloads::TraceBuffer;
 
 /// Where two JSON payloads first differ, with a little context — enough
@@ -44,32 +49,47 @@ fn first_difference(a: &str, b: &str) -> String {
     )
 }
 
-/// Inline per-access replay through the hit-run scanner: the warmup
-/// boundary and finish sequence of `run_workload_from_buffer`, but
-/// stepping `step_fast` on unpacked accesses instead of whole chunks.
-fn run_inline_fast(
+/// Inline replay: `warmup` accesses through `step_fast`, a measurement
+/// reset, then the rest through `run` (`per_access = false`, the
+/// `run_workload_with_warmup` structure) or `step_fast` one access at
+/// a time.
+fn run_inline(
     config: SystemConfig,
     name: &str,
-    buffer: &TraceBuffer,
+    trace: &[Access],
     warmup: u64,
-) -> sim_engine::SimResult {
+    per_access: bool,
+) -> SimResult {
     let mut system = SingleCoreSystem::new(config);
-    let mut index = 0u64;
-    for chunk in buffer.chunks() {
-        for &word in chunk {
-            if index == warmup {
-                system.reset_measurements();
-            }
-            index += 1;
-            system.step_fast(workloads::unpack_access(word));
-        }
+    let (head, tail) = trace.split_at(warmup as usize);
+    for &access in head {
+        system.step_fast(access);
     }
-    assert!(index >= warmup, "trace long enough for warmup");
+    system.reset_measurements();
+    if per_access {
+        for &access in tail {
+            system.step_fast(access);
+        }
+    } else {
+        system.run(tail.iter().copied());
+    }
     system.finish(name.to_owned())
 }
 
+/// One cell as a singleton fused group over `accesses`.
+fn run_fused(
+    config: SystemConfig,
+    name: &str,
+    accesses: impl IntoIterator<Item = Access>,
+    warmup: u64,
+) -> SimResult {
+    run_group(vec![config], name, accesses, warmup)
+        .pop()
+        .expect("one config in, one result out")
+}
+
 /// Replays one adversarial trace per (pattern, policy) case through the
-/// reference path and two fast-path executions, requiring bit-identical
+/// reference path and every fast-path execution, requiring bit-identical
 /// encoded results. A slice of the trace is treated as warmup so
 /// flushing the pending hit run at the measurement boundary is
 /// exercised as well.
@@ -102,21 +122,25 @@ pub fn check_fastpath_determinism(seed: u64, trace_len: u64, quiet: bool) -> Res
 
         let mut reference = config.clone();
         reference.reference_hot_path = true;
-        let want = codec::encode_result(&run_workload_from_buffer(
-            reference, &scenario, &buffer, warmup,
-        ))
-        .to_json();
+        let want =
+            codec::encode_result(&run_inline(reference, &scenario, &trace, warmup, true)).to_json();
 
         debug_assert!(!config.reference_hot_path);
+        let c = || config.clone();
         for (mode, result) in [
             (
-                "buffer replay",
-                run_workload_from_buffer(config.clone(), &scenario, &buffer, warmup),
+                "inline run",
+                run_inline(c(), &scenario, &trace, warmup, false),
             ),
             (
                 "inline step_fast",
-                run_inline_fast(config.clone(), &scenario, &buffer, warmup),
+                run_inline(c(), &scenario, &trace, warmup, true),
             ),
+            (
+                "fused streamed",
+                run_fused(c(), &scenario, trace.iter().copied(), warmup),
+            ),
+            ("fused buffer", run_fused(c(), &scenario, &buffer, warmup)),
         ] {
             let got = codec::encode_result(&result).to_json();
             if got != want {

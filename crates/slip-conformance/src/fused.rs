@@ -1,14 +1,16 @@
-//! Fused-determinism check: a fused multi-policy group replay must be
-//! bit-identical to each cell's standalone replay of the same buffer.
+//! Fused-determinism check: every cell of a fused multi-policy group
+//! must be bit-identical to the cell's standalone run on the verbatim
+//! reference hot path (`reference_hot_path = true`).
 //!
-//! This is the conformance-side guarantee backing `--trace-mode fused`:
-//! fusing the decode (and sharing the policy-invariant L1) is purely an
-//! execution strategy, never a modeling change. The check replays
-//! adversarial trace families through [`run_group_from_buffer`] with
-//! *all five* policies in one group and through the per-cell
-//! [`run_workload_from_buffer`] path, comparing the encoded results
-//! byte for byte — warmup included, so the group-wide measurement reset
-//! at the warmup boundary is exercised too. An inclusive-LLC group is
+//! This is the conformance-side guarantee behind every sweep and
+//! `slip serve` run: fusing the stream (and sharing the
+//! policy-invariant L1) is purely an execution strategy, never a
+//! modeling change. The check replays adversarial trace families
+//! through [`run_group`] with *all five* policies in one group — once
+//! streaming the trace, once replaying a packed buffer — and through
+//! each cell's solo reference run, comparing the encoded results byte
+//! for byte — warmup included, so the group-wide measurement reset at
+//! the warmup boundary is exercised too. An inclusive-LLC group is
 //! covered as well: it must take the plain-lockstep fallback (no shared
 //! L1) and still match.
 //!
@@ -21,10 +23,33 @@
 
 use crate::adversarial::{self, Pattern};
 use crate::invariants::Violation;
+use cache_sim::Access;
 use sim_engine::config::{PolicyKind, SystemConfig};
-use sim_engine::pipeline::run_workload_from_buffer;
-use sim_engine::{codec, run_group_from_buffer, run_group_observed, SingleCoreSystem};
+use sim_engine::{codec, run_group, run_group_observed, SimResult, SingleCoreSystem};
 use workloads::TraceBuffer;
+
+/// One cell's solo run on the reference hot path: `warmup` accesses,
+/// a measurement reset, then the rest.
+fn reference_run(
+    config: &SystemConfig,
+    scenario: &str,
+    trace: &[Access],
+    warmup: u64,
+) -> SimResult {
+    let mut config = config.clone();
+    config.reference_hot_path = true;
+    let mut system = SingleCoreSystem::new(config);
+    for (i, &access) in trace.iter().enumerate() {
+        if i as u64 == warmup {
+            system.reset_measurements();
+        }
+        system.step(access);
+    }
+    if trace.len() as u64 == warmup {
+        system.reset_measurements();
+    }
+    system.finish(scenario.to_owned())
+}
 
 /// First access at which a singleton fused replay of `config` diverges
 /// from the plain per-access reference replay of the same buffer
@@ -58,8 +83,8 @@ fn first_diverging_access(
 }
 
 /// Replays one adversarial trace per pattern through a fused group of
-/// every policy and through each cell's standalone buffer replay,
-/// requiring bit-identical encoded results. A slice of the trace is
+/// every policy (streamed and buffer-fed) and through each cell's
+/// standalone reference run, requiring bit-identical encoded results. A slice of the trace is
 /// treated as warmup so the fused group-wide measurement reset is
 /// exercised as well.
 pub fn check_fused_determinism(seed: u64, trace_len: u64, quiet: bool) -> Result<(), Violation> {
@@ -93,21 +118,27 @@ pub fn check_fused_determinism(seed: u64, trace_len: u64, quiet: bool) -> Result
         let buffer = TraceBuffer::materialize(trace.iter().copied());
         let warmup = trace_len / 8;
         let configs = group_of(inclusive);
-        let fused = run_group_from_buffer(configs.clone(), &scenario, &buffer, warmup);
-        for (config, fused) in configs.into_iter().zip(fused) {
+        let streamed = run_group(configs.clone(), &scenario, trace.iter().copied(), warmup);
+        let buffered = run_group(configs.clone(), &scenario, &buffer, warmup);
+        for ((config, streamed), buffered) in configs.into_iter().zip(streamed).zip(buffered) {
             let policy = config.policy;
-            let solo = run_workload_from_buffer(config.clone(), &scenario, &buffer, warmup);
-            let want = codec::encode_result(&solo).to_json();
-            let got = codec::encode_result(&fused).to_json();
-            if got != want {
-                let at = first_diverging_access(config, &scenario, &buffer, warmup);
+            let want =
+                codec::encode_result(&reference_run(&config, &scenario, &trace, warmup)).to_json();
+            for (source, fused) in [
+                ("streamed", streamed.clone()),
+                ("buffered", buffered.clone()),
+            ] {
+                if codec::encode_result(&fused).to_json() == want {
+                    continue;
+                }
+                let at = first_diverging_access(config.clone(), &scenario, &buffer, warmup);
                 return Err(Violation {
                     invariant: "fused-determinism",
-                    scenario: format!("{scenario} policy={policy:?}"),
+                    scenario: format!("{scenario} policy={policy:?} {source}"),
                     step: at,
                     detail: format!(
-                        "fused group cell is not bit-identical to its standalone replay \
-                         (seed {seed:#x}, {trace_len} accesses, warmup {warmup}); first \
+                        "fused group cell is not bit-identical to its standalone reference \
+                         run (seed {seed:#x}, {trace_len} accesses, warmup {warmup}); first \
                          diverging access: {}",
                         at.map_or("none (finalization)".to_owned(), |a| a.to_string())
                     ),

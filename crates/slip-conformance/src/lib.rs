@@ -30,7 +30,6 @@ pub mod fused;
 pub mod invariants;
 pub mod oracle;
 pub mod service;
-pub mod shard;
 pub mod topology;
 
 pub use adversarial::{generate, Pattern};
@@ -43,14 +42,13 @@ pub use invariants::{
 };
 pub use oracle::{run_oracle, OracleReport, OracleRow};
 pub use service::check_serve_determinism;
-pub use shard::check_shard_determinism;
 pub use topology::{check_spec_determinism, check_topology_determinism};
 
 /// Runs the quick invariant sweep used by `slip check`: the standard
 /// invariants over one adversarial trace per (pattern, policy) pairing,
 /// plus the standalone EOU, Default-SLIP, serve-determinism,
-/// shard-determinism, fused-determinism, fastpath-determinism, and
-/// topology-determinism equivalence checks.
+/// fused-determinism, fastpath-determinism, and topology-determinism
+/// equivalence checks.
 /// Returns every violation found (empty = clean).
 pub fn run_invariant_sweep(seed: u64, trace_len: u64, quiet: bool) -> Vec<Violation> {
     use sim_engine::config::{PolicyKind, SystemConfig};
@@ -92,9 +90,6 @@ pub fn run_invariant_sweep(seed: u64, trace_len: u64, quiet: bool) -> Vec<Violat
         eprintln!("  invariants: serve = offline sweep, bit-exact");
     }
     if let Err(v) = service::check_serve_determinism(2_000, &std::env::temp_dir()) {
-        violations.push(v);
-    }
-    if let Err(v) = shard::check_shard_determinism(seed, trace_len, quiet) {
         violations.push(v);
     }
     if let Err(v) = fused::check_fused_determinism(seed, trace_len, quiet) {

@@ -7,11 +7,11 @@
 //! server-wide trace LRU, journal persistence, JSON round trips over
 //! TCP — so this check boots a real loopback server, streams a small
 //! sweep through it, and compares the payloads byte for byte against
-//! [`SuiteResults::run_with`]. The sweep runs twice, once with the
-//! server in its default per-cell mode and once with
-//! [`TraceMode::Fused`], so the fused group scheduler (one worker
-//! retiring every policy cell of a benchmark at once) is held to the
-//! same bar. The fused pass also requires the server to *archive* the
+//! [`SuiteResults::run_with`] and against each cell's solo run on the
+//! verbatim reference hot path (`reference_hot_path = true`). The grid
+//! is one benchmark under every policy on two workers, so the server
+//! splits the benchmark into two fused groups replaying one cached
+//! trace. The check also requires the server to *archive* the
 //! completed run — release its in-memory cell results once the journal
 //! holds them — which the stats endpoint reports.
 
@@ -19,28 +19,20 @@ use crate::invariants::Violation;
 use sim_engine::codec;
 use sim_engine::experiments::suite::SweepConfig;
 use sim_engine::experiments::SuiteResults;
-use sim_engine::pipeline::TraceMode;
+use sim_engine::system::run_workload_with_warmup;
 use slip_serve::{client, Server, ServerConfig, SweepSpec};
 use std::path::Path;
 
-/// One serve-vs-offline pass: boots a loopback server in `mode`,
-/// streams `benchmarks × policies` through it, and compares every cell
-/// byte for byte against the offline sweep. When `expect_archived`,
-/// additionally requires the server's stats to report the run archived
-/// (results dropped from memory, journal authoritative) after delivery.
-fn check_mode(
-    accesses: u64,
-    journal_dir: &Path,
-    mode: TraceMode,
-    policies: &[&str],
-    expect_archived: bool,
-) -> Result<(), Violation> {
+/// Boots a loopback server, streams `gcc` × every policy through it,
+/// and compares every cell byte for byte against the offline sweep and
+/// the reference hot path, then requires the completed run archived
+/// (results dropped from memory, journal authoritative). `journal_dir`
+/// holds the throwaway server journals.
+pub fn check_serve_determinism(accesses: u64, journal_dir: &Path) -> Result<(), Violation> {
+    let policies = ["baseline", "slip", "slip-abp", "nurapid", "lru-pea"];
     let violation = |detail: String| Violation {
         invariant: "serve-determinism",
-        scenario: format!(
-            "gcc x {policies:?} @ {accesses} accesses via loopback serve ({})",
-            mode.label()
-        ),
+        scenario: format!("gcc x {policies:?} @ {accesses} accesses via loopback serve"),
         step: None,
         detail,
     };
@@ -57,24 +49,15 @@ fn check_mode(
         .map_err(|e| violation(format!("spec does not resolve: {e}")))?;
 
     // Offline ground truth, through the exact path `slip sweep` uses.
-    // Always per-cell shared mode: the fused server must match the
-    // *unfused* reference, not merely itself.
-    let mut sweep = SweepConfig::with_jobs(2);
-    sweep.quiet = true;
-    let offline = SuiteResults::run_with(spec.suite_options().unwrap(), &sweep)
+    let offline = SuiteResults::run_with(options.clone(), &SweepConfig::with_jobs(2))
         .map_err(|e| violation(format!("offline sweep failed: {e}")))?;
 
     // The server side: fresh journal dir, two workers, one submission.
-    let dir = journal_dir.join(format!(
-        "serve-determinism-{}-{}",
-        mode.label(),
-        std::process::id()
-    ));
+    let dir = journal_dir.join(format!("serve-determinism-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let mut config = ServerConfig::new(&dir);
     config.jobs = 2;
     config.quiet = true;
-    config.trace_mode = mode;
     let server = Server::bind(config).map_err(|e| violation(format!("bind: {e}")))?;
     let addr = server.local_addr();
     let handle = std::thread::spawn(move || server.run());
@@ -88,21 +71,18 @@ fn check_mode(
     })();
     // Archival runs on the worker thread right after the final cell is
     // published, so give it a few polls before calling it missing.
-    let archived = expect_archived.then(|| {
-        for _ in 0..50 {
-            if let Ok(stats) = client::stats(addr) {
-                if stats
-                    .get("runs_archived_index")
-                    .and_then(|v| v.as_u64())
-                    .unwrap_or(0)
-                    >= 1
-                {
-                    return true;
-                }
-            }
+    let archived = (0..50).any(|_| {
+        let done = client::stats(addr).is_ok_and(|stats| {
+            stats
+                .get("runs_archived_index")
+                .and_then(|v| v.as_u64())
+                .unwrap_or(0)
+                >= 1
+        });
+        if !done {
             std::thread::sleep(std::time::Duration::from_millis(20));
         }
-        false
+        done
     });
     let _ = client::shutdown(addr);
     let _ = handle.join();
@@ -111,11 +91,18 @@ fn check_mode(
 
     let mut expected = Vec::new();
     for &bench in &options.benchmarks {
+        let workload = workloads::workload(bench).expect("known benchmark");
         for &policy in &options.policies {
-            expected.push((
-                options.cell_key(bench, policy),
-                codec::encode_result(offline.get(bench, policy)).to_json(),
-            ));
+            let want = codec::encode_result(offline.get(bench, policy)).to_json();
+            let mut reference = options.cell_config(policy);
+            reference.reference_hot_path = true;
+            let solo = run_workload_with_warmup(reference, &workload, accesses, 0);
+            if codec::encode_result(&solo).to_json() != want {
+                return Err(violation(format!(
+                    "offline cell {bench}/{policy} differs from the reference hot path"
+                )));
+            }
+            expected.push((options.cell_key(bench, policy), want));
         }
     }
     if streamed.len() != expected.len() {
@@ -137,7 +124,7 @@ fn check_mode(
             )));
         }
     }
-    if archived == Some(false) {
+    if !archived {
         return Err(violation(
             "completed run was never archived: cell results stay resident after the \
              journal sealed"
@@ -145,28 +132,6 @@ fn check_mode(
         ));
     }
     Ok(())
-}
-
-/// Runs a small sweep through an in-process loopback server twice —
-/// per-cell shared mode, then fused-group mode over the full policy
-/// grid — and through the offline sweep path, requiring bit-identical
-/// encoded results each time. `journal_dir` holds the throwaway server
-/// journals.
-pub fn check_serve_determinism(accesses: u64, journal_dir: &Path) -> Result<(), Violation> {
-    check_mode(
-        accesses,
-        journal_dir,
-        TraceMode::Shared,
-        &["baseline", "slip-abp"],
-        false,
-    )?;
-    check_mode(
-        accesses,
-        journal_dir,
-        TraceMode::Fused,
-        &["baseline", "slip", "slip-abp", "nurapid", "lru-pea"],
-        true,
-    )
 }
 
 #[cfg(test)]

@@ -7,10 +7,12 @@
 //!    spec with the same canonical text and fingerprint, so journal
 //!    keys and dedup hashes derived from the text are stable.
 //! 2. **Run-mode matrix** — a small suite on the spec is bit-identical
-//!    across every trace mode (inline, pipelined, shared, fused) and
-//!    a sharded run, against the serial shared reference. The spec
-//!    only changes *what* hierarchy is simulated, never lets an
-//!    execution strategy leak into results.
+//!    across every execution path that ships (inline cells, fused
+//!    groups streamed serially and on four workers, fused groups
+//!    replaying cached buffers) against each cell's solo run on the
+//!    verbatim reference hot path. The spec only changes *what*
+//!    hierarchy is simulated, never lets an execution strategy leak
+//!    into results.
 //! 3. **45 nm equivalence** — `--topology 45nm` is bit-identical to
 //!    the compiled-in hard-coded configuration, cell for cell.
 //!
@@ -23,7 +25,26 @@ use energy_model::HierarchySpec;
 use sim_engine::codec;
 use sim_engine::config::PolicyKind;
 use sim_engine::experiments::{SuiteOptions, SuiteResults};
-use sim_engine::{SweepConfig, TraceMode};
+use sim_engine::system::run_workload_with_warmup;
+use sim_engine::trace_cache::TraceLru;
+use sim_engine::SweepConfig;
+use std::sync::Arc;
+
+/// Runs every cell of `options` solo and inline, in grid order —
+/// on the verbatim reference hot path when `reference`.
+fn fingerprint_cells(options: &SuiteOptions, reference: bool) -> Vec<String> {
+    let mut cells = Vec::new();
+    for &b in &options.benchmarks {
+        let spec = workloads::workload(b).expect("known benchmark");
+        for &p in &options.policies {
+            let mut config = options.cell_config(p);
+            config.reference_hot_path = reference;
+            let r = run_workload_with_warmup(config, &spec, options.accesses, options.warmup);
+            cells.push(codec::encode_result(&r).to_json());
+        }
+    }
+    cells
+}
 
 /// Runs a small suite for one topology under one execution
 /// configuration and returns the per-cell encoded results in grid
@@ -48,7 +69,7 @@ fn fingerprint_suite(
 }
 
 /// Checks one hierarchy spec: round-trip stability, then the run-mode
-/// matrix against the serial shared reference. Exposed so `slip check
+/// matrix against the reference hot path. Exposed so `slip check
 /// --topology FILE` can hold a user-supplied spec to the same standard
 /// as the built-ins.
 pub fn check_spec_determinism(
@@ -82,40 +103,34 @@ pub fn check_spec_determinism(
     }
 
     // 2. Run-mode matrix: every execution strategy must produce the
-    //    serial shared reference bit for bit.
+    //    reference hot path's cells bit for bit.
     let options = SuiteOptions::paper_full()
         .with_benchmarks(&["gcc"])
         .with_policies(&[PolicyKind::Slip, PolicyKind::SlipAbp])
         .with_accesses(trace_len)
         .with_warmup(trace_len / 8)
         .with_topology(spec.clone());
-    let reference = fingerprint_suite(&options, &SweepConfig::serial())?;
-    let mode_matrix = [
-        (
-            "inline",
-            SweepConfig::serial().with_trace_mode(TraceMode::Inline),
-        ),
-        (
-            "pipelined",
-            SweepConfig::serial().with_trace_mode(TraceMode::Pipelined),
-        ),
-        (
-            "fused",
-            SweepConfig::serial().with_trace_mode(TraceMode::Fused),
-        ),
-        ("shared/jobs=4", SweepConfig::with_jobs(4)),
-        ("shared/shards=2", SweepConfig::serial().with_shards(2)),
+    let reference = fingerprint_cells(&options, true);
+    let cached = || SweepConfig::serial().with_trace_cache(Arc::new(TraceLru::new(64)));
+    let mode_matrix: [(&str, Option<SweepConfig>); 4] = [
+        ("inline", None),
+        ("fused/streamed", Some(SweepConfig::serial())),
+        ("fused/streamed/jobs=4", Some(SweepConfig::with_jobs(4))),
+        ("fused/cached", Some(cached())),
     ];
     for (label, sweep) in mode_matrix {
         if !quiet {
             eprintln!("  topology-determinism: {}/{label}", spec.name);
         }
-        let got = fingerprint_suite(&options, &sweep)?;
+        let got = match sweep {
+            Some(sweep) => fingerprint_suite(&options, &sweep)?,
+            None => fingerprint_cells(&options, false),
+        };
         if got != reference {
             return Err(violation(
                 label,
                 format!(
-                    "run-mode matrix diverged from the serial shared reference \
+                    "run-mode matrix diverged from the reference hot path \
                      ({trace_len} accesses); first differing cell index {}",
                     reference
                         .iter()

@@ -8,7 +8,8 @@
 //!   the server answers with a stream of frames (`hello`, `cell`…,
 //!   `done`). No external dependencies, `nc`-friendly.
 //! * **Server** ([`server`]): a shared [`sweep_runner::pool::SharedPool`]
-//!   schedules cells round-robin across concurrent runs, so a short
+//!   schedules fused benchmark groups round-robin across concurrent
+//!   runs, so a short
 //!   sweep is not starved by a long one. Identical specs join the same
 //!   run (run-level dedup, keyed by a canonical-spec fingerprint), and
 //!   overlapping specs share per-cell results (cell-level dedup).
@@ -22,10 +23,10 @@
 //! * **Client** ([`client`]): the typed counterpart used by
 //!   `slip submit` and the integration tests.
 //!
-//! Cells are executed by the same [`sim_engine::experiments::run_suite_cell`]
-//! path as offline `slip sweep`, and payloads are encoded with the same
-//! codec, so server-streamed results are bit-identical to a one-shot
-//! sweep of the same spec.
+//! Cells are executed by the same [`sim_engine::experiments::run_fused_group`]
+//! path as offline `slip sweep`, grouped by the same rule, and payloads
+//! are encoded with the same codec, so server-streamed results are
+//! bit-identical to a one-shot sweep of the same spec.
 
 pub mod client;
 pub mod protocol;

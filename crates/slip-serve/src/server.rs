@@ -19,6 +19,14 @@
 //! Trace buffers dedup one level lower again, in the server-wide
 //! [`TraceLru`].
 //!
+//! ## Execution
+//!
+//! A run's claimed cells form fused groups exactly as an offline sweep
+//! forms them ([`sweep_runner::group_cells`]: by benchmark, split until
+//! every worker has one), and each group is one pool job that replays
+//! the benchmark's cached trace buffer once for all its cells — or
+//! streams the trace when the cache bypasses it.
+//!
 //! ## Persistence and resume
 //!
 //! Every run appends to its own journal (`<dir>/<run_id>.jsonl`,
@@ -37,9 +45,8 @@
 
 use crate::protocol::{Frame, Request, SweepSpec};
 use sim_engine::config::PolicyKind;
-use sim_engine::experiments::suite::{run_fused_group, run_suite_cell};
+use sim_engine::experiments::suite::run_fused_group;
 use sim_engine::experiments::SuiteOptions;
-use sim_engine::pipeline::TraceMode;
 use sim_engine::trace_cache::TraceLru;
 use sim_engine::{codec, env};
 use std::collections::HashMap;
@@ -63,20 +70,8 @@ const SPEC_KEY: &str = "__spec__";
 pub struct ServerConfig {
     /// Bind address; use port 0 for an ephemeral port.
     pub addr: String,
-    /// Worker threads executing cells (the total thread budget; see
-    /// [`shards`](ServerConfig::shards)).
+    /// Worker threads executing fused groups.
     pub jobs: usize,
-    /// Set-shard workers per cell (1 = serial). Cells occupy `shards`
-    /// threads each, so the pool runs `jobs / shards` cells at once —
-    /// the thread budget stays `jobs` either way. Results are
-    /// bit-identical at any shard count. Ignored in
-    /// [`TraceMode::Fused`], where a whole benchmark group occupies
-    /// one worker instead.
-    pub shards: usize,
-    /// How cells execute ([`TraceMode::Shared`] by default). In
-    /// [`TraceMode::Fused`] a run's pending cells are grouped by
-    /// benchmark and each group replays one trace decode in lockstep.
-    pub trace_mode: TraceMode,
     /// Maximum simultaneously active runs (pool admission limit);
     /// further submissions get a `server busy` error frame.
     pub max_runs: usize,
@@ -96,32 +91,18 @@ impl ServerConfig {
     ///
     /// # Panics
     ///
-    /// When `SLIP_SHARDS` is set to something that is not a power of
-    /// two — a server that silently rounded it down would misreport
-    /// its own parallelism.
+    /// When a retired knob (`SLIP_TRACE_MODE`, `SLIP_SHARDS`) is set —
+    /// a server that ignored it would misreport how it executes.
     pub fn new(journal_dir: impl Into<PathBuf>) -> ServerConfig {
+        env::check_retired().unwrap_or_else(|e| panic!("{e}"));
         ServerConfig {
             addr: "127.0.0.1:0".to_owned(),
             jobs: env::jobs(),
-            shards: env::shards().unwrap_or_else(|e| panic!("{e}")),
-            trace_mode: env::trace_mode(),
             max_runs: 32,
             max_conns: 64,
             journal_dir: journal_dir.into(),
             trace_cache_mb: env::trace_cache_mb(),
             quiet: false,
-        }
-    }
-
-    /// Pool worker count after the jobs × shards arbitration: sharded
-    /// cells each occupy `shards` threads, so the pool gets
-    /// `jobs / shards` workers (at least one). Fused mode ignores
-    /// shards — a fused group is one job that retires N cells.
-    pub fn effective_jobs(&self) -> usize {
-        if self.shards > 1 && self.trace_mode != TraceMode::Fused {
-            (self.jobs / self.shards).max(1)
-        } else {
-            self.jobs.max(1)
         }
     }
 }
@@ -276,14 +257,13 @@ impl ServerState {
         let journal = Journal::open(self.config.journal_dir.join(format!("{run_id}.jsonl")))
             .map_err(|e| format!("journal: {e}"))?;
         if journal.payload(SPEC_KEY).is_none() {
-            // The metrics slot records *how this server executes* —
-            // trace mode, shards, jobs — so a journal read back later
-            // can tell which path produced it. The payload must stay
-            // exactly the spec (it hashes to the run id).
-            let how = Value::object()
-                .with("trace_mode", Value::str(self.config.trace_mode.label()))
-                .with("shards", Value::u64(self.config.shards as u64))
-                .with("jobs", Value::u64(self.config.jobs as u64));
+            // The metrics slot records *how this server executes* (its
+            // worker count), so a journal read back later can tell what
+            // produced it; older journals also carry the retired
+            // `trace_mode`/`shards` fields, which revival ignores. The
+            // payload must stay exactly the spec (it hashes to the run
+            // id).
+            let how = Value::object().with("jobs", Value::u64(self.config.jobs as u64));
             journal
                 .record(SPEC_KEY, 0.0, how, spec.to_value())
                 .map_err(|e| format!("journal: {e}"))?;
@@ -358,28 +338,10 @@ impl ServerState {
             }
         }
 
-        // Everything else executes on the shared pool as one queue.
-        // In fused mode the claimed cells group by benchmark: one job
-        // decodes the trace once and retires the whole group.
-        let groups: Vec<Vec<usize>> = if self.config.trace_mode == TraceMode::Fused {
-            let mut order: Vec<&'static str> = Vec::new();
-            let mut by_bench: HashMap<&'static str, Vec<usize>> = HashMap::new();
-            for &i in &claimed {
-                by_bench
-                    .entry(cells[i].0)
-                    .or_insert_with(|| {
-                        order.push(cells[i].0);
-                        Vec::new()
-                    })
-                    .push(i);
-            }
-            order
-                .into_iter()
-                .map(|b| by_bench.remove(b).expect("benchmark grouped above"))
-                .collect()
-        } else {
-            claimed.iter().map(|&i| vec![i]).collect()
-        };
+        // Everything else executes on the shared pool as one queue of
+        // fused groups: one job passes over a benchmark's trace once and
+        // retires the whole group.
+        let groups = sweep_runner::group_cells(&claimed, |i| cells[i].0, self.config.jobs);
         let jobs: Vec<Job> = groups
             .into_iter()
             .map(|members| {
@@ -420,34 +382,19 @@ impl ServerState {
         Ok(run)
     }
 
-    /// Executes one claimed group on a pool worker and fans each
-    /// member's result out to every subscribed run. Non-fused groups
-    /// are singletons; fused groups are all claimed policy cells of
-    /// one benchmark, stepped through a single trace decode. The
-    /// group's wall time is split evenly across members, matching the
-    /// sweep journal convention.
+    /// Executes one claimed fused group on a pool worker and fans each
+    /// member's result out to every subscribed run. The group's wall
+    /// time is split evenly across members, matching the sweep journal
+    /// convention.
     fn execute_group(
         self: &Arc<Self>,
         run: &Arc<RunState>,
         members: &[(usize, &'static str, PolicyKind)],
     ) {
         let started = std::time::Instant::now();
-        let outputs: Vec<(sim_engine::SimResult, Option<&'static str>)> =
-            if self.config.trace_mode == TraceMode::Fused {
-                let bench = members[0].1;
-                let policies: Vec<PolicyKind> = members.iter().map(|&(_, _, p)| p).collect();
-                run_fused_group(&run.options, bench, &policies, Some(&self.cache))
-            } else {
-                let &(_, bench, policy) = &members[0];
-                vec![run_suite_cell(
-                    &run.options,
-                    bench,
-                    policy,
-                    self.config.trace_mode,
-                    Some(&self.cache),
-                    self.config.shards,
-                )]
-            };
+        let bench = members[0].1;
+        let policies: Vec<PolicyKind> = members.iter().map(|&(_, _, p)| p).collect();
+        let outputs = run_fused_group(&run.options, bench, &policies, Some(&self.cache));
         debug_assert_eq!(outputs.len(), members.len());
         let wall = started.elapsed() / members.len() as u32;
         let wall_ms = wall.as_secs_f64() * 1e3;
@@ -713,10 +660,7 @@ impl Server {
         let addr = listener.local_addr()?;
         std::fs::create_dir_all(&config.journal_dir)?;
         let state = Arc::new(ServerState {
-            pool: Mutex::new(Some(SharedPool::new(
-                config.effective_jobs(),
-                config.max_runs,
-            ))),
+            pool: Mutex::new(Some(SharedPool::new(config.jobs.max(1), config.max_runs))),
             cache: Arc::new(TraceLru::new(config.trace_cache_mb)),
             runs: Mutex::new(HashMap::new()),
             cells: Mutex::new(HashMap::new()),

@@ -299,3 +299,88 @@ fn unknown_run_and_bad_requests_get_error_frames() {
     client::shutdown(addr).expect("shutdown");
     server.join().unwrap();
 }
+
+/// The `__spec__` record of a run journal under `dir`.
+fn spec_record(dir: &std::path::Path, run_id: &str) -> (usize, sweep_runner::json::Value) {
+    let text = std::fs::read_to_string(dir.join(format!("{run_id}.jsonl"))).expect("journal");
+    text.lines()
+        .enumerate()
+        .map(|(i, l)| (i, sweep_runner::json::Value::parse(l).expect("record")))
+        .find(|(_, v)| v.get("key").and_then(|k| k.as_str()) == Some("__spec__"))
+        .expect("spec record")
+}
+
+#[test]
+fn spec_record_no_longer_carries_trace_mode_or_shards() {
+    let dir = scratch("spec-record");
+    let (addr, server) = start_server(2, &dir);
+    let mut stream = client::submit(addr, &small_spec()).expect("submit");
+    stream.collect_cells().expect("cells");
+    client::shutdown(addr).expect("shutdown");
+    server.join().unwrap();
+
+    let (_, record) = spec_record(&dir, &stream.run_id);
+    let metrics = record.get("metrics").expect("metrics");
+    assert_eq!(metrics.get("jobs").and_then(|v| v.as_u64()), Some(2));
+    assert!(metrics.get("trace_mode").is_none(), "{}", metrics.to_json());
+    assert!(metrics.get("shards").is_none(), "{}", metrics.to_json());
+}
+
+#[test]
+fn spec_record_with_retired_trace_mode_and_shards_still_revives() {
+    use sweep_runner::json::Value;
+    let dir = scratch("spec-retired");
+    let spec = small_spec();
+    let (addr, server) = start_server(2, &dir);
+    let mut stream = client::submit(addr, &spec).expect("submit");
+    let original = stream.collect_cells().expect("cells");
+    let run_id = stream.run_id.clone();
+    client::shutdown(addr).expect("shutdown");
+    server.join().unwrap();
+
+    // Rewrite the spec record as a server that ran sharded, shared-mode
+    // cells wrote it.
+    let path = dir.join(format!("{run_id}.jsonl"));
+    let (at, record) = spec_record(&dir, &run_id);
+    let field = |k: &str| record.get(k).expect("record field").clone();
+    let retired = Value::object()
+        .with("v", field("v"))
+        .with("key", field("key"))
+        .with("wall_ms", field("wall_ms"))
+        .with(
+            "metrics",
+            Value::object()
+                .with("trace_mode", Value::str("shared"))
+                .with("shards", Value::u64(2))
+                .with("jobs", Value::u64(2)),
+        )
+        .with("payload", field("payload"));
+    let text = std::fs::read_to_string(&path).unwrap();
+    let lines: Vec<String> = text
+        .lines()
+        .enumerate()
+        .map(|(i, l)| {
+            if i == at {
+                retired.to_json()
+            } else {
+                l.to_owned()
+            }
+        })
+        .collect();
+    std::fs::write(&path, lines.join("\n") + "\n").unwrap();
+
+    // A restarted server revives the run from that journal.
+    let (addr, server) = start_server(2, &dir);
+    let mut revived = client::resume(addr, &run_id, 0).expect("resume after restart");
+    let replayed = revived.collect_cells().expect("replayed cells");
+    assert_eq!(revived.done().unwrap().executed, 0, "nothing re-executes");
+    let render = |cells: &[(u64, String, Value)]| {
+        cells
+            .iter()
+            .map(|(i, k, p)| format!("{i} {k} {}", p.to_json()))
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(render(&replayed), render(&original));
+    client::shutdown(addr).expect("shutdown");
+    server.join().unwrap();
+}

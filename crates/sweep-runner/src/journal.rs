@@ -13,7 +13,7 @@
 //! * `metrics` — small human-oriented observability summary
 //!   (accesses/sec, hit rates, energy totals).
 //! * `payload` — the full machine-readable result; `decode` in
-//!   [`crate::run_sweep`] rebuilds the in-memory result from it.
+//!   [`crate::run_sweep_grouped`] rebuilds the in-memory result from it.
 //!
 //! Appends are flushed per line under a mutex, so a sweep killed
 //! mid-run loses at most the cells still in flight; unparseable
@@ -48,7 +48,8 @@ pub const JOURNAL_VERSION: u64 = 1;
 pub struct Journal {
     path: PathBuf,
     file: Mutex<File>,
-    completed: HashMap<String, Value>,
+    /// `key -> (metrics, payload)` of every loaded record.
+    completed: HashMap<String, (Value, Value)>,
     skipped: usize,
 }
 
@@ -84,7 +85,8 @@ impl Journal {
                     skipped += 1;
                     continue;
                 };
-                completed.insert(key.to_owned(), payload.clone());
+                let metrics = v.get("metrics").cloned().unwrap_or_else(Value::object);
+                completed.insert(key.to_owned(), (metrics, payload.clone()));
             }
             torn_tail = file_lacks_final_newline(&path)?;
         }
@@ -112,7 +114,13 @@ impl Journal {
     /// The payload recorded for `key` when the journal was opened, if
     /// any.
     pub fn payload(&self, key: &str) -> Option<&Value> {
-        self.completed.get(key)
+        self.completed.get(key).map(|(_, payload)| payload)
+    }
+
+    /// The metrics object recorded next to `key`'s payload (an empty
+    /// object when the record carried none).
+    pub fn metrics(&self, key: &str) -> Option<&Value> {
+        self.completed.get(key).map(|(metrics, _)| metrics)
     }
 
     /// Number of completed cells loaded at open time.
@@ -178,6 +186,8 @@ mod tests {
         assert_eq!(j.loaded(), 1);
         let p = j.payload("gcc/SLIP+ABP").unwrap();
         assert_eq!(p.get("energy_pj").and_then(Value::as_f64), Some(1234.5));
+        let m = j.metrics("gcc/SLIP+ABP").unwrap();
+        assert_eq!(m.get("rate").and_then(Value::as_f64), Some(0.93));
         assert!(j.payload("gcc/baseline").is_none());
         std::fs::remove_file(&path).unwrap();
     }

@@ -13,21 +13,24 @@
 //!   observability metrics object, and a full result payload.
 //! * Checkpoint/resume — cells whose key is already in the journal are
 //!   decoded from their payload instead of re-run.
+//! * [`group_cells`] — the grouping rule that turns pending cells into
+//!   pool jobs, each retiring several cells at once.
 //! * [`progress`] — live per-cell progress lines on stderr.
 //!
 //! # Example
 //!
 //! ```
-//! use sweep_runner::{json::Value, run_sweep, SweepOptions};
+//! use sweep_runner::{group_cells, json::Value, run_sweep_grouped, SweepOptions};
 //!
 //! let keys: Vec<String> = (0..8).map(|i| format!("cell-{i}")).collect();
 //! let opts = SweepOptions { jobs: 4, journal: None, quiet: true, label: "demo".into(), cancel: None };
-//! let squares = run_sweep(
+//! let squares = run_sweep_grouped(
 //!     &keys,
 //!     &opts,
-//!     |i| (i as u64) * (i as u64),                 // run one cell
+//!     |pending| group_cells(pending, |i| i % 2, opts.jobs), // even/odd cells group
+//!     |members| members.iter().map(|&i| (i as u64) * (i as u64)).collect(),
 //!     |&v, _wall| (Value::object(), Value::u64(v)), // (metrics, payload)
-//!     |p| p.as_u64(),                              // payload -> value
+//!     |p| p.as_u64(),                               // payload -> value
 //! ).unwrap();
 //! assert_eq!(squares[3], 9);
 //! ```
@@ -64,7 +67,7 @@ pub struct SweepOptions {
     /// Cooperative cancellation flag (usually
     /// [`interrupt::install`]'s SIGINT flag): once it reads true the
     /// pool stops dispatching cells, in-flight cells finish and are
-    /// journaled, and [`run_sweep`] returns
+    /// journaled, and [`run_sweep_grouped`] returns
     /// [`std::io::ErrorKind::Interrupted`].
     pub cancel: Option<&'static AtomicBool>,
 }
@@ -107,9 +110,53 @@ impl Default for SweepOptions {
     }
 }
 
-/// Runs one job per key and returns the results in key order.
+/// Partitions `pending` cell indices into execution groups: cells with
+/// equal `key(i)` form one group, groups in first-seen order. Then,
+/// while there are fewer groups than `workers`, the largest group (the
+/// first on ties) splits in half, its second half placed right after
+/// it, so a narrow grid still keeps every worker busy. A singleton
+/// never splits.
+pub fn group_cells<K: PartialEq>(
+    pending: &[usize],
+    key: impl Fn(usize) -> K,
+    workers: usize,
+) -> Vec<Vec<usize>> {
+    let mut keyed: Vec<(K, Vec<usize>)> = Vec::new();
+    for &i in pending {
+        let k = key(i);
+        match keyed.iter_mut().find(|(g, _)| *g == k) {
+            Some((_, members)) => members.push(i),
+            None => keyed.push((k, vec![i])),
+        }
+    }
+    let mut groups: Vec<Vec<usize>> = keyed.into_iter().map(|(_, m)| m).collect();
+    while groups.len() < workers {
+        // `max_by_key` keeps the last maximum; reversed, the first.
+        let Some((largest, _)) = (groups.iter().enumerate().rev())
+            .max_by_key(|(_, g)| g.len())
+            .filter(|(_, g)| g.len() > 1)
+        else {
+            break;
+        };
+        let half = groups[largest].len().div_ceil(2);
+        let tail = groups[largest].split_off(half);
+        groups.insert(largest + 1, tail);
+    }
+    groups
+}
+
+/// Runs a sweep: pending cells are partitioned into *groups*, each
+/// executed by one pool worker in a single `run` call that returns one
+/// result per member (a fused simulation group occupies one worker but
+/// retires N cells at once). Results come back in key order.
 ///
-/// * `run(i)` executes cell `i` (the index into `keys`).
+/// * `group(&pending)` partitions the pending cell indices (cells the
+///   journal did not restore — resume therefore re-forms groups from
+///   the surviving cells only). Every pending index must appear in
+///   exactly one group; groups must be non-empty. [`group_cells`] is
+///   the usual rule.
+/// * `run(&members)` executes one group and returns its results in
+///   member order.
 /// * `encode(&T, wall)` produces the journal record: `metrics` is a
 ///   small observability object (see [`progress`] for the well-known
 ///   keys; `wall` is provided so rates like accesses/sec can be
@@ -119,63 +166,22 @@ impl Default for SweepOptions {
 ///   cell to be re-run.
 ///
 /// Cells whose key is present in the journal are restored, not re-run;
-/// `keys` must therefore encode every input the result depends on.
+/// `keys` must therefore encode every input the result depends on. The
+/// labels in a restored record's metrics still count toward the
+/// progress footer, so it names every path that produced the results.
+/// Each member is journaled individually (with the group's wall time
+/// split evenly across members) the moment its group completes, so an
+/// interrupted sweep still seals a clean per-cell resumable journal.
 ///
 /// # Errors
 ///
 /// Journal I/O errors propagate. When the sweep's cancellation flag
-/// trips (`opts.cancel`, typically SIGINT) before every cell has run,
-/// the completed cells are already journaled — their records flush
+/// trips (`opts.cancel`, typically SIGINT) before every group has run,
+/// the completed groups are already journaled — their records flush
 /// line-atomically, so the journal tail stays sealed — and the sweep
 /// returns [`std::io::ErrorKind::Interrupted`]; re-running with the
 /// same journal resumes from the completed set. Panics from `run`
 /// propagate after the worker scope joins.
-pub fn run_sweep<T, Run, Enc, Dec>(
-    keys: &[String],
-    opts: &SweepOptions,
-    run: Run,
-    encode: Enc,
-    decode: Dec,
-) -> std::io::Result<Vec<T>>
-where
-    T: Send,
-    Run: Fn(usize) -> T + Sync,
-    Enc: Fn(&T, Duration) -> (Value, Value) + Sync,
-    Dec: Fn(&Value) -> Option<T>,
-{
-    // A plain sweep is the grouped engine with singleton groups.
-    run_sweep_grouped(
-        keys,
-        opts,
-        |pending| pending.iter().map(|&i| vec![i]).collect(),
-        |members| vec![run(members[0])],
-        encode,
-        decode,
-    )
-}
-
-/// The grouped variant of [`run_sweep`]: pending cells are partitioned
-/// into *groups*, each executed by one pool worker in a single `run`
-/// call that returns one result per member (a fused simulation group
-/// occupies one worker but retires N cells at once).
-///
-/// * `group(&pending)` partitions the pending cell indices (cells the
-///   journal did not restore — resume therefore re-forms groups from
-///   the surviving cells only). Every pending index must appear in
-///   exactly one group; groups must be non-empty.
-/// * `run(&members)` executes one group and returns its results in
-///   member order.
-///
-/// Each member is journaled individually (with the group's wall time
-/// split evenly across members) the moment its group completes, so an
-/// interrupted grouped sweep still seals a clean per-cell resumable
-/// journal. Results come back in key order, exactly as [`run_sweep`].
-///
-/// # Errors
-///
-/// As [`run_sweep`]: journal I/O errors propagate, and a tripped
-/// cancellation flag yields [`std::io::ErrorKind::Interrupted`] after
-/// in-flight groups finish and journal.
 ///
 /// # Panics
 ///
@@ -228,6 +234,14 @@ where
         }
     }
     let from_journal = keys.len() - pending.len();
+    let progress = Progress::new(&opts.label, pending.len(), opts.quiet);
+    if let Some(j) = &journal {
+        for (key, _) in keys.iter().zip(&resolved).filter(|(_, v)| v.is_some()) {
+            if let Some(metrics) = j.metrics(key) {
+                progress.restored(metrics);
+            }
+        }
+    }
 
     let groups = group(&pending);
     {
@@ -241,7 +255,6 @@ where
         );
     }
 
-    let progress = Progress::new(&opts.label, pending.len(), opts.quiet);
     let journal_error: Mutex<Option<std::io::Error>> = Mutex::new(None);
 
     let ran = pool::run_indexed_cancellable(groups.len(), opts.jobs, opts.cancel, |g| {
@@ -321,6 +334,24 @@ mod tests {
 
     fn keys(n: usize) -> Vec<String> {
         (0..n).map(|i| format!("cell-{i}")).collect()
+    }
+
+    /// One cell per group: the sweep shape most tests below exercise.
+    fn run_sweep<T: Send>(
+        keys: &[String],
+        opts: &SweepOptions,
+        run: impl Fn(usize) -> T + Sync,
+        encode: impl Fn(&T, Duration) -> (Value, Value) + Sync,
+        decode: impl Fn(&Value) -> Option<T>,
+    ) -> std::io::Result<Vec<T>> {
+        run_sweep_grouped(
+            keys,
+            opts,
+            |pending| pending.iter().map(|&i| vec![i]).collect(),
+            |members| vec![run(members[0])],
+            encode,
+            decode,
+        )
     }
 
     fn quiet(jobs: usize) -> SweepOptions {
@@ -606,6 +637,94 @@ mod tests {
         assert_eq!(seen.into_inner().unwrap(), vec![3, 4, 5]);
         assert_eq!(calls.load(Ordering::Relaxed), 1);
         assert_eq!(out, (0..6).map(|i| i * 7).collect::<Vec<u64>>());
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn group_cells_splits_up_to_the_worker_count_in_first_seen_order() {
+        // Cells 0..10 over benchmarks a,b (interleaved first-seen a, b).
+        let bench = |i: usize| if i.is_multiple_of(2) { "a" } else { "b" };
+        let pending: Vec<usize> = (0..10).collect();
+        assert_eq!(
+            group_cells(&pending, bench, 1),
+            vec![vec![0, 2, 4, 6, 8], vec![1, 3, 5, 7, 9]]
+        );
+        assert_eq!(
+            group_cells(&pending, bench, 2),
+            group_cells(&pending, bench, 1)
+        );
+        // Below the worker count the largest group halves, the first
+        // one on ties, each second half right after its first.
+        assert_eq!(
+            group_cells(&pending, bench, 3),
+            vec![vec![0, 2, 4], vec![6, 8], vec![1, 3, 5, 7, 9]]
+        );
+        assert_eq!(
+            group_cells(&pending, bench, 4),
+            vec![vec![0, 2, 4], vec![6, 8], vec![1, 3, 5], vec![7, 9]]
+        );
+        // One benchmark of five cells on two workers: a 3 + 2 split.
+        let one: Vec<usize> = (0..5).collect();
+        assert_eq!(
+            group_cells(&one, |_| "soplex", 2),
+            vec![vec![0, 1, 2], vec![3, 4]]
+        );
+        // Singletons never split, however many workers wait.
+        assert_eq!(group_cells(&[7], |_| "x", 8), vec![vec![7]]);
+        assert_eq!(
+            group_cells(&one, |_| "soplex", 64),
+            vec![vec![0], vec![1], vec![2], vec![3], vec![4]]
+        );
+        assert!(group_cells(&[], |_| "x", 4).is_empty());
+    }
+
+    #[test]
+    fn resume_reforms_groups_from_unjournaled_cells() {
+        let mut path = std::env::temp_dir();
+        path.push(format!("slip-sweep-group-resume-{}", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let opts = SweepOptions {
+            jobs: 2,
+            journal: Some(path.clone()),
+            quiet: true,
+            label: "test".to_owned(),
+            cancel: None,
+        };
+        let (enc, dec) = codec_u64();
+        let bench = |i: usize| i / 4; // two benchmarks of four cells
+                                      // A sweep that journaled cells 0, 1, and 5 before it died.
+        run_sweep(&keys(8), &opts, |i| i as u64, &enc, &dec).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        let kept: String = text
+            .lines()
+            .filter(|l| {
+                ["cell-0\"", "cell-1\"", "cell-5\""]
+                    .iter()
+                    .any(|k| l.contains(k))
+            })
+            .map(|l| format!("{l}\n"))
+            .collect();
+        std::fs::write(&path, kept).unwrap();
+        let seen = Mutex::new(Vec::new());
+        let out = run_sweep_grouped(
+            &keys(8),
+            &opts,
+            |pending| {
+                let groups = group_cells(pending, bench, opts.jobs);
+                *seen.lock().unwrap() = groups.clone();
+                groups
+            },
+            |members| members.iter().map(|&i| i as u64).collect(),
+            &enc,
+            &dec,
+        )
+        .unwrap();
+        assert_eq!(
+            seen.into_inner().unwrap(),
+            vec![vec![2, 3], vec![4, 6, 7]],
+            "groups re-form from the survivors only"
+        );
+        assert_eq!(out, (0..8).collect::<Vec<u64>>());
         std::fs::remove_file(&path).unwrap();
     }
 

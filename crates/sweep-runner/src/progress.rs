@@ -42,6 +42,23 @@ struct Aggregate {
     exec_modes: Vec<(String, usize)>,
 }
 
+impl Aggregate {
+    /// Counts a cell's `trace_source` and `exec_mode` labels.
+    fn tally_labels(&mut self, metrics: &Value) {
+        for (key, counts) in [
+            ("trace_source", &mut self.trace_sources),
+            ("exec_mode", &mut self.exec_modes),
+        ] {
+            if let Some(label) = metrics.get(key).and_then(Value::as_str) {
+                match counts.iter_mut().find(|(s, _)| s == label) {
+                    Some((_, n)) => *n += 1,
+                    None => counts.push((label.to_owned(), 1)),
+                }
+            }
+        }
+    }
+}
+
 /// Rate-only cells whose wall time rounds to nothing (tiny `--quick`
 /// cells) carry no throughput signal; below this their `rate * wall`
 /// reconstruction is left out of the aggregate. Cells that report a
@@ -81,7 +98,6 @@ impl Progress {
             .get("accesses_per_sec")
             .and_then(Value::as_f64)
             .filter(|r| r.is_finite() && *r > 0.0);
-        let trace_source = metrics.get("trace_source").and_then(Value::as_str);
         let accesses = metrics.get("accesses").and_then(Value::as_u64);
         {
             let mut agg = self.aggregate.lock().unwrap();
@@ -100,18 +116,7 @@ impl Progress {
                     agg.rated_cells += 1;
                 }
             }
-            if let Some(source) = trace_source {
-                match agg.trace_sources.iter_mut().find(|(s, _)| s == source) {
-                    Some((_, n)) => *n += 1,
-                    None => agg.trace_sources.push((source.to_owned(), 1)),
-                }
-            }
-            if let Some(mode) = metrics.get("exec_mode").and_then(Value::as_str) {
-                match agg.exec_modes.iter_mut().find(|(s, _)| s == mode) {
-                    Some((_, n)) => *n += 1,
-                    None => agg.exec_modes.push((mode.to_owned(), 1)),
-                }
-            }
+            agg.tally_labels(metrics);
         }
         if self.quiet {
             return;
@@ -145,6 +150,12 @@ impl Progress {
         }
     }
 
+    /// Counts the labels of a cell restored from the journal: it did not
+    /// run now, but the footer still names the path that produced it.
+    pub fn restored(&self, metrics: &Value) {
+        self.aggregate.lock().unwrap().tally_labels(metrics);
+    }
+
     /// Aggregate simulator throughput in accesses per second across all
     /// rated cells (total simulated accesses over total per-cell wall
     /// time), or `None` when no cell reported a usable rate.
@@ -158,9 +169,13 @@ impl Progress {
     /// Prints the end-of-sweep summary; `from_journal` is how many
     /// cells were restored rather than run.
     pub fn finish(&self, from_journal: usize) {
-        if self.quiet {
-            return;
+        if !self.quiet {
+            eprintln!("{}", self.summary(from_journal));
         }
+    }
+
+    /// The end-of-sweep summary line [`finish`](Self::finish) prints.
+    pub fn summary(&self, from_journal: usize) -> String {
         let agg = self.aggregate.lock().unwrap().clone();
         let mut detail = String::new();
         if let Some(rate) = self.aggregate_rate() {
@@ -185,12 +200,12 @@ impl Progress {
                 .collect();
             detail.push_str(&format!(" [exec: {}]", counts.join(", ")));
         }
-        eprintln!(
+        format!(
             "[{}] {} cells done ({from_journal} from journal) in {:.1}s{detail}",
             self.label,
             self.total + from_journal,
             self.started.elapsed().as_secs_f64()
-        );
+        )
     }
 }
 
@@ -347,5 +362,34 @@ mod tests {
             vec![("fused".to_owned(), 2), ("sharded".to_owned(), 1)]
         );
         p.finish(0);
+    }
+
+    #[test]
+    fn footer_tallies_retired_labels_of_restored_cells() {
+        // A journal written before the execution modes were collapsed:
+        // nothing runs now, yet the footer still names every path that
+        // produced the restored results.
+        let p = Progress::new("t", 0, true);
+        for (mode, source) in [
+            ("shared", "cached"),
+            ("pipelined", "regenerated"),
+            ("sharded", "cached"),
+        ] {
+            p.restored(
+                &Value::object()
+                    .with("exec_mode", Value::str(mode))
+                    .with("trace_source", Value::str(source)),
+            );
+        }
+        let footer = p.summary(3);
+        assert!(footer.contains("3 cells done (3 from journal)"), "{footer}");
+        assert!(
+            footer.contains("[traces: 2 cached, 1 regenerated]"),
+            "{footer}"
+        );
+        assert!(
+            footer.contains("[exec: 1 shared, 1 pipelined, 1 sharded]"),
+            "{footer}"
+        );
     }
 }

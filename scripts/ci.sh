@@ -22,11 +22,11 @@ echo "==> cargo test -q"
 cargo test -q
 
 # Conformance gate: bounded differential fuzz + invariant sweep
-# (including the shard-, fused-, fastpath-, and topology-determinism
-# checks: the sharded/fused executions, the batched L1 fast path — the
-# default hot path since PR 9 — and every built-in hierarchy spec must
-# be bit-identical to the verbatim reference over the adversarial
-# trace families) at a fixed seed, so every run covers the identical
+# (including the fused-, fastpath-, serve-, and topology-determinism
+# checks: inline stepping, fused groups streamed and buffer-fed, the
+# batched L1 fast path, and every built-in hierarchy spec must be
+# bit-identical to the verbatim reference over the adversarial trace
+# families) at a fixed seed, so every run covers the identical
 # scenario set. --topology stt-llc additionally drives the asymmetric
 # STT-RAM node through the CLI spec-loading path and holds it to the
 # same run-mode determinism bar. Override the iteration budget with
@@ -61,19 +61,18 @@ else
     echo "==> clippy not installed; skipping lint step"
 fi
 
-# Serve smoke: boot the daemon on an ephemeral loopback port — sharded
-# (--shards 2), so every server-executed cell runs set-sharded — and
-# push a 2x2 sweep through a real client with offline verification.
-# The offline reference sweep is serial, so --verify-offline doubles as
-# an end-to-end sharded-vs-serial bit-exactness gate (the submit exits
-# non-zero on any byte difference). Then shut down gracefully.
-# Everything is timeout-bounded so a wedged server fails the gate
-# instead of hanging it.
-echo "==> slip serve loopback smoke (--shards 2)"
+# Serve smoke: boot the daemon on an ephemeral loopback port and push
+# a 2x2 sweep through a real client with offline verification: the
+# server replays cached buffers, the offline sweep streams, so
+# --verify-offline is an end-to-end bit-exactness gate between the two
+# trace sources (the submit exits non-zero on any byte difference).
+# Then shut down gracefully. Everything is timeout-bounded so a wedged
+# server fails the gate instead of hanging it.
+echo "==> slip serve loopback smoke"
 SERVE_DIR="target/ci-serve"
 rm -rf "$SERVE_DIR"
 mkdir -p "$SERVE_DIR"
-./target/release/slip serve --addr 127.0.0.1:0 --jobs 2 --shards 2 \
+./target/release/slip serve --addr 127.0.0.1:0 --jobs 2 \
     --journal-dir "$SERVE_DIR/journals" --port-file "$SERVE_DIR/port" \
     --quiet &
 SERVE_PID=$!
@@ -111,18 +110,21 @@ done
 wait "$SERVE_PID" 2>/dev/null || true
 rm -rf "$SERVE_DIR"
 
-# Sharded sweep smoke: the CLI --shards plumbing end to end (the
-# bit-exactness itself is held by `slip check --quick` above).
-echo "==> slip sweep --shards 2 smoke"
-./target/release/slip sweep gcc soplex --accesses 20000 --jobs 2 --shards 2 \
-    >/dev/null
-
-# Fused sweep smoke: the CLI --trace-mode fused plumbing end to end
-# (fused-vs-per-cell bit-exactness is held by the fused-determinism
-# check inside `slip check --quick` above).
-echo "==> slip sweep --trace-mode fused smoke"
-./target/release/slip sweep gcc soplex --accesses 20000 --jobs 2 \
-    --trace-mode fused >/dev/null
+# Retired-flag smoke: --shards no longer exists and must fail loudly,
+# naming its replacement, instead of being silently ignored.
+echo "==> slip sweep --shards 2 rejection smoke"
+RETIRED_ERR="target/ci-retired.err"
+if ./target/release/slip sweep gcc --accesses 1000 --shards 2 \
+    >/dev/null 2>"$RETIRED_ERR"; then
+    echo "retired --shards flag was accepted" >&2
+    exit 1
+fi
+grep -q 'fused benchmark groups; parallelism is --jobs' "$RETIRED_ERR" || {
+    echo "retired --shards error lacks the replacement:" >&2
+    cat "$RETIRED_ERR" >&2
+    exit 1
+}
+rm -f "$RETIRED_ERR"
 
 # Perf-regression smoke: the quick microbench suite must stay within
 # the tolerance (default 20%, override with --tolerance/SLIP_BENCH_TOL)
