@@ -18,7 +18,7 @@ use crate::tlb::Tlb;
 use cache_sim::{LineAddr, PageId};
 use energy_model::Energy;
 use slip_core::{
-    EnergyOptimizerUnit, EouObjective, LevelModelParams, PageState, SamplingConfig, Slip,
+    EnergyOptimizerUnit, EouCost, EouObjective, LevelModelParams, PageState, SamplingConfig, Slip,
     SlipLevel, TimeSampler, Transition,
 };
 
@@ -164,15 +164,32 @@ impl SlipMmu {
     }
 
     /// Rebuilds both EOUs with an explicit analytical objective (for
-    /// the EOU-objective ablation). Preserves the ABP setting.
+    /// the EOU-objective ablation). Preserves the ABP setting and the
+    /// hardware cost.
     pub fn with_eou_objective(mut self, objective: EouObjective) -> Self {
         let abp = self.eou_l2.allows_all_bypass();
-        self.eou_l2 = EnergyOptimizerUnit::with_objective(&self.params.0, objective);
-        self.eou_l3 = EnergyOptimizerUnit::with_objective(&self.params.1, objective);
+        let cost = self.eou_l2.cost();
+        self.eou_l2 =
+            EnergyOptimizerUnit::with_objective(&self.params.0, objective).with_cost(cost);
+        self.eou_l3 =
+            EnergyOptimizerUnit::with_objective(&self.params.1, objective).with_cost(cost);
         if !abp {
             self.eou_l2 = self.eou_l2.forbid_all_bypass();
             self.eou_l3 = self.eou_l3.forbid_all_bypass();
         }
+        self
+    }
+
+    /// Charges `energy_per_op` for each optimization of either EOU —
+    /// the hierarchy's `eou` energy — keeping the synthesized latency
+    /// and area.
+    pub fn with_eou_energy(mut self, energy_per_op: Energy) -> Self {
+        let cost = EouCost {
+            energy_per_op,
+            ..self.eou_l2.cost()
+        };
+        self.eou_l2 = self.eou_l2.with_cost(cost);
+        self.eou_l3 = self.eou_l3.with_cost(cost);
         self
     }
 
@@ -572,6 +589,21 @@ mod tests {
             }
         }
         panic!("page never stabilized");
+    }
+
+    #[test]
+    fn eou_energy_charges_the_configured_op_energy() {
+        let op = Energy::from_pj(0.7);
+        let mut m = mmu(2)
+            .with_eou_energy(op)
+            .with_eou_objective(slip_core::EouObjective::PaperLiteral);
+        for _ in 0..200 {
+            for p in 0..80u64 {
+                m.translate(PageId(p));
+            }
+        }
+        assert!(m.eou_operations() > 0);
+        assert_eq!(m.eou_energy(), op * m.eou_operations() as f64);
     }
 
     #[test]

@@ -5,7 +5,8 @@ use energy_model::{
     BankGrid, Energy, HierarchySpec, LevelEnergyParams, TechnologyParams, Topology, WireParams,
     TECH_45NM,
 };
-use slip_core::{EouObjective, SamplingConfig};
+use mem_substrate::{SlipMmu, Tlb};
+use slip_core::{EouObjective, LevelModelParams, SamplingConfig};
 
 /// Which placement policy drives the lower-level caches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -325,6 +326,28 @@ impl SystemConfig {
         self.l2_sublevel_ways = l2;
         self.l3_sublevel_ways = l3;
         self
+    }
+
+    /// Builds the SLIP MMU of a SLIP policy (`None` otherwise): the two
+    /// EOUs model this technology's L2/L3 and charge its `eou` energy
+    /// per optimization.
+    pub fn build_mmu(&self, seed: u64) -> Option<SlipMmu> {
+        if !self.policy.is_slip() {
+            return None;
+        }
+        let l2 = LevelModelParams::from_level(&self.tech.l2, self.tech.l3.mean_access());
+        let l3 = LevelModelParams::from_level(&self.tech.l3, self.tech.dram_line_energy());
+        let mut mmu = SlipMmu::with_config(seed, l2, l3, self.sampling, Tlb::paper_default())
+            .with_bin_bits(self.rd_bin_bits)
+            .with_block_shift(self.rd_block_shift);
+        if self.policy == PolicyKind::Slip {
+            mmu = mmu.forbid_all_bypass();
+        }
+        Some(
+            mmu.with_eou_objective(self.eou_objective)
+                .with_eou_energy(self.tech.eou_op)
+                .with_reference_path(self.reference_hot_path),
+        )
     }
 
     /// Builds the L1 cache level.

@@ -13,8 +13,7 @@ use energy_model::{Energy, EnergyAccount};
 use mem_substrate::{Dram, SlipMmu};
 use nuca_baselines::{LruPea, NuRapid, PeaLru};
 use slip_core::{
-    bin_for_distance, interleaved_partitions, LevelModelParams, PartitionedSlip, SlipLevel,
-    SlipPlacement,
+    bin_for_distance, interleaved_partitions, PartitionedSlip, SlipLevel, SlipPlacement,
 };
 use workloads::WorkloadSpec;
 
@@ -128,28 +127,7 @@ impl DualCoreSystem {
         let l2 = config.build_l2();
         let l2_geom = l2.geometry().clone();
         let (l2_policy, l2_repl) = build_policies(config, &l2_geom, SlipLevel::L2, seed);
-        let mmu = if config.policy.is_slip() {
-            let l2_params =
-                LevelModelParams::from_level(&config.tech.l2, config.tech.l3.mean_access());
-            let l3_params =
-                LevelModelParams::from_level(&config.tech.l3, config.tech.dram_line_energy());
-            let mut mmu = SlipMmu::with_config(
-                seed ^ 0x7,
-                l2_params,
-                l3_params,
-                config.sampling,
-                mem_substrate::Tlb::paper_default(),
-            )
-            .with_bin_bits(config.rd_bin_bits)
-            .with_block_shift(config.rd_block_shift);
-            if config.policy == PolicyKind::Slip {
-                mmu = mmu.forbid_all_bypass();
-            }
-            mmu = mmu.with_eou_objective(config.eou_objective);
-            Some(mmu)
-        } else {
-            None
-        };
+        let mmu = config.build_mmu(seed ^ 0x7);
         Core {
             l1: config.build_l1(),
             l2,

@@ -18,7 +18,7 @@ use cache_sim::{
 use energy_model::Energy;
 use mem_substrate::{Dram, SlipMmu};
 use nuca_baselines::{LruPea, NuRapid, PeaLru};
-use slip_core::{bin_for_distance, LevelModelParams, SlipLevel, SlipPlacement};
+use slip_core::{bin_for_distance, SlipLevel, SlipPlacement};
 use workloads::WorkloadSpec;
 
 /// Line address region where per-page distribution metadata lives.
@@ -121,29 +121,7 @@ impl SingleCoreSystem {
             }
         };
 
-        let mmu = if config.policy.is_slip() {
-            let l2_params =
-                LevelModelParams::from_level(&config.tech.l2, config.tech.l3.mean_access());
-            let l3_params =
-                LevelModelParams::from_level(&config.tech.l3, config.tech.dram_line_energy());
-            let mut mmu = SlipMmu::with_config(
-                seed ^ 0x1,
-                l2_params,
-                l3_params,
-                config.sampling,
-                mem_substrate::Tlb::paper_default(),
-            )
-            .with_bin_bits(config.rd_bin_bits)
-            .with_block_shift(config.rd_block_shift);
-            if config.policy == PolicyKind::Slip {
-                mmu = mmu.forbid_all_bypass();
-            }
-            mmu = mmu.with_eou_objective(config.eou_objective);
-            mmu = mmu.with_reference_path(config.reference_hot_path);
-            Some(mmu)
-        } else {
-            None
-        };
+        let mmu = config.build_mmu(seed ^ 0x1);
 
         let l2_cum_caps = l2_geom.cumulative_sublevel_lines();
         let l3_cum_caps = l3_geom.cumulative_sublevel_lines();

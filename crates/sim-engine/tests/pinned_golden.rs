@@ -31,13 +31,13 @@ const PINS: [(&str, &str, &str, u64); 30] = [
     ("22nm", "gcc", "baseline", 0xa8a1e74a652ab87a),
     ("22nm", "gcc", "NuRAPID", 0xf1ff6959dea92fdb),
     ("22nm", "gcc", "LRU-PEA", 0x0d7659804f1ed121),
-    ("22nm", "gcc", "SLIP", 0x8f783f2a37d3a0b9),
-    ("22nm", "gcc", "SLIP+ABP", 0x5837e1e094f8e408),
+    ("22nm", "gcc", "SLIP", 0x3b1d9f7f618739de),
+    ("22nm", "gcc", "SLIP+ABP", 0x533063d958f5e39f),
     ("22nm", "mcf", "baseline", 0x06f7e33a7ea08828),
     ("22nm", "mcf", "NuRAPID", 0xb08823dca84f7ed7),
     ("22nm", "mcf", "LRU-PEA", 0xc4894f08e9aebe05),
-    ("22nm", "mcf", "SLIP", 0xcf62889ad81fe44e),
-    ("22nm", "mcf", "SLIP+ABP", 0x9bef69399d3977e2),
+    ("22nm", "mcf", "SLIP", 0x89fddaacb4dabe5c),
+    ("22nm", "mcf", "SLIP+ABP", 0x262c1ee36c045c50),
     ("stt-llc", "gcc", "baseline", 0x21fcd2f7d7a02fb8),
     ("stt-llc", "gcc", "NuRAPID", 0xeb6112c91f2a219f),
     ("stt-llc", "gcc", "LRU-PEA", 0xbec31c4d289d2da6),
