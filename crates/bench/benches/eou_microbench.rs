@@ -2,13 +2,14 @@
 //! the synthesized RTL sustains one optimization per cycle at 2.4 GHz;
 //! this measures the software model's throughput).
 
-use energy_model::TECH_45NM;
+use energy_model::HierarchySpec;
 use sim_engine::experiments::hardware::eou_bench_distributions;
 use slip_core::{EnergyOptimizerUnit, LevelModelParams, Slip};
 use std::hint::black_box;
 
 fn l2_params() -> LevelModelParams {
-    LevelModelParams::from_level(&TECH_45NM.l2, TECH_45NM.l3.mean_access())
+    let tech = HierarchySpec::builtin("45nm").unwrap().technology();
+    LevelModelParams::from_level(&tech.l2, tech.l3.mean_access())
 }
 
 fn main() {

@@ -524,19 +524,6 @@ impl CacheLevel {
         )
     }
 
-    /// Merges another level's measurements (stats, energy ledger,
-    /// movement-queue counters) into this one, finalizing both sides
-    /// first so resident-line reuse histograms fold per level. Cache
-    /// *contents* are untouched — a measurement reduction for levels
-    /// that each populated their own disjoint sets.
-    pub fn absorb_stats(&mut self, other: &mut CacheLevel) {
-        self.finalize();
-        other.finalize();
-        self.stats.merge(&other.stats);
-        self.ledger.merge(&other.ledger);
-        self.movement_queue.absorb(&other.movement_queue);
-    }
-
     /// View of a line slot, for tests and introspection.
     pub fn line_at(&self, set: usize, way: usize) -> &LineState {
         &self.lines[set * self.geom.ways + way]
@@ -1640,42 +1627,6 @@ mod tests {
                     .fold(0, |acc, w| acc | (1 << w));
                 assert_eq!(verified, reference);
             }
-        }
-    }
-
-    #[test]
-    fn absorb_stats_merges_ledger_and_histograms() {
-        // Two levels each touch a disjoint half of the sets; absorbing
-        // one into the other must equal a single level that saw both
-        // streams, bit-exactly (integer ledger + pinned finalize order).
-        let run = |addrs: &[u64], c: &mut CacheLevel| {
-            let mut p = BaselinePolicy::new();
-            let mut r = Lru::new();
-            for &a in addrs {
-                if !read(c, a, &mut p, &mut r).is_hit() {
-                    c.fill(FillRequest::new(LineAddr(a)), 0, &mut p, &mut r);
-                }
-            }
-        };
-        // Sets 0/2 in one stream, sets 1/3 in the other.
-        let even: Vec<u64> = (0..40).map(|i| (i * 2) % 24).collect();
-        let odd: Vec<u64> = (0..40).map(|i| (i * 2 + 1) % 24).collect();
-        let mut serial = small_level();
-        // Interleave as a serial run would see them.
-        for i in 0..40 {
-            run(&[even[i as usize]], &mut serial);
-            run(&[odd[i as usize]], &mut serial);
-        }
-        let mut shard_a = small_level();
-        let mut shard_b = small_level();
-        run(&even, &mut shard_a);
-        run(&odd, &mut shard_b);
-        shard_a.absorb_stats(&mut shard_b);
-        serial.finalize();
-        assert_eq!(shard_a.stats, serial.stats);
-        let (a, b) = (shard_a.energy(), serial.energy());
-        for cat in EnergyCategory::ALL {
-            assert_eq!(a.get(cat).as_pj().to_bits(), b.get(cat).as_pj().to_bits());
         }
     }
 

@@ -86,16 +86,6 @@ impl MovementQueue {
     pub fn drain(&mut self) {
         self.in_flight.clear();
     }
-
-    /// Merges another queue's cost counters into this one: counts sum,
-    /// the high-water mark takes the max. In-flight entries are not
-    /// merged (both queues are drained between cascades).
-    pub fn absorb(&mut self, other: &MovementQueue) {
-        self.total_movements += other.total_movements;
-        self.max_occupancy = self.max_occupancy.max(other.max_occupancy);
-        self.overflows += other.overflows;
-        self.lookups += other.lookups;
-    }
 }
 
 impl Default for MovementQueue {

@@ -139,13 +139,6 @@ impl EnergyAccount {
             + self.get(EnergyCategory::MovementQueue)
     }
 
-    /// Merges another account into this one.
-    pub fn merge(&mut self, other: &EnergyAccount) {
-        for (dst, src) in self.by_category.iter_mut().zip(&other.by_category) {
-            *dst += *src;
-        }
-    }
-
     /// Iterates over `(category, energy)` pairs in reporting order.
     pub fn iter(&self) -> impl Iterator<Item = (EnergyCategory, Energy)> + '_ {
         EnergyCategory::ALL.iter().map(move |&c| (c, self.get(c)))
@@ -170,9 +163,9 @@ impl fmt::Display for EnergyAccount {
 /// path counts *events* (per way for the way-priced categories, plus flat
 /// metadata / movement-queue counters) and the account is rebuilt on demand
 /// by [`EnergyLedger::to_account`] with one multiply per (category, way)
-/// pair. Because the ledger is pure integers, merging the ledgers of two
-/// set-shards and then finalizing is bit-identical to finalizing the serial
-/// ledger — the property the set-sharded runner relies on.
+/// pair. Because the ledger is pure integers, the finalized account is a
+/// pure function of the counts: how (or in what batches) events were
+/// counted cannot perturb it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EnergyLedger {
     ways: usize,
@@ -251,18 +244,6 @@ impl EnergyLedger {
     /// Number of recorded events for a way-priced `category` at `way`.
     pub fn way_count(&self, category: EnergyCategory, way: usize) -> u64 {
         self.way_counts[self.slot(category, way)]
-    }
-
-    /// Adds another ledger's counts into this one. Pure integer addition,
-    /// so merge order cannot perturb the finalized account.
-    pub fn merge(&mut self, other: &EnergyLedger) {
-        assert_eq!(self.ways, other.ways, "ledger geometry mismatch");
-        for (dst, src) in self.way_counts.iter_mut().zip(&other.way_counts) {
-            *dst += *src;
-        }
-        self.metadata_events += other.metadata_events;
-        self.access_metadata_events += other.access_metadata_events;
-        self.mvq_events += other.mvq_events;
     }
 
     /// Clears all counters.
@@ -411,18 +392,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_accounts() {
-        let mut a = EnergyAccount::new();
-        a.charge(EnergyCategory::Access, Energy::from_pj(1.0));
-        let mut b = EnergyAccount::new();
-        b.charge(EnergyCategory::Access, Energy::from_pj(2.0));
-        b.charge(EnergyCategory::Eou, Energy::from_pj(3.0));
-        a.merge(&b);
-        assert_eq!(a.get(EnergyCategory::Access).as_pj(), 3.0);
-        assert_eq!(a.get(EnergyCategory::Eou).as_pj(), 3.0);
-    }
-
-    #[test]
     fn display_skips_zero_categories() {
         let mut a = EnergyAccount::new();
         a.charge(EnergyCategory::Dram, Energy::from_pj(10.0));
@@ -450,44 +419,6 @@ mod tests {
         assert_eq!(a.get(EnergyCategory::Metadata).as_pj(), 2.0);
         assert_eq!(a.get(EnergyCategory::MovementQueue).as_pj(), 0.5);
         assert_eq!(l.way_count(EnergyCategory::Movement, 1), 3);
-    }
-
-    #[test]
-    fn ledger_merge_then_finalize_is_bit_exact() {
-        // Awkward energies so any floating-point reassociation would show.
-        let ways = [
-            Energy::from_pj(0.1),
-            Energy::from_pj(1.0 / 3.0),
-            Energy::from_pj(7.77e-3),
-        ];
-        let meta = Energy::from_pj(0.061);
-        let mvq = Energy::from_pj(0.013);
-        let mut serial = EnergyLedger::new(3);
-        let mut shards = [EnergyLedger::new(3), EnergyLedger::new(3)];
-        let mut state = 0x1234_5678_u64;
-        for i in 0..10_000 {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            let cat = EnergyLedger::WAY_CATEGORIES[(state >> 33) as usize % 4];
-            let way = (state >> 17) as usize % 3;
-            serial.count_way(cat, way);
-            shards[i % 2].count_way(cat, way);
-            if state.is_multiple_of(5) {
-                serial.count_metadata();
-                shards[i % 2].count_metadata();
-            }
-            if state.is_multiple_of(7) {
-                serial.count_mvq();
-                shards[i % 2].count_mvq();
-            }
-        }
-        let mut merged = shards[0].clone();
-        merged.merge(&shards[1]);
-        assert_eq!(merged, serial);
-        let a = serial.to_account(&ways, meta, mvq);
-        let b = merged.to_account(&ways, meta, mvq);
-        for c in EnergyCategory::ALL {
-            assert_eq!(a.get(c).as_pj().to_bits(), b.get(c).as_pj().to_bits());
-        }
     }
 
     #[test]

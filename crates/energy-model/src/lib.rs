@@ -4,8 +4,8 @@
 //!
 //! * [`Energy`] — a picojoule newtype used throughout the workspace so that
 //!   energy quantities cannot be confused with latencies or counts.
-//! * [`params`] — the paper's Table 2 energy parameters for the 45 nm node,
-//!   plus a derived 22 nm parameter set used by the technology-node study.
+//! * [`params`] — the per-node energy parameter types ([`TechnologyParams`],
+//!   [`LevelEnergyParams`]), built from a hierarchy spec.
 //! * [`topology`] — a geometric wire-energy model for the three cache
 //!   topologies of paper Figure 4 (hierarchical bus with way or set
 //!   interleaving, and H-tree), used both to validate the Table 2 constants
@@ -16,16 +16,18 @@
 //! * [`spec`] — declarative hierarchy specs: a std-only text format
 //!   describing per-level geometry and read/write/insertion energies
 //!   (including asymmetric STT-RAM nodes), with built-in `45nm`,
-//!   `22nm`, and `stt-llc` nodes and line/column/byte diagnostics.
+//!   `22nm`, and `stt-llc` nodes and line/column/byte diagnostics. The
+//!   built-in spec text is the only place the paper's Table 1/Table 2
+//!   numbers are written down.
 //!
 //! # Example
 //!
 //! ```
-//! use energy_model::{params::TECH_45NM, Energy};
+//! use energy_model::{Energy, HierarchySpec};
 //!
 //! // Access energy of the nearest L2 sublevel at 45 nm (paper Table 2).
-//! let e = TECH_45NM.l2.sublevel_access[0];
-//! assert_eq!(e, Energy::from_pj(21.0));
+//! let tech = HierarchySpec::builtin("45nm").unwrap().technology();
+//! assert_eq!(tech.l2.sublevel_access[0], Energy::from_pj(21.0));
 //! ```
 
 pub mod account;
@@ -34,7 +36,7 @@ pub mod spec;
 pub mod topology;
 
 pub use account::{EnergyAccount, EnergyCategory, EnergyLedger};
-pub use params::{LevelEnergyParams, TechnologyParams, TECH_22NM, TECH_45NM};
+pub use params::{LevelEnergyParams, TechnologyParams};
 pub use spec::{HierarchySpec, L1Spec, LevelSpec, SpecError, SublevelSpec, BUILTIN_NAMES};
 pub use topology::{BankGrid, Topology, WireParams};
 

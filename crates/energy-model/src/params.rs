@@ -1,14 +1,12 @@
-//! Energy parameters from paper Table 2 (45 nm) and a derived 22 nm set.
+//! Energy parameter types for one technology node.
 //!
-//! The 45 nm numbers are taken verbatim from Table 2 of the paper, which the
-//! authors obtained from HSPICE simulations of PTM CMOS and wire models of an
-//! Intel Xeon E5-style LLC slice. The 22 nm set is our derivation for the
-//! Section 6 technology-node study: the paper states only that it reran the
-//! same configuration at 22 nm and observed 36% L2 / 25% L3 savings; we scale
-//! bank energy down faster than wire energy (wires scale poorly), which
-//! slightly *increases* the near/far asymmetry, reproducing the reported
-//! trend of marginally higher relative savings.
+//! The values live in one place: the built-in hierarchy specs of
+//! [`crate::spec`] (`45nm` is paper Table 1 + Table 2 verbatim; `22nm` is
+//! our derivation for the Section 6 node study). Build a node's
+//! parameters with [`crate::HierarchySpec::technology`], e.g.
+//! `HierarchySpec::builtin("45nm").unwrap().technology()`.
 
+use crate::topology::WireParams;
 use crate::Energy;
 
 /// Energy parameters for one cache level.
@@ -107,7 +105,7 @@ impl LevelEnergyParams {
 #[derive(Debug, Clone, PartialEq)]
 pub struct TechnologyParams {
     /// Human-readable node name, e.g. `"45nm"`.
-    pub name: &'static str,
+    pub name: String,
     /// Wire energy per transition, pJ/bit/mm.
     pub wire_pj_per_bit_mm: f64,
     /// Wire delay, ns/mm.
@@ -136,113 +134,55 @@ impl TechnologyParams {
     pub fn dram_line_energy(&self) -> Energy {
         Energy::from_pj(self.dram_pj_per_bit * LINE_BITS as f64)
     }
-}
 
-fn kib_lines(kib: usize) -> usize {
-    kib * 1024 / LINE_BYTES
-}
-
-/// Paper Table 2, 45 nm node.
-pub static TECH_45NM: std::sync::LazyLock<TechnologyParams> = std::sync::LazyLock::new(|| {
-    TechnologyParams {
-        name: "45nm",
-        wire_pj_per_bit_mm: 0.16,
-        wire_delay_ns_per_mm: 0.3,
-        l2: LevelEnergyParams {
-            baseline_access: Energy::from_pj(39.0),
-            sublevel_access: vec![
-                Energy::from_pj(21.0),
-                Energy::from_pj(33.0),
-                Energy::from_pj(50.0),
-            ],
-            // 64 KB + 64 KB + 128 KB = 256 KB, 16 ways (Table 1).
-            sublevel_lines: vec![kib_lines(64), kib_lines(64), kib_lines(128)],
-            metadata_access: Energy::from_pj(1.0),
-            sublevel_write: None,
-            sublevel_insert: None,
-        },
-        l3: LevelEnergyParams {
-            baseline_access: Energy::from_pj(136.0),
-            sublevel_access: vec![
-                Energy::from_pj(67.0),
-                Energy::from_pj(113.0),
-                Energy::from_pj(176.0),
-            ],
-            // 512 KB + 512 KB + 1 MB = 2 MB, 16 ways (Table 1).
-            sublevel_lines: vec![kib_lines(512), kib_lines(512), kib_lines(1024)],
-            metadata_access: Energy::from_pj(2.5),
-            sublevel_write: None,
-            sublevel_insert: None,
-        },
-        dram_pj_per_bit: 20.0,
-        eou_op: Energy::from_pj(1.27),
-        movement_queue_lookup: Energy::from_pj(0.3),
+    /// The node's interconnect parameters, for the bank-grid wire model.
+    pub fn wire(&self) -> WireParams {
+        WireParams {
+            pj_per_bit_mm: self.wire_pj_per_bit_mm,
+            delay_ns_per_mm: self.wire_delay_ns_per_mm,
+        }
     }
-});
-
-/// Derived 22 nm node for the Section 6 technology study.
-///
-/// Bank (transistor) energy scales by roughly 0.45x from 45 nm to 22 nm while
-/// wire energy scales by only ~0.7x, so the far/near asymmetry grows. These
-/// constants are our estimates (see DESIGN.md §4); the paper reports only the
-/// resulting savings (36% L2, 25% L3 for SLIP+ABP).
-pub static TECH_22NM: std::sync::LazyLock<TechnologyParams> =
-    std::sync::LazyLock::new(|| TechnologyParams {
-        name: "22nm",
-        wire_pj_per_bit_mm: 0.11,
-        wire_delay_ns_per_mm: 0.35,
-        l2: LevelEnergyParams {
-            baseline_access: Energy::from_pj(20.5),
-            sublevel_access: vec![
-                Energy::from_pj(10.0),
-                Energy::from_pj(17.0),
-                Energy::from_pj(27.5),
-            ],
-            sublevel_lines: vec![kib_lines(64), kib_lines(64), kib_lines(128)],
-            metadata_access: Energy::from_pj(0.6),
-            sublevel_write: None,
-            sublevel_insert: None,
-        },
-        l3: LevelEnergyParams {
-            baseline_access: Energy::from_pj(72.0),
-            sublevel_access: vec![
-                Energy::from_pj(33.0),
-                Energy::from_pj(59.0),
-                Energy::from_pj(98.0),
-            ],
-            sublevel_lines: vec![kib_lines(512), kib_lines(512), kib_lines(1024)],
-            metadata_access: Energy::from_pj(1.5),
-            sublevel_write: None,
-            sublevel_insert: None,
-        },
-        dram_pj_per_bit: 14.0,
-        eou_op: Energy::from_pj(0.7),
-        movement_queue_lookup: Energy::from_pj(0.18),
-    });
+}
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::HierarchySpec;
+
+    fn node(name: &str) -> TechnologyParams {
+        HierarchySpec::builtin(name)
+            .expect("built-in node")
+            .technology()
+    }
 
     #[test]
     fn table2_values_match_paper() {
-        let t = &*TECH_45NM;
+        let t = node("45nm");
         assert_eq!(t.wire_pj_per_bit_mm, 0.16);
+        assert_eq!(t.wire_delay_ns_per_mm, 0.3);
         assert_eq!(t.l2.sublevel_access[0].as_pj(), 21.0);
         assert_eq!(t.l2.sublevel_access[1].as_pj(), 33.0);
         assert_eq!(t.l2.sublevel_access[2].as_pj(), 50.0);
         assert_eq!(t.l3.sublevel_access[0].as_pj(), 67.0);
         assert_eq!(t.l3.sublevel_access[1].as_pj(), 113.0);
         assert_eq!(t.l3.sublevel_access[2].as_pj(), 176.0);
+        assert_eq!(t.l2.baseline_access.as_pj(), 39.0);
+        assert_eq!(t.l3.baseline_access.as_pj(), 136.0);
         assert_eq!(t.l2.metadata_access.as_pj(), 1.0);
         assert_eq!(t.l3.metadata_access.as_pj(), 2.5);
         assert_eq!(t.dram_pj_per_bit, 20.0);
+        // Paper Section 5: synthesized EOU and movement-queue costs.
+        assert_eq!(t.eou_op.as_pj(), 1.27);
+        assert_eq!(t.movement_queue_lookup.as_pj(), 0.3);
+        // Table 2 is SRAM: writes and insertions cost a read.
+        assert!(t.l2.is_symmetric() && t.l3.is_symmetric());
     }
 
     #[test]
     fn capacities_match_table1() {
-        let t = &*TECH_45NM;
-        // 256 KB L2 and 2 MB L3 at 64 B lines.
+        let t = node("45nm");
+        // 256 KB L2 and 2 MB L3 at 64 B lines: 64/64/128 KB and
+        // 512/512/1024 KB sublevels.
         assert_eq!(t.l2.total_lines(), 256 * 1024 / 64);
         assert_eq!(t.l3.total_lines(), 2 * 1024 * 1024 / 64);
         assert_eq!(t.l2.cumulative_lines(), vec![1024, 2048, 4096]);
@@ -253,7 +193,7 @@ mod tests {
     fn mean_access_close_to_baseline_constant() {
         // The capacity-weighted mean of the sublevel energies should land
         // near the paper's flat "baseline access" constants.
-        let t = &*TECH_45NM;
+        let t = node("45nm");
         let l2_mean = t.l2.mean_access().as_pj();
         let l3_mean = t.l3.mean_access().as_pj();
         assert!((l2_mean - 39.0).abs() / 39.0 < 0.05, "L2 mean {l2_mean}");
@@ -262,7 +202,7 @@ mod tests {
 
     #[test]
     fn dram_line_energy_is_20pj_per_bit() {
-        assert_eq!(TECH_45NM.dram_line_energy().as_pj(), 20.0 * 512.0);
+        assert_eq!(node("45nm").dram_line_energy().as_pj(), 20.0 * 512.0);
     }
 
     #[test]
@@ -270,24 +210,34 @@ mod tests {
         // Wire scaling lags transistor scaling, so far/near energy ratio
         // must grow at 22 nm — this is what yields the slightly larger
         // relative savings the paper reports.
-        let r45 = TECH_45NM.l2.sublevel_access[2] / TECH_45NM.l2.sublevel_access[0];
-        let r22 = TECH_22NM.l2.sublevel_access[2] / TECH_22NM.l2.sublevel_access[0];
+        let (t45, t22) = (node("45nm"), node("22nm"));
+        let r45 = t45.l2.sublevel_access[2] / t45.l2.sublevel_access[0];
+        let r22 = t22.l2.sublevel_access[2] / t22.l2.sublevel_access[0];
         assert!(r22 > r45);
         // And everything must be cheaper in absolute terms.
         for i in 0..3 {
-            assert!(TECH_22NM.l2.sublevel_access[i] < TECH_45NM.l2.sublevel_access[i]);
-            assert!(TECH_22NM.l3.sublevel_access[i] < TECH_45NM.l3.sublevel_access[i]);
+            assert!(t22.l2.sublevel_access[i] < t45.l2.sublevel_access[i]);
+            assert!(t22.l3.sublevel_access[i] < t45.l3.sublevel_access[i]);
         }
+        assert!(t22.eou_op < t45.eou_op);
+        assert!(t22.dram_pj_per_bit < t45.dram_pj_per_bit);
     }
 
     #[test]
     fn sublevel_energies_strictly_increase_with_distance() {
-        for t in [&*TECH_45NM, &*TECH_22NM] {
+        for name in crate::BUILTIN_NAMES {
+            let t = node(name);
             for lvl in [&t.l2, &t.l3] {
                 for w in lvl.sublevel_access.windows(2) {
-                    assert!(w[0] < w[1]);
+                    assert!(w[0] < w[1], "{name}");
                 }
             }
         }
+    }
+
+    #[test]
+    fn wire_params_come_from_the_node() {
+        let w = node("45nm").wire();
+        assert_eq!((w.pj_per_bit_mm, w.delay_ns_per_mm), (0.16, 0.3));
     }
 }

@@ -1,8 +1,8 @@
 //! Declarative hierarchy specs: a std-only text format describing the
 //! whole L1/L2/L3/DRAM topology — per-level size/ways/banks/ports and
 //! latencies, plus per-sublevel read/write/insertion energies — so a
-//! sweep can range over arbitrary hierarchies instead of the compiled-in
-//! paper configuration (`slip sweep --topology FILE`).
+//! sweep can range over arbitrary hierarchies instead of the paper's
+//! 45 nm node (`slip sweep --topology FILE`).
 //!
 //! # Grammar
 //!
@@ -54,6 +54,7 @@
 use crate::params::{LevelEnergyParams, TechnologyParams, LINE_BYTES};
 use crate::Energy;
 use core::fmt;
+use std::sync::LazyLock;
 
 /// A parse/validation error with its position in the spec text.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -225,9 +226,10 @@ pub const MAX_LEVEL_WAYS: usize = 32;
 /// Maximum sublevels per level (EOU candidate enumeration is `2^S`).
 pub const MAX_SUBLEVELS: usize = 8;
 
-/// The built-in 45 nm node: paper Table 1 + Table 2 verbatim. Loading
-/// this spec reproduces the hard-coded configuration bit-exactly (a
-/// golden test pins it).
+/// The built-in 45 nm node: paper Table 1 + Table 2 verbatim, plus the
+/// Section 5 EOU and movement-queue costs. This text is the only copy
+/// of those numbers: `SystemConfig::paper_45nm` loads it, and the
+/// `pinned_golden` test pins the results it produces.
 pub const BUILTIN_45NM: &str = "\
 # SLIP built-in node: 45 nm (paper Table 1 + Table 2).
 node 45nm
@@ -369,14 +371,15 @@ pub const BUILTIN_NAMES: [&str; 3] = ["45nm", "22nm", "stt-llc"];
 
 impl HierarchySpec {
     /// Returns a built-in node by name (`45nm`, `22nm`, `stt-llc`).
+    /// Each built-in text is parsed once per process; callers get a
+    /// clone.
     pub fn builtin(name: &str) -> Option<HierarchySpec> {
-        let text = match name {
-            "45nm" => BUILTIN_45NM,
-            "22nm" => BUILTIN_22NM,
-            "stt-llc" => BUILTIN_STT_LLC,
-            _ => return None,
-        };
-        Some(Self::parse(text).expect("built-in specs parse"))
+        static PARSED: LazyLock<[HierarchySpec; 3]> = LazyLock::new(|| {
+            [BUILTIN_45NM, BUILTIN_22NM, BUILTIN_STT_LLC]
+                .map(|text| HierarchySpec::parse(text).expect("built-in specs parse"))
+        });
+        let index = BUILTIN_NAMES.iter().position(|&n| n == name)?;
+        Some(PARSED[index].clone())
     }
 
     /// Loads a spec from a built-in name or a file path: the CLI's
@@ -562,13 +565,10 @@ impl HierarchySpec {
         Ok(())
     }
 
-    /// Builds the [`TechnologyParams`] this spec describes. The node
-    /// name is interned (built-in names stay static; others leak one
-    /// small string per distinct load, which topology loading does once
-    /// per run).
+    /// Builds the [`TechnologyParams`] this spec describes.
     pub fn technology(&self) -> TechnologyParams {
         TechnologyParams {
-            name: intern_name(&self.name),
+            name: self.name.clone(),
             wire_pj_per_bit_mm: self.wire_pj_per_bit_mm,
             wire_delay_ns_per_mm: self.wire_delay_ns_per_mm,
             l2: self.l2.energy_params(),
@@ -577,15 +577,6 @@ impl HierarchySpec {
             eou_op: Energy::from_pj(self.eou_op_pj),
             movement_queue_lookup: Energy::from_pj(self.mvq_lookup_pj),
         }
-    }
-}
-
-fn intern_name(name: &str) -> &'static str {
-    match name {
-        "45nm" => "45nm",
-        "22nm" => "22nm",
-        "stt-llc" => "stt-llc",
-        other => Box::leak(other.to_owned().into_boxed_str()),
     }
 }
 
@@ -1118,7 +1109,6 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::params::{TECH_22NM, TECH_45NM};
 
     /// SplitMix64 — the same tiny deterministic generator the serve
     /// protocol property tests use.
@@ -1195,18 +1185,6 @@ mod tests {
     }
 
     #[test]
-    fn builtin_45nm_reproduces_table2_exactly() {
-        let tech = HierarchySpec::builtin("45nm").unwrap().technology();
-        assert_eq!(&tech, &*TECH_45NM);
-    }
-
-    #[test]
-    fn builtin_22nm_reproduces_derived_node_exactly() {
-        let tech = HierarchySpec::builtin("22nm").unwrap().technology();
-        assert_eq!(&tech, &*TECH_22NM);
-    }
-
-    #[test]
     fn stt_llc_has_asymmetric_l3_and_symmetric_l2() {
         let spec = HierarchySpec::builtin("stt-llc").unwrap();
         assert!(!spec.l2.is_asymmetric());
@@ -1222,7 +1200,8 @@ mod tests {
         // Insertions default to the write cost.
         assert_eq!(tech.l3.resolved_insert(), w);
         // L2 matches the 45 nm SRAM table.
-        assert_eq!(tech.l2.sublevel_access, TECH_45NM.l2.sublevel_access);
+        let sram = HierarchySpec::builtin("45nm").unwrap().technology();
+        assert_eq!(tech.l2, sram.l2);
     }
 
     #[test]

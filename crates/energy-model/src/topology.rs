@@ -27,7 +27,8 @@
 use crate::params::LINE_BITS;
 use crate::Energy;
 
-/// Interconnect parameters of a technology node.
+/// Interconnect parameters of a technology node
+/// ([`crate::TechnologyParams::wire`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WireParams {
     /// Wire energy per transition, pJ/bit/mm (Table 2: 0.16 at 45 nm).
@@ -37,12 +38,6 @@ pub struct WireParams {
 }
 
 impl WireParams {
-    /// Table 2 wire parameters for the 45 nm node.
-    pub const NM45: WireParams = WireParams {
-        pj_per_bit_mm: 0.16,
-        delay_ns_per_mm: 0.3,
-    };
-
     /// Energy to move `bits` over `mm` of wire.
     pub fn transfer(&self, bits: usize, mm: f64) -> Energy {
         Energy::from_pj(self.pj_per_bit_mm * bits as f64 * mm)
@@ -199,7 +194,15 @@ impl BankGrid {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::params::TECH_45NM;
+    use crate::{HierarchySpec, TechnologyParams};
+
+    fn tech45() -> TechnologyParams {
+        HierarchySpec::builtin("45nm").unwrap().technology()
+    }
+
+    fn wire45() -> WireParams {
+        tech45().wire()
+    }
 
     const PAPER_SUBLEVEL_WAYS: [usize; 3] = [4, 4, 8];
 
@@ -212,10 +215,10 @@ mod tests {
         let grid = BankGrid::l2_45nm();
         let got = grid.sublevel_energies(
             Topology::HierarchicalBusWayInterleaved,
-            &WireParams::NM45,
+            &wire45(),
             &PAPER_SUBLEVEL_WAYS,
         );
-        for (g, want) in got.iter().zip(&TECH_45NM.l2.sublevel_access) {
+        for (g, want) in got.iter().zip(&tech45().l2.sublevel_access) {
             assert!(close(*g, *want, 0.05), "got {g}, want {want}");
         }
     }
@@ -225,10 +228,10 @@ mod tests {
         let grid = BankGrid::l3_45nm();
         let got = grid.sublevel_energies(
             Topology::HierarchicalBusWayInterleaved,
-            &WireParams::NM45,
+            &wire45(),
             &PAPER_SUBLEVEL_WAYS,
         );
-        for (g, want) in got.iter().zip(&TECH_45NM.l3.sublevel_access) {
+        for (g, want) in got.iter().zip(&tech45().l3.sublevel_access) {
             assert!(close(*g, *want, 0.05), "got {g}, want {want}");
         }
     }
@@ -255,8 +258,8 @@ mod tests {
     #[test]
     fn set_interleaving_is_uniform_and_equals_mean() {
         let grid = BankGrid::l2_45nm();
-        let set = grid.way_energies(Topology::HierarchicalBusSetInterleaved, &WireParams::NM45);
-        let way = grid.way_energies(Topology::HierarchicalBusWayInterleaved, &WireParams::NM45);
+        let set = grid.way_energies(Topology::HierarchicalBusSetInterleaved, &wire45());
+        let way = grid.way_energies(Topology::HierarchicalBusWayInterleaved, &wire45());
         assert!(set.windows(2).all(|w| w[0] == w[1]));
         let mean = way.iter().sum::<Energy>() / way.len() as f64;
         assert!(close(set[0], mean, 1e-9));
@@ -265,8 +268,8 @@ mod tests {
     #[test]
     fn htree_is_uniform_and_worst_case() {
         let grid = BankGrid::l3_45nm();
-        let ht = grid.way_energies(Topology::HTree, &WireParams::NM45);
-        let way = grid.way_energies(Topology::HierarchicalBusWayInterleaved, &WireParams::NM45);
+        let ht = grid.way_energies(Topology::HTree, &wire45());
+        let way = grid.way_energies(Topology::HierarchicalBusWayInterleaved, &wire45());
         assert!(ht.windows(2).all(|w| w[0] == w[1]));
         let worst = way.iter().copied().fold(Energy::ZERO, Energy::max);
         assert_eq!(ht[0], worst);
@@ -278,7 +281,7 @@ mod tests {
 
     #[test]
     fn wire_transfer_scales_linearly() {
-        let w = WireParams::NM45;
+        let w = wire45();
         let e1 = w.transfer(512, 1.0);
         let e2 = w.transfer(512, 2.0);
         let e3 = w.transfer(1024, 1.0);
@@ -291,10 +294,6 @@ mod tests {
     #[should_panic(expected = "must cover all")]
     fn sublevel_energies_validates_way_counts() {
         let grid = BankGrid::l2_45nm();
-        grid.sublevel_energies(
-            Topology::HierarchicalBusWayInterleaved,
-            &WireParams::NM45,
-            &[4, 4],
-        );
+        grid.sublevel_energies(Topology::HierarchicalBusWayInterleaved, &wire45(), &[4, 4]);
     }
 }

@@ -127,14 +127,6 @@ impl Dram {
         acct
     }
 
-    /// Adds another DRAM model's transfer counters into this one.
-    pub fn absorb(&mut self, other: &Dram) {
-        self.reads += other.reads;
-        self.writes += other.writes;
-        self.metadata_reads += other.metadata_reads;
-        self.metadata_writes += other.metadata_writes;
-    }
-
     /// Clears all counters (for post-warmup measurement).
     pub fn reset_measurements(&mut self) {
         self.reads = 0;
@@ -184,30 +176,5 @@ mod tests {
         assert_eq!(d.reads, 2);
         assert_eq!(d.writes, 1);
         assert_eq!(d.demand_transfers(), 3);
-    }
-
-    #[test]
-    fn absorb_sums_counters_bit_exactly() {
-        let mut serial = dram_45nm();
-        let mut a = dram_45nm();
-        let mut b = dram_45nm();
-        for i in 0..100 {
-            serial.read_line();
-            if i % 2 == 0 {
-                a.read_line();
-            } else {
-                b.read_line();
-            }
-            if i % 3 == 0 {
-                serial.write_metadata();
-                a.write_metadata();
-            }
-        }
-        a.absorb(&b);
-        assert_eq!(a, serial);
-        assert_eq!(
-            a.energy().total().as_pj().to_bits(),
-            serial.energy().total().as_pj().to_bits()
-        );
     }
 }

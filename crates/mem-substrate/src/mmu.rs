@@ -66,12 +66,13 @@ pub struct Translation {
 ///
 /// ```
 /// use cache_sim::PageId;
-/// use energy_model::TECH_45NM;
+/// use energy_model::HierarchySpec;
 /// use mem_substrate::SlipMmu;
 /// use slip_core::{LevelModelParams, SlipLevel};
 ///
-/// let l2 = LevelModelParams::from_level(&TECH_45NM.l2, TECH_45NM.l3.mean_access());
-/// let l3 = LevelModelParams::from_level(&TECH_45NM.l3, TECH_45NM.dram_line_energy());
+/// let tech = HierarchySpec::builtin("45nm").unwrap().technology();
+/// let l2 = LevelModelParams::from_level(&tech.l2, tech.l3.mean_access());
+/// let l3 = LevelModelParams::from_level(&tech.l3, tech.dram_line_energy());
 /// let mut mmu = SlipMmu::new(1, l2, l3);
 ///
 /// let t = mmu.translate(PageId(42));
@@ -435,11 +436,19 @@ impl SlipMmu {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use energy_model::TECH_45NM;
+    use energy_model::HierarchySpec;
+
+    /// The L2/L3 model parameters of the built-in 45 nm node.
+    fn params_45nm() -> (LevelModelParams, LevelModelParams) {
+        let tech = HierarchySpec::builtin("45nm").unwrap().technology();
+        (
+            LevelModelParams::from_level(&tech.l2, tech.l3.mean_access()),
+            LevelModelParams::from_level(&tech.l3, tech.dram_line_energy()),
+        )
+    }
 
     fn mmu(seed: u64) -> SlipMmu {
-        let l2 = LevelModelParams::from_level(&TECH_45NM.l2, TECH_45NM.l3.mean_access());
-        let l3 = LevelModelParams::from_level(&TECH_45NM.l3, TECH_45NM.dram_line_energy());
+        let (l2, l3) = params_45nm();
         SlipMmu::new(seed, l2, l3)
     }
 
@@ -534,8 +543,7 @@ mod tests {
     #[test]
     fn sub_page_blocks_profile_independently() {
         let mut m = {
-            let l2 = LevelModelParams::from_level(&TECH_45NM.l2, TECH_45NM.l3.mean_access());
-            let l3 = LevelModelParams::from_level(&TECH_45NM.l3, TECH_45NM.dram_line_energy());
+            let (l2, l3) = params_45nm();
             SlipMmu::new(8, l2, l3).with_block_shift(11) // 2 KB rd-blocks
         };
         use cache_sim::LineAddr;
@@ -566,8 +574,7 @@ mod tests {
     #[test]
     fn objective_switch_preserves_abp_setting() {
         use slip_core::EouObjective;
-        let l2 = LevelModelParams::from_level(&TECH_45NM.l2, TECH_45NM.l3.mean_access());
-        let l3 = LevelModelParams::from_level(&TECH_45NM.l3, TECH_45NM.dram_line_energy());
+        let (l2, l3) = params_45nm();
         let mut m = SlipMmu::new(9, l2, l3)
             .forbid_all_bypass()
             .with_eou_objective(EouObjective::PaperLiteral);

@@ -209,13 +209,12 @@ fn kernel_benches(quick: bool) -> Vec<KernelResult> {
 
     let (target, samples) = if quick { (0.02, 3) } else { (0.05, 5) };
     let mut out = Vec::new();
+    let config = SystemConfig::paper_45nm(PolicyKind::Baseline);
+    let tech = &config.tech;
 
     // EOU consult: the per-recompute policy kernel.
     {
-        let params = LevelModelParams::from_level(
-            &energy_model::TECH_45NM.l2,
-            energy_model::TECH_45NM.l3.mean_access(),
-        );
+        let params = LevelModelParams::from_level(&tech.l2, tech.l3.mean_access());
         let mut eou = EnergyOptimizerUnit::new(&params);
         let mut dist = RdDistribution::paper_default();
         for bin in [0usize, 0, 1, 3, 3, 2, 0, 3] {
@@ -228,7 +227,6 @@ fn kernel_benches(quick: bool) -> Vec<KernelResult> {
     }
 
     // Cache-level probe + fill kernels on the paper L2 geometry.
-    let config = SystemConfig::paper_45nm(PolicyKind::Baseline);
     {
         let mut cache = CacheLevel::new("L2", config.l2_geometry());
         let mut policy = BaselinePolicy::new();
@@ -338,10 +336,7 @@ fn kernel_benches(quick: bool) -> Vec<KernelResult> {
     // against its scalar reference, same distribution, so the report
     // shows the widening win directly.
     {
-        let params = LevelModelParams::from_level(
-            &energy_model::TECH_45NM.l3,
-            energy_model::TECH_45NM.dram_line_energy(),
-        );
+        let params = LevelModelParams::from_level(&tech.l3, tech.dram_line_energy());
         let eou = EnergyOptimizerUnit::new(&params);
         let mut dist = RdDistribution::paper_default();
         for bin in [0usize, 1, 1, 2, 3, 0, 2, 3, 3] {

@@ -2,8 +2,7 @@
 
 use cache_sim::{CacheGeometry, CacheLevel, SublevelEnergies};
 use energy_model::{
-    BankGrid, Energy, HierarchySpec, LevelEnergyParams, TechnologyParams, Topology, WireParams,
-    TECH_45NM,
+    BankGrid, Energy, HierarchySpec, LevelEnergyParams, LevelSpec, TechnologyParams, Topology,
 };
 use mem_substrate::{SlipMmu, Tlb};
 use slip_core::{EouObjective, LevelModelParams, SamplingConfig};
@@ -96,7 +95,7 @@ impl ReplacementKind {
 /// Full system configuration (paper Table 1 + Table 2 + our additions).
 #[derive(Debug, Clone)]
 pub struct SystemConfig {
-    /// Technology parameters (Table 2); defaults to 45 nm.
+    /// Technology parameters (Table 2 at 45 nm), from the hierarchy spec.
     pub tech: TechnologyParams,
     /// Placement policy for L2 and L3.
     pub policy: PolicyKind,
@@ -170,47 +169,30 @@ impl SystemConfig {
     /// EOU's `2^S` enumeration — so every spec-built config stays
     /// eligible for the fused and fast-path runners.
     ///
-    /// Knobs the spec does not describe (policy internals, sampling,
-    /// seed, core model) keep their paper defaults; loading the built-in
-    /// `45nm` spec reproduces [`SystemConfig::paper_45nm`] exactly.
+    /// The spec supplies the geometry, latencies and energies; this is
+    /// the one place that sets the knobs it does not describe (policy
+    /// internals, sampling, seed, core model) to their paper defaults.
     pub fn from_topology(spec: &HierarchySpec, policy: PolicyKind) -> Result<Self, String> {
         spec.validate()
             .map_err(|e| format!("topology {:?}: {e}", spec.name))?;
-        let mut c = SystemConfig::paper_45nm(policy);
-        c.tech = spec.technology();
-        c.l1_sets = spec.l1.sets;
-        c.l1_ways = spec.l1.ways;
-        c.l1_latency = spec.l1.latency;
-        c.l1_energy = Energy::from_pj(spec.l1.read_pj);
-        c.l2_sets = spec.l2.sets;
-        c.l3_sets = spec.l3.sets;
-        c.l2_uniform_latency = spec.l2.uniform_latency;
-        c.l3_uniform_latency = spec.l3.uniform_latency;
-        c.l2_sublevel_latency = spec.l2.sublevels.iter().map(|s| s.latency).collect();
-        c.l3_sublevel_latency = spec.l3.sublevels.iter().map(|s| s.latency).collect();
-        c.l2_sublevel_ways = spec.l2.sublevels.iter().map(|s| s.ways).collect();
-        c.l3_sublevel_ways = spec.l3.sublevels.iter().map(|s| s.ways).collect();
-        Ok(c)
-    }
-
-    /// The paper's 45 nm single-core configuration with a given policy.
-    pub fn paper_45nm(policy: PolicyKind) -> Self {
-        SystemConfig {
-            tech: TECH_45NM.clone(),
+        let latencies = |level: &LevelSpec| level.sublevels.iter().map(|s| s.latency).collect();
+        let ways = |level: &LevelSpec| level.sublevels.iter().map(|s| s.ways).collect();
+        Ok(SystemConfig {
+            tech: spec.technology(),
             policy,
             replacement: ReplacementKind::Lru,
-            l1_ways: 8,
-            l1_sets: 64,
-            l1_latency: 4,
-            l1_energy: Energy::from_pj(5.0),
-            l2_sets: 256,
-            l3_sets: 2048,
-            l2_uniform_latency: 7,
-            l3_uniform_latency: 20,
-            l2_sublevel_latency: vec![4, 6, 8],
-            l3_sublevel_latency: vec![15, 19, 23],
-            l2_sublevel_ways: vec![4, 4, 8],
-            l3_sublevel_ways: vec![4, 4, 8],
+            l1_ways: spec.l1.ways,
+            l1_sets: spec.l1.sets,
+            l1_latency: spec.l1.latency,
+            l1_energy: Energy::from_pj(spec.l1.read_pj),
+            l2_sets: spec.l2.sets,
+            l3_sets: spec.l3.sets,
+            l2_uniform_latency: spec.l2.uniform_latency,
+            l3_uniform_latency: spec.l3.uniform_latency,
+            l2_sublevel_latency: latencies(&spec.l2),
+            l3_sublevel_latency: latencies(&spec.l3),
+            l2_sublevel_ways: ways(&spec.l2),
+            l3_sublevel_ways: ways(&spec.l3),
             eou_objective: EouObjective::InsertionAware,
             rd_block_shift: 12,
             inclusive_llc: false,
@@ -221,7 +203,14 @@ impl SystemConfig {
             rd_bin_bits: 4,
             seed: 0x511b,
             reference_hot_path: false,
-        }
+        })
+    }
+
+    /// The paper's 45 nm single-core configuration with a given policy:
+    /// the built-in `45nm` hierarchy spec.
+    pub fn paper_45nm(policy: PolicyKind) -> Self {
+        let spec = HierarchySpec::builtin("45nm").expect("built-in 45nm node");
+        Self::from_topology(&spec, policy).expect("built-in specs are valid")
     }
 
     /// L1 geometry (uniform energy and latency).
@@ -277,9 +266,9 @@ impl SystemConfig {
 
     /// Repartitions both levels into custom sublevel splits (the
     /// sublevel-count ablation). Per-sublevel energies are re-derived
-    /// from the calibrated 45 nm bank grids and latencies from the
-    /// grids' row positions, so the splits stay physically consistent
-    /// with Table 2.
+    /// from the calibrated 45 nm bank grids under this configuration's
+    /// wire parameters, and latencies from the grids' row positions, so
+    /// the splits stay physically consistent with Table 2.
     ///
     /// # Panics
     ///
@@ -289,7 +278,7 @@ impl SystemConfig {
         assert_eq!(l2.iter().sum::<usize>(), 16, "L2 has 16 ways");
         assert_eq!(l3.iter().sum::<usize>(), 16, "L3 has 16 ways");
         assert!(l2.len() <= 8 && l3.len() <= 8, "at most 8 sublevels");
-        let wire = WireParams::NM45;
+        let wire = self.tech.wire();
         let topo = Topology::HierarchicalBusWayInterleaved;
         let l2_grid = BankGrid::l2_45nm();
         let l3_grid = BankGrid::l3_45nm();
@@ -468,23 +457,6 @@ mod tests {
         assert_eq!(c.rd_block_shift, 12);
         assert!(!c.inclusive_llc);
         assert_eq!(c.eou_objective, slip_core::EouObjective::InsertionAware);
-    }
-
-    #[test]
-    fn topology_45nm_equals_hardcoded_config() {
-        // Golden pin: the built-in 45 nm spec reproduces every field of
-        // the compiled-in configuration, so spec-loaded runs are
-        // bit-exact with the defaults (the suite-level golden test
-        // checks the full result payloads).
-        let spec = HierarchySpec::builtin("45nm").unwrap();
-        for policy in PolicyKind::ALL {
-            let from_spec = SystemConfig::from_topology(&spec, policy).unwrap();
-            let hard = SystemConfig::paper_45nm(policy);
-            assert_eq!(format!("{from_spec:?}"), format!("{hard:?}"), "{policy:?}");
-            assert_eq!(from_spec.l2_geometry(), hard.l2_geometry());
-            assert_eq!(from_spec.l3_geometry(), hard.l3_geometry());
-            assert_eq!(from_spec.l1_geometry(), hard.l1_geometry());
-        }
     }
 
     #[test]

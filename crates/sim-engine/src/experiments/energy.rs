@@ -5,7 +5,7 @@
 use crate::config::PolicyKind;
 use crate::experiments::suite::{SuiteOptions, SuiteResults};
 use crate::report::{mean, pct, pct2, Table};
-use energy_model::{Energy, Topology, TECH_22NM};
+use energy_model::{Energy, HierarchySpec, Topology};
 
 /// One Figure 9 row.
 #[derive(Debug, Clone, PartialEq)]
@@ -223,28 +223,40 @@ pub struct HtreeRow {
     pub l3_increase: f64,
 }
 
-/// Applies a Figure 4 topology to a suite option set by rewriting the
-/// per-sublevel energies: set-interleaving makes them uniform at the
-/// capacity-weighted mean, the H-tree at the worst case.
-pub fn apply_topology(mut options: SuiteOptions, topology: Topology) -> SuiteOptions {
-    for level in [&mut options.tech.l2, &mut options.tech.l3] {
-        match topology {
-            Topology::HierarchicalBusWayInterleaved => {}
-            Topology::HierarchicalBusSetInterleaved => {
-                let m = level.mean_access();
-                for e in &mut level.sublevel_access {
-                    *e = m;
-                }
-            }
+/// Applies a Figure 4 topology to a suite option set by editing its
+/// hierarchy spec (the built-in 45 nm node when it has none): set
+/// interleaving makes every sublevel's read energy the capacity-weighted
+/// mean, the H-tree the worst case. The edited node is renamed
+/// `{node}-set` / `{node}-htree`; like any explicit topology its
+/// fingerprint enters the cell keys, so a journaled sweep never restores
+/// the unedited node's cells for it.
+pub fn apply_topology(options: SuiteOptions, topology: Topology) -> SuiteOptions {
+    let suffix = match topology {
+        Topology::HierarchicalBusWayInterleaved => return options,
+        Topology::HierarchicalBusSetInterleaved => "set",
+        Topology::HTree => "htree",
+    };
+    let mut spec = options
+        .topology
+        .clone()
+        .unwrap_or_else(|| HierarchySpec::builtin("45nm").expect("built-in 45nm node"));
+    for level in [&mut spec.l2, &mut spec.l3] {
+        let read_pj = match topology {
             Topology::HTree => {
-                let worst = *level.sublevel_access.last().expect("levels have sublevels");
-                for e in &mut level.sublevel_access {
-                    *e = worst;
-                }
+                level
+                    .sublevels
+                    .last()
+                    .expect("levels have sublevels")
+                    .read_pj
             }
+            _ => level.energy_params().mean_access().as_pj(),
+        };
+        for sublevel in &mut level.sublevels {
+            sublevel.read_pj = read_pj;
         }
     }
-    options
+    spec.name = format!("{}-{suffix}", spec.name);
+    options.with_topology(spec)
 }
 
 /// Runs the Section 2.1 claim: baseline policy on the way-interleaved
@@ -301,7 +313,7 @@ pub fn node22(accesses: u64, benchmarks: &[&'static str]) -> (f64, f64) {
         .with_benchmarks(benchmarks)
         .with_policies(&[PolicyKind::SlipAbp])
         .with_accesses(accesses)
-        .with_tech(TECH_22NM.clone());
+        .with_topology(HierarchySpec::builtin("22nm").expect("built-in 22nm node"));
     let suite = SuiteResults::run(opts);
     (
         suite.mean_l2_saving(PolicyKind::SlipAbp),
@@ -333,6 +345,7 @@ pub fn fmt_energy(e: Energy) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::suite::SweepConfig;
 
     fn small_suite() -> SuiteResults {
         // Long enough for stream pages to stabilize into their SLIPs
@@ -407,11 +420,40 @@ mod tests {
             .with_policies(&[PolicyKind::Baseline])
             .with_accesses(50_000);
         let uniform = apply_topology(opts, Topology::HierarchicalBusSetInterleaved);
-        assert!(uniform
-            .tech
-            .l2
-            .sublevel_access
-            .windows(2)
-            .all(|w| w[0] == w[1]));
+        let spec = uniform.topology.expect("edited spec");
+        assert_eq!(spec.name, "45nm-set");
+        for level in [&spec.l2, &spec.l3] {
+            assert!(level
+                .sublevels
+                .windows(2)
+                .all(|w| w[0].read_pj == w[1].read_pj));
+        }
+    }
+
+    #[test]
+    fn journaled_htree_sweep_does_not_restore_baseline_cells() {
+        // The H-tree edit must change every cell key: otherwise a
+        // journaled base -> H-tree pair restores the base cells for the
+        // H-tree sweep and reports a 0% increase.
+        let base = SuiteOptions::paper_full()
+            .with_benchmarks(&["gcc"])
+            .with_policies(&[PolicyKind::Baseline])
+            .with_accesses(20_000);
+        let htree = apply_topology(base.clone(), Topology::HTree);
+        for policy in PolicyKind::ALL {
+            assert_ne!(base.cell_key("gcc", policy), htree.cell_key("gcc", policy));
+        }
+        let mut path = std::env::temp_dir();
+        path.push(format!("slip-htree-journal-{}", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let sweep = SweepConfig {
+            journal: Some(path.clone()),
+            ..SweepConfig::serial()
+        };
+        let base = SuiteResults::run_with(base, &sweep).unwrap();
+        let htree = SuiteResults::run_with(htree, &sweep).unwrap();
+        let l2 = htree.baseline("gcc").l2_energy.total() / base.baseline("gcc").l2_energy.total();
+        assert!(l2 - 1.0 > 0.1, "H-tree L2 increase {}", l2 - 1.0);
+        std::fs::remove_file(&path).unwrap();
     }
 }

@@ -2,7 +2,7 @@
 //! geometric wire model, and the Section 5 EOU cost summary.
 
 use crate::report::Table;
-use energy_model::{BankGrid, Topology, WireParams, TECH_45NM};
+use energy_model::{BankGrid, HierarchySpec, TechnologyParams, Topology};
 use slip_core::{EouCost, LevelModelParams, RdDistribution, Slip};
 
 /// One Table 2 validation row.
@@ -17,10 +17,18 @@ pub struct Tab02Row {
     pub model_pj: Option<f64>,
 }
 
+/// The built-in 45 nm node (paper Table 2).
+fn tech_45nm() -> TechnologyParams {
+    HierarchySpec::builtin("45nm")
+        .expect("built-in 45nm node")
+        .technology()
+}
+
 /// Builds the Table 2 rows, deriving the sublevel energies from the
 /// calibrated bank grids.
 pub fn tab02() -> Vec<Tab02Row> {
-    let wire = WireParams::NM45;
+    let t = &tech_45nm();
+    let wire = t.wire();
     let ways = [4usize, 4, 8];
     let l2 = BankGrid::l2_45nm().sublevel_energies(
         Topology::HierarchicalBusWayInterleaved,
@@ -32,7 +40,6 @@ pub fn tab02() -> Vec<Tab02Row> {
         &wire,
         &ways,
     );
-    let t = &*TECH_45NM;
     let mut rows = vec![
         Tab02Row {
             name: "wire energy (pJ/bit/mm)".into(),
@@ -119,13 +126,14 @@ pub struct EouSummary {
 
 /// Builds the EOU summary.
 pub fn eou_summary() -> EouSummary {
-    let params = LevelModelParams::from_level(&TECH_45NM.l3, TECH_45NM.dram_line_energy());
+    let t = tech_45nm();
+    let params = LevelModelParams::from_level(&t.l3, t.dram_line_energy());
     let eou = slip_core::EnergyOptimizerUnit::new(&params);
     let cost = eou.cost();
     EouSummary {
         cost,
         candidates: eou.candidates(),
-        energy_vs_llc_access: cost.energy_per_op / TECH_45NM.l3.baseline_access,
+        energy_vs_llc_access: cost.energy_per_op / t.l3.baseline_access,
     }
 }
 

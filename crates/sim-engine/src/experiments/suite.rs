@@ -16,7 +16,7 @@ use crate::env;
 use crate::fused::run_group;
 use crate::result::SimResult;
 use crate::trace_cache::{TraceCacheStats, TraceKey, TraceLru};
-use energy_model::{HierarchySpec, TechnologyParams};
+use energy_model::HierarchySpec;
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -45,14 +45,10 @@ pub struct SuiteOptions {
     pub benchmarks: Vec<&'static str>,
     /// Policies to run.
     pub policies: Vec<PolicyKind>,
-    /// Technology node.
-    pub tech: TechnologyParams,
     /// Reuse-distance bin counter width.
     pub rd_bin_bits: u32,
-    /// Hierarchy spec overriding the compiled-in topology (`None` runs
-    /// the hard-coded 45 nm configuration). Set via [`with_topology`];
-    /// carries geometry *and* energy, so it also replaces
-    /// [`SuiteOptions::tech`].
+    /// The hierarchy every cell runs on — geometry *and* energy; `None`
+    /// is the built-in 45 nm node. Set via [`with_topology`].
     ///
     /// [`with_topology`]: SuiteOptions::with_topology
     pub topology: Option<HierarchySpec>,
@@ -67,7 +63,6 @@ impl SuiteOptions {
             warmup: env::warmup(),
             benchmarks: workloads::BENCHMARK_NAMES.to_vec(),
             policies: PolicyKind::ALL.to_vec(),
-            tech: energy_model::TECH_45NM.clone(),
             rd_bin_bits: 4,
             topology: None,
         }
@@ -101,21 +96,14 @@ impl SuiteOptions {
         self
     }
 
-    /// Switches the technology node.
-    pub fn with_tech(mut self, tech: TechnologyParams) -> Self {
-        self.tech = tech;
-        self
-    }
-
     /// Overrides the distribution counter width.
     pub fn with_bin_bits(mut self, bits: u32) -> Self {
         self.rd_bin_bits = bits;
         self
     }
 
-    /// Runs the sweep on a hierarchy spec instead of the compiled-in
-    /// topology. The spec carries the full energy model, so this also
-    /// replaces [`SuiteOptions::tech`] with the spec's technology.
+    /// Runs the sweep on a hierarchy spec instead of the built-in 45 nm
+    /// node.
     ///
     /// # Panics
     ///
@@ -125,7 +113,6 @@ impl SuiteOptions {
     pub fn with_topology(mut self, spec: HierarchySpec) -> Self {
         spec.validate()
             .unwrap_or_else(|e| panic!("invalid topology spec: {e}"));
-        self.tech = spec.technology();
         self.topology = Some(spec);
         self
     }
@@ -137,7 +124,6 @@ impl SuiteOptions {
                 .unwrap_or_else(|e| panic!("invalid topology spec: {e}")),
             None => SystemConfig::paper_45nm(policy),
         };
-        config.tech = self.tech.clone();
         config.rd_bin_bits = self.rd_bin_bits;
         config
     }
@@ -160,7 +146,7 @@ impl SuiteOptions {
             policy.label(),
             self.accesses,
             self.warmup,
-            self.tech.name,
+            config.tech.name,
             self.rd_bin_bits,
             config.seed,
         )
@@ -702,10 +688,10 @@ mod tests {
 
     #[test]
     fn topology_45nm_suite_matches_hardcoded_across_modes_and_jobs() {
-        // Golden pin: `--topology 45nm` routes through the spec parser
-        // and `SystemConfig::from_topology`, yet must be bit-exact with
-        // the compiled-in configuration from either trace source,
-        // serial and parallel.
+        // `--topology 45nm` adds a topology clause to every cell key, yet
+        // runs the same built-in node as a default sweep, so it must be
+        // bit-exact with the default configuration from either trace
+        // source, serial and parallel.
         let opts = SuiteOptions::paper_full()
             .with_benchmarks(&["gcc", "soplex"])
             .with_policies(&[PolicyKind::Slip, PolicyKind::SlipAbp])
@@ -725,14 +711,20 @@ mod tests {
 
     #[test]
     fn topology_cell_keys_carry_name_and_fingerprint() {
-        let plain = SuiteOptions::paper_full().with_accesses(1000);
+        let plain = SuiteOptions::paper_full()
+            .with_accesses(1000)
+            .with_warmup(0);
         let topo = plain
             .clone()
             .with_topology(HierarchySpec::builtin("stt-llc").unwrap());
         let plain_key = plain.cell_key("gcc", PolicyKind::Slip);
         let topo_key = topo.cell_key("gcc", PolicyKind::Slip);
-        // Default keys keep their historical shape (journal back-compat).
-        assert!(!plain_key.contains("topo="));
+        // Default keys keep their historical shape (journal back-compat),
+        // byte for byte.
+        assert_eq!(
+            plain_key,
+            "gcc/SLIP@acc=1000,warm=0,tech=45nm,bits=4,seed=0x511b"
+        );
         // Explicit-topology keys pin both the node name and the
         // canonical-text fingerprint.
         assert!(topo_key.contains(",topo=stt-llc#"), "{topo_key}");
@@ -741,7 +733,14 @@ mod tests {
         let other = plain
             .clone()
             .with_topology(HierarchySpec::builtin("22nm").unwrap());
-        assert_ne!(topo_key, other.cell_key("gcc", PolicyKind::Slip));
+        let other_key = other.cell_key("gcc", PolicyKind::Slip);
+        assert_ne!(topo_key, other_key);
+        // Explicit-topology keys are pinned too: the fingerprint hashes
+        // the canonical text, so it moves only if the built-in does.
+        assert_eq!(
+            other_key,
+            "gcc/SLIP@acc=1000,warm=0,tech=22nm,bits=4,seed=0x511b,topo=22nm#e821814fb9d775ba"
+        );
     }
 
     #[test]

@@ -453,7 +453,7 @@ impl DualCoreSystem {
             let eou = c.mmu.as_ref().map_or(Energy::ZERO, |m| m.eou_energy());
             l2_energy += c.l2.energy().total() + eou * 0.5;
             l3_eou += eou * 0.5;
-            merge_stats(&mut l2_stats, &c.l2.stats);
+            l2_stats.merge(&c.l2.stats);
         }
         MulticoreResult {
             mix,
@@ -502,32 +502,6 @@ fn build_policies(
         }
     };
     (policy, repl)
-}
-
-fn merge_stats(dst: &mut CacheStats, src: &CacheStats) {
-    dst.demand_accesses += src.demand_accesses;
-    dst.demand_hits += src.demand_hits;
-    dst.demand_misses += src.demand_misses;
-    dst.metadata_accesses += src.metadata_accesses;
-    dst.metadata_hits += src.metadata_hits;
-    dst.metadata_misses += src.metadata_misses;
-    for (d, s) in dst.hits_per_sublevel.iter_mut().zip(&src.hits_per_sublevel) {
-        *d += *s;
-    }
-    dst.insertions += src.insertions;
-    for (d, s) in dst.insertion_class.iter_mut().zip(&src.insertion_class) {
-        *d += *s;
-    }
-    dst.bypasses += src.bypasses;
-    dst.movements += src.movements;
-    dst.promotions += src.promotions;
-    dst.writebacks += src.writebacks;
-    dst.evictions += src.evictions;
-    for (d, s) in dst.nr_histogram.iter_mut().zip(&src.nr_histogram) {
-        *d += *s;
-    }
-    dst.writeback_hits += src.writeback_hits;
-    dst.writeback_misses += src.writeback_misses;
 }
 
 /// Runs a two-benchmark mix for `len` accesses per core.

@@ -22,7 +22,7 @@ use cache_sim::{
     Access, AccessClass, BaselinePolicy, CacheLevel, CacheStats, FillRequest, LineAddr, Lru,
     MovementQueue,
 };
-use energy_model::{EnergyCategory, TECH_45NM};
+use energy_model::EnergyCategory;
 use sim_engine::config::{PolicyKind, SystemConfig};
 use sim_engine::{SimResult, SingleCoreSystem};
 use slip_core::{
@@ -308,9 +308,10 @@ pub fn run_with_invariants(
 }
 
 fn level_params() -> (LevelModelParams, LevelModelParams) {
+    let tech = SystemConfig::paper_45nm(PolicyKind::SlipAbp).tech;
     (
-        LevelModelParams::from_level(&TECH_45NM.l2, TECH_45NM.l3.mean_access()),
-        LevelModelParams::from_level(&TECH_45NM.l3, TECH_45NM.dram_line_energy()),
+        LevelModelParams::from_level(&tech.l2, tech.l3.mean_access()),
+        LevelModelParams::from_level(&tech.l3, tech.dram_line_energy()),
     )
 }
 

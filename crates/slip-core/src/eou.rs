@@ -11,7 +11,7 @@
 use crate::model::{coefficients, coefficients_paper, LevelModelParams};
 use crate::rd_dist::RdDistribution;
 use crate::slip::Slip;
-use energy_model::Energy;
+use energy_model::{Energy, HierarchySpec};
 
 /// Which analytical objective the EOU's coefficient tables encode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -41,12 +41,15 @@ pub struct EouCost {
 }
 
 impl EouCost {
-    /// The paper's synthesized 45 nm figures.
+    /// The paper's synthesized 45 nm figures. The energy per operation
+    /// is the built-in `45nm` node's `eou` energy; a simulated system
+    /// charges its own node's value instead (`SlipMmu::with_eou_energy`).
     pub fn paper_45nm() -> Self {
+        let node = HierarchySpec::builtin("45nm").expect("built-in 45nm node");
         EouCost {
             latency_cycles: 2,
             throughput_per_cycle: 1,
-            energy_per_op: Energy::from_pj(1.27),
+            energy_per_op: Energy::from_pj(node.eou_op_pj),
             area_mm2: 0.003_66,
         }
     }
@@ -66,13 +69,11 @@ pub struct EouDecision {
 /// # Example
 ///
 /// ```
-/// use energy_model::{Energy, TECH_45NM};
+/// use energy_model::HierarchySpec;
 /// use slip_core::{EnergyOptimizerUnit, LevelModelParams, RdDistribution};
 ///
-/// let params = LevelModelParams::from_level(
-///     &TECH_45NM.l2,
-///     TECH_45NM.l3.mean_access(),
-/// );
+/// let tech = HierarchySpec::builtin("45nm").unwrap().technology();
+/// let params = LevelModelParams::from_level(&tech.l2, tech.l3.mean_access());
 /// let mut eou = EnergyOptimizerUnit::new(&params);
 ///
 /// // A line that always misses: the EOU chooses the All-Bypass Policy.

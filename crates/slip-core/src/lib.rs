@@ -22,13 +22,11 @@
 //! # Example: choose and apply a policy for a bimodal line
 //!
 //! ```
-//! use energy_model::TECH_45NM;
+//! use energy_model::HierarchySpec;
 //! use slip_core::{EnergyOptimizerUnit, LevelModelParams, RdDistribution};
 //!
-//! let params = LevelModelParams::from_level(
-//!     &TECH_45NM.l2,
-//!     TECH_45NM.l3.mean_access(),
-//! );
+//! let tech = HierarchySpec::builtin("45nm").unwrap().technology();
+//! let params = LevelModelParams::from_level(&tech.l2, tech.l3.mean_access());
 //! let mut eou = EnergyOptimizerUnit::new(&params);
 //!
 //! // The paper's `cperm` pattern: 66% of reuses fit the nearest 64 KB,

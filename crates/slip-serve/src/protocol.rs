@@ -725,7 +725,7 @@ mod tests {
         assert!(malformed.run_id().unwrap_err().contains("line"));
         // The suite options actually carry the spec's technology.
         let options = named.suite_options().unwrap();
-        assert_eq!(options.tech.name, "stt-llc");
+        assert_eq!(options.cell_config(PolicyKind::Slip).tech.name, "stt-llc");
         assert_eq!(
             HierarchySpec::builtin("stt-llc").unwrap().fingerprint(),
             options.topology.as_ref().unwrap().fingerprint()

@@ -6,7 +6,7 @@
 //! cargo run --release --example reuse_profiler
 //! ```
 
-use energy_model::TECH_45NM;
+use energy_model::HierarchySpec;
 use slip_core::{slip_energy, EnergyOptimizerUnit, LevelModelParams, RdDistribution, Slip};
 
 fn dist(counts: [u16; 4]) -> RdDistribution {
@@ -20,8 +20,9 @@ fn dist(counts: [u16; 4]) -> RdDistribution {
 }
 
 fn main() {
-    let l2 = LevelModelParams::from_level(&TECH_45NM.l2, TECH_45NM.l3.mean_access());
-    let l3 = LevelModelParams::from_level(&TECH_45NM.l3, TECH_45NM.dram_line_energy());
+    let tech = HierarchySpec::builtin("45nm").unwrap().technology();
+    let l2 = LevelModelParams::from_level(&tech.l2, tech.l3.mean_access());
+    let l3 = LevelModelParams::from_level(&tech.l3, tech.dram_line_energy());
     let mut eou_l2 = EnergyOptimizerUnit::new(&l2);
     let mut eou_l3 = EnergyOptimizerUnit::new(&l3);
 

@@ -6,10 +6,9 @@
 //! cargo run --release --example topology_explorer
 //! ```
 
-use energy_model::{BankGrid, Energy, Topology, WireParams, TECH_45NM};
+use energy_model::{BankGrid, Energy, HierarchySpec, Topology, WireParams};
 
-fn show_level(name: &str, grid: &BankGrid, table2: &[Energy]) {
-    let wire = WireParams::NM45;
+fn show_level(name: &str, grid: &BankGrid, wire: &WireParams, table2: &[Energy]) {
     let split = [4usize, 4, 8];
     println!(
         "--- {name}: {}x{} banks, {} ways ---",
@@ -30,7 +29,7 @@ fn show_level(name: &str, grid: &BankGrid, table2: &[Energy]) {
         ),
         ("H-tree", Topology::HTree),
     ] {
-        let e = grid.sublevel_energies(topo, &wire, &split);
+        let e = grid.sublevel_energies(topo, wire, &split);
         let spread = e.last().expect("3 sublevels").as_pj() / e[0].as_pj();
         println!(
             "{:<38} {:>10} {:>10} {:>10} {:>8.2}x",
@@ -52,28 +51,31 @@ fn show_level(name: &str, grid: &BankGrid, table2: &[Energy]) {
 }
 
 fn main() {
+    let tech = HierarchySpec::builtin("45nm").unwrap().technology();
+    let wire = tech.wire();
     println!(
         "Geometric wire model at 45 nm ({} pJ/bit/mm, 64 B lines).\n\
          Only the way-interleaved hierarchical bus exposes per-way energy\n\
          asymmetry — the premise of SLIP. Set interleaving makes every\n\
          candidate location equal; the H-tree makes them equally *bad*.\n",
-        WireParams::NM45.pj_per_bit_mm
+        wire.pj_per_bit_mm
     );
     show_level(
         "L2 (256 KB)",
         &BankGrid::l2_45nm(),
-        &TECH_45NM.l2.sublevel_access,
+        &wire,
+        &tech.l2.sublevel_access,
     );
     show_level(
         "L3 (2 MB)",
         &BankGrid::l3_45nm(),
-        &TECH_45NM.l3.sublevel_access,
+        &wire,
+        &tech.l3.sublevel_access,
     );
 
     // What finer partitions would look like at the L3.
     println!("--- L3 way-interleaved, alternative sublevel splits ---");
     let grid = BankGrid::l3_45nm();
-    let wire = WireParams::NM45;
     for split in [vec![8usize, 8], vec![4, 4, 8], vec![4, 4, 4, 4], vec![2; 8]] {
         let e = grid.sublevel_energies(Topology::HierarchicalBusWayInterleaved, &wire, &split);
         let pretty: Vec<String> = e.iter().map(|x| format!("{:.0}", x.as_pj())).collect();

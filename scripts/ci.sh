@@ -1,9 +1,9 @@
 #!/usr/bin/env sh
 # Tier-1 gate: everything here must pass before merging.
 #
-# Operates on the workspace default-members (crates/bench is excluded
-# there to keep this loop fast and registry-free; build it explicitly
-# with `cargo build -p slip-bench` when touching bench targets).
+# Tests run on the workspace default-members (crates/bench is excluded
+# there to keep this loop fast); crates/bench and the benchmark/ package
+# are built, not tested, below.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -20,6 +20,14 @@ cargo build --release
 
 echo "==> cargo test -q"
 cargo test -q
+
+# Crates outside the default members still call the library API: the
+# paper-figure bench crate and the repo benchmark (its own package).
+# Build both so an API change cannot break either one silently.
+echo "==> cargo build --release -p slip-bench --benches"
+cargo build --release -p slip-bench --benches
+echo "==> cargo build --release --offline --manifest-path benchmark/Cargo.toml"
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
 
 # Conformance gate: bounded differential fuzz + invariant sweep
 # (including the fused-, fastpath-, serve-, and topology-determinism
