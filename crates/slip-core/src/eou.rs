@@ -5,8 +5,10 @@
 //! Given a reuse-distance distribution it computes one dot product per
 //! SLIP and returns the argmin. The paper's synthesized 45 nm RTL runs
 //! one optimization per cycle at a 2-cycle latency, costs 1.27 pJ per
-//! operation, and occupies 0.00366 mm² — constants carried here as
-//! [`EouCost`] so the simulator can charge them.
+//! operation, and occupies 0.00366 mm² — carried here as [`EouCost`]
+//! so the simulator can charge them. The energy per operation is a
+//! property of the technology node (the hierarchy spec's `eou`
+//! directive); latency and area are the synthesized constants.
 
 use crate::model::{coefficients, coefficients_paper, LevelModelParams};
 use crate::rd_dist::RdDistribution;
