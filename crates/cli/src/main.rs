@@ -76,7 +76,6 @@ usage:
   slip check [--quick|--full] [--oracle] [--iters N] [--seed S] [--max-len N]
              [--accesses N] [--jobs N] [--topology NODE|FILE]
   slip serve [--addr HOST:PORT] [--jobs N] [--journal-dir DIR]
-             [--trace-cache-mb N (default SLIP_TRACE_CACHE_MB or 1024)]
              [--port-file FILE] [--quiet]
   slip submit [workload ...] [--policy P]... [--accesses N] [--warmup N]
               [--topology NODE|FILE] [--connect HOST:PORT] [--verify-offline]
@@ -115,24 +114,26 @@ struct Options {
     topology: Option<String>,
 }
 
-/// The error for a flag that used to pick an execution path, naming
-/// what replaced it; `None` for any other flag. Retired flags fail at
-/// parse time instead of being ignored.
+/// The error for a flag that used to pick an execution path or size a
+/// trace cache, naming what replaced it; `None` for any other flag.
+/// Retired flags fail at parse time instead of being ignored.
 fn retired_flag(flag: &str) -> Option<String> {
     let why = match flag {
         "--trace-mode" => {
-            "`slip run` steps its trace inline and sweeps always run fused benchmark groups"
+            "`slip run` steps its trace inline and sweeps always run fused benchmark groups; \
+             parallelism is --jobs"
         }
-        "--shards" => "set-sharded runs were removed; sweeps always run fused benchmark groups",
+        "--shards" => {
+            "set-sharded runs were removed; sweeps always run fused benchmark groups; \
+             parallelism is --jobs"
+        }
         "--trace-cache-mb" => {
-            "sweeps stream each benchmark's trace through one fused group (the cache \
-             budget remains a `slip serve` option)"
+            "sweeps and `slip serve` stream every benchmark's trace through one fused \
+             group, so there is no cache budget to set"
         }
         _ => return None,
     };
-    Some(format!(
-        "{flag} is no longer supported: {why}; parallelism is --jobs"
-    ))
+    Some(format!("{flag} is no longer supported: {why}"))
 }
 
 fn parse_options(args: &[String]) -> Result<Options, String> {
@@ -785,11 +786,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
                     .map_err(|e| format!("--jobs: {e}"))?
             }
             "--journal-dir" => config.journal_dir = PathBuf::from(value("--journal-dir")?),
-            "--trace-cache-mb" => {
-                config.trace_cache_mb = value("--trace-cache-mb")?
-                    .parse()
-                    .map_err(|e| format!("--trace-cache-mb: {e}"))?
-            }
             "--port-file" => port_file = Some(PathBuf::from(value("--port-file")?)),
             "--quiet" => config.quiet = true,
             other => {
@@ -1029,11 +1025,15 @@ mod tests {
 
     /// The error a retired flag spelling produces on `cmd`, which must
     /// fail at parse time — before any simulation — naming the
-    /// replacement.
-    fn retired_error(cmd: fn(&[String]) -> Result<(), String>, args: &[&str]) -> String {
+    /// `replacement`.
+    fn retired_error(
+        cmd: fn(&[String]) -> Result<(), String>,
+        args: &[&str],
+        replacement: &str,
+    ) -> String {
         let err = cmd(&s(args)).unwrap_err();
         assert!(err.contains("no longer supported"), "{args:?}: {err}");
-        assert!(err.contains("--jobs"), "{args:?}: {err}");
+        assert!(err.contains(replacement), "{args:?}: {err}");
         err
     }
 
@@ -1051,29 +1051,33 @@ mod tests {
 
     #[test]
     fn run_rejects_retired_trace_mode() {
-        retired_error(cmd_run, &["gcc", "--trace-mode", "fused"]);
+        retired_error(cmd_run, &["gcc", "--trace-mode", "fused"], "--jobs");
     }
 
     #[test]
     fn run_rejects_retired_shards() {
-        retired_error(cmd_run, &["gcc", "--shards", "2"]);
+        retired_error(cmd_run, &["gcc", "--shards", "2"], "--jobs");
     }
 
     #[test]
     fn sweep_rejects_retired_trace_mode() {
-        let err = retired_error(cmd_sweep, &["gcc", "--trace-mode", "shared"]);
+        let err = retired_error(cmd_sweep, &["gcc", "--trace-mode", "shared"], "--jobs");
         assert!(err.contains("fused benchmark groups"), "{err}");
     }
 
     #[test]
     fn sweep_rejects_retired_shards() {
-        let err = retired_error(cmd_sweep, &["gcc", "--shards", "2"]);
+        let err = retired_error(cmd_sweep, &["gcc", "--shards", "2"], "--jobs");
         assert!(err.contains("fused benchmark groups"), "{err}");
     }
 
     #[test]
     fn sweep_rejects_retired_trace_cache_mb() {
-        let err = retired_error(cmd_sweep, &["gcc", "--trace-cache-mb", "64"]);
+        let err = retired_error(
+            cmd_sweep,
+            &["gcc", "--trace-cache-mb", "64"],
+            "no cache budget",
+        );
         assert!(err.contains("slip serve"), "{err}");
     }
 
@@ -1082,12 +1086,27 @@ mod tests {
         retired_error(
             cmd_serve,
             &["--addr", "127.0.0.1:0", "--trace-mode", "fused"],
+            "--jobs",
         );
     }
 
     #[test]
     fn serve_rejects_retired_shards() {
-        retired_error(cmd_serve, &["--addr", "127.0.0.1:0", "--shards", "2"]);
+        retired_error(
+            cmd_serve,
+            &["--addr", "127.0.0.1:0", "--shards", "2"],
+            "--jobs",
+        );
+    }
+
+    #[test]
+    fn serve_rejects_retired_trace_cache_mb() {
+        let err = retired_error(
+            cmd_serve,
+            &["--addr", "127.0.0.1:0", "--trace-cache-mb", "64"],
+            "no cache budget",
+        );
+        assert!(err.contains("stream every benchmark's trace"), "{err}");
     }
 
     #[test]

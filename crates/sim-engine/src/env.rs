@@ -10,13 +10,12 @@
 //! | `SLIP_WARMUP`         | unmeasured warmup accesses           | 0 |
 //! | `SLIP_JOBS`           | sweep worker count                   | available parallelism |
 //! | `SLIP_JOURNAL`        | run-journal path (enables resume)    | unset (off) |
-//! | `SLIP_TRACE_CACHE_MB` | `slip serve` trace cache budget in MiB (0 disables it) | 1024 |
 //! | `SLIP_FUZZ_ITERS`     | `slip check` differential-fuzz iteration budget | unset (mode default) |
 //! | `SLIP_TOPOLOGY`       | hierarchy spec: built-in node name or file path | unset (built-in 45 nm) |
 //!
 //! One exception to the garbage-falls-back rule: the retired knobs
-//! `SLIP_TRACE_MODE` and `SLIP_SHARDS` are errors when set, not silently
-//! ignored — see [`check_retired`].
+//! `SLIP_TRACE_MODE`, `SLIP_SHARDS` and `SLIP_TRACE_CACHE_MB` are errors
+//! when set, not silently ignored — see [`check_retired`].
 use std::path::PathBuf;
 use std::str::FromStr;
 
@@ -52,17 +51,6 @@ pub fn journal() -> Option<PathBuf> {
         .map(PathBuf::from)
 }
 
-/// Default `slip serve` trace cache budget in MiB (128 M accesses'
-/// worth).
-pub const DEFAULT_TRACE_CACHE_MB: u64 = 1024;
-
-/// `slip serve` trace cache budget in MiB (`SLIP_TRACE_CACHE_MB`).
-/// Streams whose materialized trace would exceed the whole budget are
-/// streamed instead of cached; 0 disables the cache entirely.
-pub fn trace_cache_mb() -> u64 {
-    parse_var("SLIP_TRACE_CACHE_MB").unwrap_or(DEFAULT_TRACE_CACHE_MB)
-}
-
 /// Differential-fuzz iteration budget for `slip check`
 /// (`SLIP_FUZZ_ITERS`); unset means the mode's default (quick 48,
 /// full 512).
@@ -70,21 +58,30 @@ pub fn fuzz_iters() -> Option<u64> {
     parse_var("SLIP_FUZZ_ITERS")
 }
 
-/// Environment knobs that used to select an execution path, with what
-/// replaced them. Setting one is an error, never a silent no-op.
-const RETIRED: [(&str, &str); 2] = [
+/// Environment knobs that used to select an execution path or size a
+/// trace cache, with what replaced them. Setting one is an error, never
+/// a silent no-op.
+const RETIRED: [(&str, &str); 3] = [
     (
         "SLIP_TRACE_MODE",
-        "`slip run` steps its trace inline and sweeps always run fused benchmark groups",
+        "`slip run` steps its trace inline and sweeps always run fused benchmark groups; \
+         parallelism is SLIP_JOBS / --jobs",
     ),
     (
         "SLIP_SHARDS",
-        "set-sharded runs were removed; sweeps always run fused benchmark groups",
+        "set-sharded runs were removed; sweeps always run fused benchmark groups; \
+         parallelism is SLIP_JOBS / --jobs",
+    ),
+    (
+        "SLIP_TRACE_CACHE_MB",
+        "sweeps and `slip serve` stream every trace through fused benchmark groups, \
+         so there is no cache budget to set",
     ),
 ];
 
-/// Fails when a retired knob (`SLIP_TRACE_MODE`, `SLIP_SHARDS`) is set
-/// to a non-empty value, naming its replacement.
+/// Fails when a retired knob (`SLIP_TRACE_MODE`, `SLIP_SHARDS`,
+/// `SLIP_TRACE_CACHE_MB`) is set to a non-empty value, naming its
+/// replacement.
 pub fn check_retired() -> Result<(), String> {
     check_retired_in(|name| std::env::var(name).ok())
 }
@@ -95,8 +92,7 @@ fn check_retired_in(var: impl Fn(&str) -> Option<String>) -> Result<(), String> 
     for (name, replacement) in RETIRED {
         if let Some(value) = var(name).filter(|v| !v.trim().is_empty()) {
             return Err(format!(
-                "{name}={:?} is no longer supported: {replacement}; parallelism is \
-                 SLIP_JOBS / --jobs",
+                "{name}={:?} is no longer supported: {replacement}",
                 value.trim()
             ));
         }
@@ -132,12 +128,16 @@ mod tests {
 
     #[test]
     fn retired_knobs_fail_naming_their_replacement() {
-        for name in ["SLIP_TRACE_MODE", "SLIP_SHARDS"] {
+        for (name, replacement) in [
+            ("SLIP_TRACE_MODE", "--jobs"),
+            ("SLIP_SHARDS", "--jobs"),
+            ("SLIP_TRACE_CACHE_MB", "no cache budget"),
+        ] {
             let set = |value: &'static str| move |n: &str| (n == name).then(|| value.to_owned());
             let e = check_retired_in(set(" 2 ")).unwrap_err();
             assert!(e.starts_with(&format!("{name}=\"2\"")), "{e}");
             assert!(e.contains("fused benchmark groups"), "{e}");
-            assert!(e.contains("--jobs"), "{e}");
+            assert!(e.contains(replacement), "{e}");
             // Empty means unset.
             assert_eq!(check_retired_in(set("  ")), Ok(()));
         }

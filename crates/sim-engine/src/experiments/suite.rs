@@ -15,14 +15,11 @@ use crate::config::{PolicyKind, SystemConfig};
 use crate::env;
 use crate::fused::run_group;
 use crate::result::SimResult;
-use crate::trace_cache::{TraceCacheStats, TraceKey, TraceLru};
 use energy_model::HierarchySpec;
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::Arc;
 use sweep_runner::json::Value;
 use sweep_runner::SweepOptions;
-use workloads::TraceBuffer;
 
 /// Default trace length per benchmark (overridable with the
 /// `SLIP_ACCESSES` environment variable).
@@ -166,11 +163,6 @@ pub struct SweepConfig {
     pub journal: Option<PathBuf>,
     /// Suppress stderr progress lines.
     pub quiet: bool,
-    /// Externally owned trace cache shared across sweeps, like the one
-    /// `slip serve` keeps; groups replay its buffers instead of
-    /// streaming. `None` streams every group's trace, so memory stays
-    /// O(chunk) at any trace length.
-    pub trace_cache: Option<Arc<TraceLru>>,
     /// Cooperative cancellation flag (e.g. the process SIGINT flag from
     /// `sweep_runner::interrupt::install()`); when it trips, the sweep
     /// stops dispatching groups, seals the journal, and errors with
@@ -183,8 +175,8 @@ impl SweepConfig {
     ///
     /// # Panics
     ///
-    /// Panics when a retired knob (`SLIP_TRACE_MODE`, `SLIP_SHARDS`) is
-    /// set — ignoring it would mislabel what ran. The CLI surfaces the
+    /// Panics when a retired knob ([`env::check_retired`]) is set —
+    /// ignoring it would mislabel what ran. The CLI surfaces the
     /// same error politely.
     pub fn from_env() -> Self {
         env::check_retired().unwrap_or_else(|e| panic!("{e}"));
@@ -206,72 +198,50 @@ impl SweepConfig {
             jobs,
             journal: None,
             quiet: true,
-            trace_cache: None,
             cancel: None,
         }
-    }
-
-    /// Runs the sweep against an externally owned (e.g. server-wide)
-    /// trace cache instead of streaming.
-    pub fn with_trace_cache(mut self, cache: Arc<TraceLru>) -> Self {
-        self.trace_cache = Some(cache);
-        self
     }
 }
 
 /// Runs the `policies` cells of one benchmark as a single fused group
-/// ([`crate::fused::run_group`]): one pass over the benchmark's access
-/// stream steps every cell in lockstep. With a `cache`, the stream is
-/// its materialized buffer (fetched, or built on first use); without
-/// one — or when the cache bypasses a stream too large for its budget —
-/// the trace is generated on the fly. Returns one
-/// `(result, trace_source)` per policy, in order. Shared between the
-/// offline sweep and the `slip serve` daemon so both execution paths
-/// are bit-identical by construction: the cache only changes *how* the
-/// stream is produced, never its contents.
-///
-/// Trace-source attribution: the group fetches its stream exactly
-/// once, so only the first member carries the label (`materialized`,
-/// `cached`, or `streamed`); the rest return `None`. Every result's
-/// [`SimResult::exec_mode`] is `fused`.
+/// ([`crate::fused::run_group`]): one pass over the benchmark's
+/// generated access stream steps every cell in lockstep, so memory
+/// stays O(chunk) at any trace length. Returns one result per policy,
+/// in order, each with [`SimResult::exec_mode`] `fused`. Shared between
+/// the offline sweep and the `slip serve` daemon, so both execution
+/// paths are one code path.
 pub fn run_fused_group(
     options: &SuiteOptions,
     bench: &str,
     policies: &[PolicyKind],
-    cache: Option<&TraceLru>,
-) -> Vec<(SimResult, Option<&'static str>)> {
+) -> Vec<SimResult> {
     let spec = workloads::workload(bench).expect("known benchmark");
     let configs: Vec<SystemConfig> = policies.iter().map(|&p| options.cell_config(p)).collect();
     let seed = configs[0].seed;
     let total = options.warmup + options.accesses;
-    let buffer = cache.and_then(|c| {
-        c.get_or_materialize(&TraceKey::new(spec.name(), seed, total), || {
-            TraceBuffer::materialize(spec.trace(total, seed))
-        })
-    });
-    let (results, trace_source) = match buffer {
-        Some((buffer, outcome)) => (
-            run_group(configs, spec.name(), &*buffer, options.warmup),
-            outcome.label(),
-        ),
-        None => (
-            run_group(
-                configs,
-                spec.name(),
-                spec.trace(total, seed),
-                options.warmup,
-            ),
-            "streamed",
-        ),
-    };
+    let mut results = run_group(
+        configs,
+        spec.name(),
+        spec.trace(total, seed),
+        options.warmup,
+    );
+    for r in &mut results {
+        r.exec_mode = Some("fused");
+    }
     results
-        .into_iter()
-        .enumerate()
-        .map(|(i, mut r)| {
-            r.exec_mode = Some("fused");
-            (r, (i == 0).then_some(trace_source))
-        })
-        .collect()
+}
+
+/// The type of [`SuiteResults::trace_cache_stats`]. It has no values:
+/// sweeps stream every trace and keep no trace cache. It exists only so
+/// the repo benchmark's reader of that field keeps compiling.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TraceCacheStats {}
+
+impl TraceCacheStats {
+    /// JSON encoding; unreachable, since no value exists.
+    pub fn to_value(&self) -> Value {
+        match *self {}
+    }
 }
 
 /// Results of a suite run, keyed by `(benchmark, policy)`.
@@ -279,10 +249,8 @@ pub fn run_fused_group(
 pub struct SuiteResults {
     /// The options the suite ran with.
     pub options: SuiteOptions,
-    /// Trace-cache activity scoped to this sweep (`None` unless
-    /// [`SweepConfig::trace_cache`] supplied a cache); counters are
-    /// deltas even when the cache is a long-lived server-wide one.
-    /// Serialize with [`TraceCacheStats::to_value`].
+    /// Always `None`: sweeps keep no trace cache. Kept only for the
+    /// repo benchmark, which reads it.
     pub trace_cache_stats: Option<TraceCacheStats>,
     results: HashMap<(String, PolicyKind), SimResult>,
 }
@@ -318,20 +286,14 @@ impl SuiteResults {
             label: "suite".to_owned(),
             cancel: sweep.cancel,
         };
-        let cache = sweep.trace_cache.as_deref();
-        let stats_before = cache.map(TraceLru::stats);
-        let encode = |(r, trace_source): &(SimResult, Option<&'static str>),
-                      wall: std::time::Duration| {
+        let encode = |r: &SimResult, wall: std::time::Duration| {
             let mut metrics = codec::result_metrics(r, wall);
-            if let Some(source) = *trace_source {
-                metrics = metrics.with("trace_source", Value::str(source));
-            }
             if let Some(mode) = r.exec_mode {
                 metrics = metrics.with("exec_mode", Value::str(mode));
             }
             (metrics, codec::encode_result(r))
         };
-        let decode = |p: &Value| codec::decode_result(p).map(|r| (r, None));
+        let decode = codec::decode_result;
         // The pending policy cells of each benchmark form one fused
         // group. Groups re-form from whatever cells the journal did
         // *not* restore, so a resumed sweep fuses only the survivors.
@@ -342,34 +304,19 @@ impl SuiteResults {
             |members| {
                 let bench = cells[members[0]].0;
                 let policies: Vec<PolicyKind> = members.iter().map(|&i| cells[i].1).collect();
-                run_fused_group(&options, bench, &policies, cache)
+                run_fused_group(&options, bench, &policies)
             },
             encode,
             decode,
         )?;
-        let trace_cache_stats = cache
-            .zip(stats_before)
-            .map(|(c, before)| c.stats().delta_since(&before));
-        if let (false, Some(s)) = (sweep.quiet, &trace_cache_stats) {
-            eprintln!(
-                "[suite] trace cache: {} hits, {} misses, {} evictions, {} bypasses \
-                 ({} resident, {:.1} MiB)",
-                s.hits,
-                s.misses,
-                s.evictions,
-                s.bypasses,
-                s.resident_entries,
-                s.resident_bytes as f64 / (1 << 20) as f64,
-            );
-        }
         let results = cells
             .into_iter()
             .zip(ran)
-            .map(|((b, p), (r, _))| ((b.to_owned(), p), r))
+            .map(|((b, p), r)| ((b.to_owned(), p), r))
             .collect();
         Ok(SuiteResults {
             options,
-            trace_cache_stats,
+            trace_cache_stats: None,
             results,
         })
     }
@@ -467,17 +414,6 @@ mod tests {
         cells
     }
 
-    /// Streamed groups, and groups replaying a trace cache's buffers.
-    fn trace_sources(jobs: usize) -> [(&'static str, SweepConfig); 2] {
-        [
-            ("streamed", SweepConfig::with_jobs(jobs)),
-            (
-                "cached",
-                SweepConfig::with_jobs(jobs).with_trace_cache(Arc::new(TraceLru::new(64))),
-            ),
-        ]
-    }
-
     #[test]
     fn small_suite_produces_all_cells() {
         let opts = SuiteOptions::paper_full()
@@ -494,12 +430,12 @@ mod tests {
         // Savings are well-defined numbers.
         assert!(suite.l2_saving("gcc", PolicyKind::SlipAbp).is_finite());
         assert!(suite.l3_saving("gcc", PolicyKind::SlipAbp).is_finite());
-        // Streamed groups touch no trace cache.
+        // Sweeps keep no trace cache.
         assert!(suite.trace_cache_stats.is_none());
     }
 
     #[test]
-    fn fused_sweep_is_bit_exact_across_trace_sources_and_jobs() {
+    fn fused_sweep_is_bit_exact_across_jobs() {
         let opts = SuiteOptions::paper_full()
             .with_benchmarks(&["gcc", "soplex"])
             .with_policies(&[
@@ -512,15 +448,14 @@ mod tests {
             .with_warmup(2_000);
         let reference = reference(&opts);
         for jobs in [1, 4] {
-            for (source, sweep) in trace_sources(jobs) {
-                let suite = SuiteResults::run_with(opts.clone(), &sweep).unwrap();
-                assert_eq!(fingerprint(&suite), reference, "{source} jobs={jobs}");
-                // No silent fallback: every cell reports the fused
-                // executor actually ran it.
-                for &b in suite.benchmarks() {
-                    for &p in &suite.options.policies {
-                        assert_eq!(suite.get(b, p).exec_mode, Some("fused"));
-                    }
+            let suite =
+                SuiteResults::run_with(opts.clone(), &SweepConfig::with_jobs(jobs)).unwrap();
+            assert_eq!(fingerprint(&suite), reference, "jobs={jobs}");
+            // No silent fallback: every cell reports the fused executor
+            // actually ran it.
+            for &b in suite.benchmarks() {
+                for &p in &suite.options.policies {
+                    assert_eq!(suite.get(b, p).exec_mode, Some("fused"));
                 }
             }
         }
@@ -550,11 +485,7 @@ mod tests {
 
         // Resume the full grid: baseline+slip restore from the journal,
         // and the two survivors re-form one smaller fused group.
-        let resumed = SuiteResults::run_with(
-            opts.clone(),
-            &fused.with_trace_cache(Arc::new(TraceLru::new(64))),
-        )
-        .unwrap();
+        let resumed = SuiteResults::run_with(opts.clone(), &fused).unwrap();
         for &p in &opts.policies {
             assert_eq!(
                 codec::encode_result(resumed.get("gcc", p)).to_json(),
@@ -562,17 +493,31 @@ mod tests {
                 "{p:?}"
             );
         }
-        // One cache miss and zero hits: the survivors shared a single
-        // group fetch instead of running per cell.
-        let stats = resumed.trace_cache_stats.as_ref().unwrap();
-        assert_eq!((stats.misses, stats.hits), (1, 0));
+        // Only the two survivors ran, as one group: a group's wall time
+        // splits evenly across its members' journal records.
+        let text = std::fs::read_to_string(&path).unwrap();
+        let walls: Vec<f64> = text
+            .lines()
+            .map(|l| {
+                Value::parse(l)
+                    .unwrap()
+                    .get("wall_ms")
+                    .unwrap()
+                    .as_f64()
+                    .unwrap()
+            })
+            .collect();
+        assert_eq!(walls.len(), 4);
+        assert_eq!(walls[2], walls[3]);
         std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn journal_with_retired_exec_labels_restores_without_running() {
         // A journal written when sweeps could run shared, pipelined, or
-        // sharded cells: its records restore bit-exact, and nothing runs.
+        // sharded cells, and labeled each cell's trace source (cache
+        // hit, miss, or regenerated): its records restore bit-exact,
+        // and nothing runs.
         let mut path = std::env::temp_dir();
         path.push(format!("slip-suite-retired-labels-{}", std::process::id()));
         let _ = std::fs::remove_file(&path);
@@ -589,6 +534,7 @@ mod tests {
             ("shared", "cached"),
             ("pipelined", "regenerated"),
             ("sharded", "cached"),
+            ("fused", "materialized"),
         ];
         let text = std::fs::read_to_string(&path).unwrap();
         let rewritten: String = text
@@ -610,6 +556,7 @@ mod tests {
             })
             .collect();
         assert!(rewritten.contains("\"exec_mode\":\"pipelined\""));
+        assert!(rewritten.contains("\"trace_source\":\"materialized\""));
         std::fs::write(&path, &rewritten).unwrap();
 
         let restored = SuiteResults::run_with(opts, &sweep).unwrap();
@@ -642,56 +589,10 @@ mod tests {
     }
 
     #[test]
-    fn fused_group_attributes_one_stream_fetch_to_first_member_only() {
-        // The group fetches its stream exactly once; attributing that
-        // fetch to every member multiplied the sweep footer's trace
-        // tally by the group size (e.g. "[traces: 10 materialized]"
-        // next to a cache reporting 2 misses).
-        let opts = SuiteOptions::paper_full()
-            .with_benchmarks(&["gcc"])
-            .with_accesses(5_000);
-        let policies = [PolicyKind::Baseline, PolicyKind::Slip, PolicyKind::SlipAbp];
-        let cache = TraceLru::new(64);
-        for (cache, first) in [(Some(&cache), "materialized"), (None, "streamed")] {
-            let group = run_fused_group(&opts, "gcc", &policies, cache);
-            let labels: Vec<Option<&'static str>> = group.iter().map(|(_, s)| *s).collect();
-            assert_eq!(labels, [Some(first), None, None]);
-            for (r, _) in &group {
-                assert_eq!(r.exec_mode, Some("fused"));
-            }
-        }
-        assert_eq!(cache.stats().misses, 1);
-    }
-
-    #[test]
-    fn fused_cache_bypass_streams_the_group() {
-        // A 0 MiB cache bypasses every stream: the group streams its
-        // trace instead, still fused, and says so in its label.
-        let opts = SuiteOptions::paper_full()
-            .with_benchmarks(&["gcc"])
-            .with_accesses(5_000);
-        let policies = [PolicyKind::Baseline, PolicyKind::SlipAbp];
-        let cache = TraceLru::new(0);
-        let bypassed = run_fused_group(&opts, "gcc", &policies, Some(&cache));
-        let labels: Vec<Option<&'static str>> = bypassed.iter().map(|(_, s)| *s).collect();
-        assert_eq!(labels, [Some("streamed"), None]);
-        let streamed = run_fused_group(&opts, "gcc", &policies, None);
-        for ((r, _), (want, _)) in bypassed.iter().zip(&streamed) {
-            assert_eq!(r.exec_mode, Some("fused"));
-            assert_eq!(
-                codec::encode_result(r).to_json(),
-                codec::encode_result(want).to_json()
-            );
-        }
-        assert_eq!(cache.stats().bypasses, 1);
-    }
-
-    #[test]
     fn topology_45nm_suite_matches_hardcoded_across_modes_and_jobs() {
         // `--topology 45nm` adds a topology clause to every cell key, yet
         // runs the same built-in node as a default sweep, so it must be
-        // bit-exact with the default configuration from either trace
-        // source, serial and parallel.
+        // bit-exact with the default configuration, serial and parallel.
         let opts = SuiteOptions::paper_full()
             .with_benchmarks(&["gcc", "soplex"])
             .with_policies(&[PolicyKind::Slip, PolicyKind::SlipAbp])
@@ -702,10 +603,9 @@ mod tests {
             .with_topology(HierarchySpec::builtin("45nm").unwrap());
         let reference = reference(&opts);
         for jobs in [1, 4] {
-            for (source, sweep) in trace_sources(jobs) {
-                let suite = SuiteResults::run_with(topo.clone(), &sweep).unwrap();
-                assert_eq!(fingerprint(&suite), reference, "{source} jobs={jobs}");
-            }
+            let suite =
+                SuiteResults::run_with(topo.clone(), &SweepConfig::with_jobs(jobs)).unwrap();
+            assert_eq!(fingerprint(&suite), reference, "jobs={jobs}");
         }
     }
 

@@ -8,11 +8,9 @@
 //! **bit-identical** to the cell's standalone
 //! [`run_workload_with_warmup`](crate::system::run_workload_with_warmup)
 //! run (held by the `fused-determinism` conformance check and the
-//! golden tests). The stream is either generated on the fly
-//! (`spec.trace(..)`, the offline sweep: memory stays O(chunk) at any
-//! trace length) or replayed from a materialized
-//! [`TraceBuffer`](workloads::TraceBuffer) (the `slip serve` trace
-//! cache).
+//! golden tests). Sweeps and `slip serve` generate the stream on the
+//! fly (`spec.trace(..)`), so memory stays O(chunk) at any trace
+//! length.
 //!
 //! On top of the shared stream, groups that qualify get a shared L1:
 //! in the default non-inclusive hierarchy the L1 is **policy-invariant**
@@ -296,8 +294,7 @@ fn finish_group(
 
 /// Runs all `configs` over one access stream in lockstep, returning
 /// one result per config (in order). `accesses` is the cell's full
-/// `warmup + len` stream — `spec.trace(..)` streamed on the fly, or a
-/// materialized buffer's replay; measurements reset at the warmup
+/// `warmup + len` stream; measurements reset at the warmup
 /// boundary exactly as in [`run_workload_with_warmup`], and the group's
 /// measured wall time is split evenly across the cells
 /// (`wall_time_secs` is outside the bit-exact payload).
@@ -397,7 +394,6 @@ mod tests {
     use crate::codec;
     use crate::config::PolicyKind;
     use crate::system::run_workload_with_warmup;
-    use workloads::TraceBuffer;
 
     fn fingerprint(r: &SimResult) -> String {
         codec::encode_result(r).to_json()
@@ -410,9 +406,8 @@ mod tests {
             .collect()
     }
 
-    /// Every cell of a streamed group and of a buffer-fed group must be
-    /// byte-identical to the cell's solo run on the verbatim reference
-    /// hot path.
+    /// Every cell of a streamed group must be byte-identical to the
+    /// cell's solo run on the verbatim reference hot path.
     fn assert_matches_reference(configs: &[SystemConfig], bench: &str, len: u64, warmup: u64) {
         let spec = workloads::workload(bench).unwrap();
         let seed = configs[0].seed;
@@ -422,16 +417,13 @@ mod tests {
             spec.trace(warmup + len, seed),
             warmup,
         );
-        let buffer = TraceBuffer::materialize(spec.trace(warmup + len, seed));
-        let buffered = run_group(configs.to_vec(), spec.name(), &buffer, warmup);
         assert_eq!(streamed.len(), configs.len());
-        for ((config, s), b) in configs.iter().zip(&streamed).zip(&buffered) {
+        for (config, s) in configs.iter().zip(&streamed) {
             let mut reference = config.clone();
             reference.reference_hot_path = true;
             let want = fingerprint(&run_workload_with_warmup(reference, &spec, len, warmup));
             let tag = format!("{:?} len={len} warmup={warmup}", config.policy);
-            assert_eq!(fingerprint(s), want, "streamed {tag}");
-            assert_eq!(fingerprint(b), want, "buffered {tag}");
+            assert_eq!(fingerprint(s), want, "{tag}");
         }
     }
 
@@ -483,11 +475,11 @@ mod tests {
     fn observed_run_matches_production_and_aborts_cleanly() {
         let spec = workloads::workload("gcc").unwrap();
         let configs = group_configs();
-        let buffer = TraceBuffer::materialize(spec.trace(9_000, configs[0].seed));
-        let fused = run_group(configs.clone(), spec.name(), &buffer, 1_000);
+        let trace = || spec.trace(9_000, configs[0].seed);
+        let fused = run_group(configs.clone(), spec.name(), trace(), 1_000);
         let mut seen = 0u64;
         let observed =
-            run_group_observed(configs.clone(), spec.name(), &buffer, 1_000, |i, sys| {
+            run_group_observed(configs.clone(), spec.name(), trace(), 1_000, |i, sys| {
                 assert_eq!(sys.len(), PolicyKind::ALL.len());
                 seen = i + 1;
                 true
@@ -498,7 +490,8 @@ mod tests {
             assert_eq!(fingerprint(a), fingerprint(b), "{:?}", a.policy);
         }
         // Aborting mid-stream yields None.
-        let aborted = run_group_observed(configs, spec.name(), &buffer, 1_000, |i, _| i < 100);
+        let aborted =
+            run_group_observed(configs.clone(), spec.name(), trace(), 1_000, |i, _| i < 100);
         assert!(aborted.is_none());
     }
 
@@ -507,10 +500,8 @@ mod tests {
         let spec = workloads::workload("gcc").unwrap();
         let configs = group_configs();
         let seed = configs[0].seed;
-        let buffer = TraceBuffer::materialize(spec.trace(5_000, seed));
-        let streamed = run_group(configs.clone(), spec.name(), spec.trace(5_000, seed), 5_000);
-        let buffered = run_group(configs, spec.name(), &buffer, 5_000);
-        for r in streamed.iter().chain(&buffered) {
+        let streamed = run_group(configs, spec.name(), spec.trace(5_000, seed), 5_000);
+        for r in &streamed {
             assert_eq!(r.accesses, 0);
             assert_eq!(r.cycles, 0);
         }

@@ -42,11 +42,9 @@ pub mod multicore;
 pub mod report;
 pub mod result;
 pub mod system;
-pub mod trace_cache;
 
 pub use config::{PolicyKind, ReplacementKind, SystemConfig};
 pub use experiments::suite::SweepConfig;
 pub use fused::{run_group, run_group_observed, shared_l1_eligible};
 pub use result::SimResult;
 pub use system::{run_workload, SingleCoreSystem};
-pub use trace_cache::{TraceCacheStats, TraceKey, TraceLru, TraceOutcome};

@@ -1,8 +1,7 @@
 //! Golden equivalence of the sweep executor: fused benchmark groups
 //! must produce bit-identical `SimResult`s for the benchmark × policy
-//! grid at one and four workers, whether they stream the trace or fall
-//! back to streaming past a full trace cache, and a journal resume
-//! across a fused group must stay deterministic. The anchor is the seed
+//! grid at one and four workers, and a journal resume across a fused
+//! group must stay deterministic. The anchor is the seed
 //! golden: each cell re-run through the verbatim reference hot path
 //! (`reference_hot_path = true`), compared by its exact journal payload
 //! text, the same fingerprint the determinism tier-1 test uses.
@@ -11,9 +10,7 @@ use sim_engine::codec;
 use sim_engine::config::PolicyKind;
 use sim_engine::experiments::{SuiteOptions, SuiteResults};
 use sim_engine::system::run_workload_with_warmup;
-use sim_engine::trace_cache::TraceLru;
 use sim_engine::SweepConfig;
-use std::sync::Arc;
 
 fn grid_options() -> SuiteOptions {
     SuiteOptions::paper_full()
@@ -77,15 +74,6 @@ fn fused_sweeps_agree_with_the_seed_golden_across_jobs() {
             "fused sweep at jobs={jobs} diverges from the seed golden"
         );
     }
-}
-
-#[test]
-fn zero_cache_budget_falls_back_without_changing_results() {
-    // A 0 MiB trace cache bypasses every stream: groups stream instead.
-    let starved = SweepConfig::with_jobs(2).with_trace_cache(Arc::new(TraceLru::new(0)));
-    let suite = SuiteResults::run_with(grid_options(), &starved).unwrap();
-    assert_eq!(fingerprints(&suite), reference_goldens());
-    assert_eq!(suite.trace_cache_stats.unwrap().bypasses, 3);
 }
 
 #[test]

@@ -9,8 +9,8 @@
 //! the allocating f64 EOU loop) and through the *optimized* paths (SWAR
 //! tag filter, fused q16-distribution EOU kernel) through every
 //! execution path that ships — inline stepping (`slip run`), and a
-//! singleton fused group either streaming the trace (sweeps) or
-//! replaying a packed [`TraceBuffer`] (`slip serve`). The full
+//! singleton fused group streaming the trace (sweeps and `slip
+//! serve`). The full
 //! [`sim_engine::SimResult`] of every variant is compared bit-exactly
 //! via the JSON codec, which excludes only wall time.
 //!
@@ -27,7 +27,6 @@ use sim_engine::config::{PolicyKind, ReplacementKind, SystemConfig};
 use sim_engine::system::run_workload_with_warmup;
 use sim_engine::{run_group, SimResult, SingleCoreSystem};
 use slip_core::EouObjective;
-use workloads::TraceBuffer;
 
 /// Fully derived description of one fuzz iteration.
 #[derive(Debug, Clone)]
@@ -80,9 +79,8 @@ impl Scenario {
         } else {
             EouObjective::InsertionAware
         };
-        // Every 5th iteration drives the workload-spec paths (inline,
-        // streamed and buffer-fed fused groups) with a real benchmark
-        // trace.
+        // Every 5th iteration drives the workload-spec paths (inline
+        // and streamed fused groups) with a real benchmark trace.
         let benchmark = if iteration % 5 == 4 {
             let names = workloads::BENCHMARK_NAMES;
             Some(names[rng.next_below(names.len() as u64) as usize])
@@ -232,12 +230,6 @@ fn fingerprint_fused_streamed(config: SystemConfig, trace: &[Access]) -> String 
     encoded(fused_cell(config, "fuzz", trace.iter().copied(), 0))
 }
 
-/// Replays `trace` as a singleton fused group fed from a packed buffer.
-fn fingerprint_fused_buffered(config: SystemConfig, trace: &[Access]) -> String {
-    let buffer = TraceBuffer::materialize(trace.iter().copied());
-    encoded(fused_cell(config, "fuzz", &buffer, 0))
-}
-
 /// One cell as a singleton fused group over `accesses`.
 fn fused_cell(
     config: SystemConfig,
@@ -307,8 +299,7 @@ pub fn run_fuzz(opts: &FuzzOptions) -> Vec<Divergence> {
 type FuzzVariant = (&'static str, fn(SystemConfig, &[Access]) -> String);
 
 /// Adversarial-trace iteration: reference inline vs optimized inline
-/// and optimized fused groups (streamed and buffer-fed), with prefix
-/// minimization.
+/// and an optimized streamed fused group, with prefix minimization.
 fn fuzz_adversarial(
     iteration: u64,
     scenario: &Scenario,
@@ -317,10 +308,9 @@ fn fuzz_adversarial(
 ) {
     let trace = adversarial::generate(scenario.pattern, scenario.trace_seed, scenario.len);
     let reference = fingerprint_inline(scenario.config(true), &trace);
-    let variants: [FuzzVariant; 3] = [
+    let variants: [FuzzVariant; 2] = [
         ("optimized-inline", fingerprint_inline),
         ("optimized-fused-streamed", fingerprint_fused_streamed),
-        ("optimized-fused-buffered", fingerprint_fused_buffered),
     ];
     for (variant, run) in variants {
         if run(scenario.config(false), &trace) == reference {
@@ -342,11 +332,11 @@ fn fuzz_adversarial(
 }
 
 /// Workload-spec iteration: the spec-driven reference run vs the
-/// optimized inline run and singleton fused groups streaming the
-/// generated trace and replaying it from a packed buffer. All four
-/// build the identical trace from `(spec, seed)`, so their results must
-/// be bit-identical too. The streams are internal to the runners, so
-/// divergences are reported unminimized.
+/// optimized inline run and a singleton fused group streaming the
+/// generated trace. All three build the identical trace from
+/// `(spec, seed)`, so their results must be bit-identical too. The
+/// streams are internal to the runners, so divergences are reported
+/// unminimized.
 fn fuzz_workload(
     iteration: u64,
     scenario: &Scenario,
@@ -360,18 +350,12 @@ fn fuzz_workload(
     let run =
         |reference: bool| run_workload_with_warmup(scenario.config(reference), &spec, len, warmup);
     let reference = encoded(run(true));
-    let trace = || spec.trace(warmup + len, scenario.config_seed);
-    let buffer = TraceBuffer::materialize(trace());
-    let config = || scenario.config(false);
+    let trace = spec.trace(warmup + len, scenario.config_seed);
     for (variant, result) in [
         ("optimized-inline", run(false)),
         (
             "optimized-fused-streamed",
-            fused_cell(config(), bench, trace(), warmup),
-        ),
-        (
-            "optimized-fused-buffered",
-            fused_cell(config(), bench, &buffer, warmup),
+            fused_cell(scenario.config(false), bench, trace, warmup),
         ),
     ] {
         if encoded(result) != reference {

@@ -14,8 +14,7 @@
 //! 1. inline `run` — equal-neighbor runs collapsed into
 //!    `step_fast_run`, the `slip run` path,
 //! 2. inline `step_fast`, one access at a time,
-//! 3. a singleton fused group streaming the trace (the sweep path),
-//! 4. a singleton fused group replaying a packed buffer (the `slip
+//! 3. a singleton fused group streaming the trace (the sweep and `slip
 //!    serve` path),
 //!
 //! and compares all encoded results byte for byte.
@@ -26,7 +25,6 @@ use cache_sim::Access;
 use sim_engine::config::{PolicyKind, SystemConfig};
 use sim_engine::system::SingleCoreSystem;
 use sim_engine::{codec, run_group, SimResult};
-use workloads::TraceBuffer;
 
 /// Where two JSON payloads first differ, with a little context — enough
 /// to name the diverging field without dumping two full results.
@@ -113,7 +111,6 @@ pub fn check_fastpath_determinism(seed: u64, trace_len: u64, quiet: bool) -> Res
             eprintln!("  fastpath-determinism: {scenario}");
         }
         let trace = adversarial::generate(pattern, seed ^ ((i as u64) << 8), trace_len);
-        let buffer = TraceBuffer::materialize(trace.iter().copied());
         let mut config = SystemConfig::paper_45nm(policy);
         if let Some(r) = replacement {
             config.replacement = r;
@@ -140,7 +137,6 @@ pub fn check_fastpath_determinism(seed: u64, trace_len: u64, quiet: bool) -> Res
                 "fused streamed",
                 run_fused(c(), &scenario, trace.iter().copied(), warmup),
             ),
-            ("fused buffer", run_fused(c(), &scenario, &buffer, warmup)),
         ] {
             let got = codec::encode_result(&result).to_json();
             if got != want {

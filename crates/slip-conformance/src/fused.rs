@@ -6,13 +6,12 @@
 //! `slip serve` run: fusing the stream (and sharing the
 //! policy-invariant L1) is purely an execution strategy, never a
 //! modeling change. The check replays adversarial trace families
-//! through [`run_group`] with *all five* policies in one group — once
-//! streaming the trace, once replaying a packed buffer — and through
-//! each cell's solo reference run, comparing the encoded results byte
-//! for byte — warmup included, so the group-wide measurement reset at
-//! the warmup boundary is exercised too. An inclusive-LLC group is
-//! covered as well: it must take the plain-lockstep fallback (no shared
-//! L1) and still match.
+//! through [`run_group`] with *all five* policies in one group,
+//! streaming the trace, and through each cell's solo reference run,
+//! comparing the encoded results byte for byte — warmup included, so
+//! the group-wide measurement reset at the warmup boundary is exercised
+//! too. An inclusive-LLC group is covered as well: it must take the
+//! plain-lockstep fallback (no shared L1) and still match.
 //!
 //! On a mismatch the check does not stop at "results differ": it
 //! re-runs the diverging cell as a singleton fused group under
@@ -26,7 +25,6 @@ use crate::invariants::Violation;
 use cache_sim::Access;
 use sim_engine::config::{PolicyKind, SystemConfig};
 use sim_engine::{codec, run_group, run_group_observed, SimResult, SingleCoreSystem};
-use workloads::TraceBuffer;
 
 /// One cell's solo run on the reference hot path: `warmup` accesses,
 /// a measurement reset, then the rest.
@@ -52,19 +50,20 @@ fn reference_run(
 }
 
 /// First access at which a singleton fused replay of `config` diverges
-/// from the plain per-access reference replay of the same buffer
+/// from the plain per-access reference replay of the same trace
 /// (`None` when the probes agree at every step — the divergence lies in
 /// finalization, not the access stream).
 fn first_diverging_access(
     config: SystemConfig,
     scenario: &str,
-    buffer: &TraceBuffer,
+    trace: &[Access],
     warmup: u64,
 ) -> Option<u64> {
     let mut reference = SingleCoreSystem::new(config.clone());
-    let mut stream = buffer.iter();
+    let mut stream = trace.iter().copied();
     let mut first = None;
-    run_group_observed(vec![config], scenario, buffer, warmup, |i, group| {
+    let accesses = trace.iter().copied();
+    run_group_observed(vec![config], scenario, accesses, warmup, |i, group| {
         // Mirror the observed runner exactly: measurements reset
         // before the first post-warmup access steps.
         if i == warmup {
@@ -83,8 +82,8 @@ fn first_diverging_access(
 }
 
 /// Replays one adversarial trace per pattern through a fused group of
-/// every policy (streamed and buffer-fed) and through each cell's
-/// standalone reference run, requiring bit-identical encoded results. A slice of the trace is
+/// every policy and through each cell's standalone reference run,
+/// requiring bit-identical encoded results. A slice of the trace is
 /// treated as warmup so the fused group-wide measurement reset is
 /// exercised as well.
 pub fn check_fused_determinism(seed: u64, trace_len: u64, quiet: bool) -> Result<(), Violation> {
@@ -115,35 +114,28 @@ pub fn check_fused_determinism(seed: u64, trace_len: u64, quiet: bool) -> Result
             eprintln!("  fused-determinism: {scenario}");
         }
         let trace = adversarial::generate(pattern, seed ^ ((i as u64) << 12), trace_len);
-        let buffer = TraceBuffer::materialize(trace.iter().copied());
         let warmup = trace_len / 8;
         let configs = group_of(inclusive);
-        let streamed = run_group(configs.clone(), &scenario, trace.iter().copied(), warmup);
-        let buffered = run_group(configs.clone(), &scenario, &buffer, warmup);
-        for ((config, streamed), buffered) in configs.into_iter().zip(streamed).zip(buffered) {
+        let fused = run_group(configs.clone(), &scenario, trace.iter().copied(), warmup);
+        for (config, fused) in configs.into_iter().zip(fused) {
             let policy = config.policy;
             let want =
                 codec::encode_result(&reference_run(&config, &scenario, &trace, warmup)).to_json();
-            for (source, fused) in [
-                ("streamed", streamed.clone()),
-                ("buffered", buffered.clone()),
-            ] {
-                if codec::encode_result(&fused).to_json() == want {
-                    continue;
-                }
-                let at = first_diverging_access(config.clone(), &scenario, &buffer, warmup);
-                return Err(Violation {
-                    invariant: "fused-determinism",
-                    scenario: format!("{scenario} policy={policy:?} {source}"),
-                    step: at,
-                    detail: format!(
-                        "fused group cell is not bit-identical to its standalone reference \
-                         run (seed {seed:#x}, {trace_len} accesses, warmup {warmup}); first \
-                         diverging access: {}",
-                        at.map_or("none (finalization)".to_owned(), |a| a.to_string())
-                    ),
-                });
+            if codec::encode_result(&fused).to_json() == want {
+                continue;
             }
+            let at = first_diverging_access(config, &scenario, &trace, warmup);
+            return Err(Violation {
+                invariant: "fused-determinism",
+                scenario: format!("{scenario} policy={policy:?}"),
+                step: at,
+                detail: format!(
+                    "fused group cell is not bit-identical to its standalone reference \
+                     run (seed {seed:#x}, {trace_len} accesses, warmup {warmup}); first \
+                     diverging access: {}",
+                    at.map_or("none (finalization)".to_owned(), |a| a.to_string())
+                ),
+            });
         }
     }
     Ok(())
@@ -165,8 +157,7 @@ mod tests {
         // On a clean configuration the probes never differ, so the
         // localizer reports no diverging access.
         let trace = adversarial::generate(Pattern::ConflictStorm, 0x511b, 1_500);
-        let buffer = TraceBuffer::materialize(trace.iter().copied());
         let config = SystemConfig::paper_45nm(PolicyKind::SlipAbp);
-        assert_eq!(first_diverging_access(config, "clean", &buffer, 200), None);
+        assert_eq!(first_diverging_access(config, "clean", &trace, 200), None);
     }
 }

@@ -8,9 +8,8 @@
 //!    keys and dedup hashes derived from the text are stable.
 //! 2. **Run-mode matrix** — a small suite on the spec is bit-identical
 //!    across every execution path that ships (inline cells, fused
-//!    groups streamed serially and on four workers, fused groups
-//!    replaying cached buffers) against each cell's solo run on the
-//!    verbatim reference hot path. The spec only changes *what*
+//!    groups streamed serially and on four workers) against each
+//!    cell's solo run on the verbatim reference hot path. The spec only changes *what*
 //!    hierarchy is simulated, never lets an execution strategy leak
 //!    into results.
 //!
@@ -24,9 +23,7 @@ use sim_engine::codec;
 use sim_engine::config::PolicyKind;
 use sim_engine::experiments::{SuiteOptions, SuiteResults};
 use sim_engine::system::run_workload_with_warmup;
-use sim_engine::trace_cache::TraceLru;
 use sim_engine::SweepConfig;
-use std::sync::Arc;
 
 /// Runs every cell of `options` solo and inline, in grid order —
 /// on the verbatim reference hot path when `reference`.
@@ -109,12 +106,10 @@ pub fn check_spec_determinism(
         .with_warmup(trace_len / 8)
         .with_topology(spec.clone());
     let reference = fingerprint_cells(&options, true);
-    let cached = || SweepConfig::serial().with_trace_cache(Arc::new(TraceLru::new(64)));
-    let mode_matrix: [(&str, Option<SweepConfig>); 4] = [
+    let mode_matrix: [(&str, Option<SweepConfig>); 3] = [
         ("inline", None),
         ("fused/streamed", Some(SweepConfig::serial())),
         ("fused/streamed/jobs=4", Some(SweepConfig::with_jobs(4))),
-        ("fused/cached", Some(cached())),
     ];
     for (label, sweep) in mode_matrix {
         if !quiet {

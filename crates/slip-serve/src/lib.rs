@@ -13,8 +13,7 @@
 //!   sweep is not starved by a long one. Identical specs join the same
 //!   run (run-level dedup, keyed by a canonical-spec fingerprint), and
 //!   overlapping specs share per-cell results (cell-level dedup).
-//!   Traces are shared server-wide through a byte-budgeted
-//!   [`sim_engine::trace_cache::TraceLru`].
+//!   Every fused group streams its trace, so no trace stays resident.
 //! * **Resume**: every run persists through the standard sweep
 //!   [`sweep_runner::journal::Journal`]; a disconnected client
 //!   reconnects with its run id and an acked cell index and receives

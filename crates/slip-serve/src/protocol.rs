@@ -250,7 +250,7 @@ pub enum Request {
         /// Cells already received; the stream restarts there.
         ack: u64,
     },
-    /// Report server counters and trace-cache statistics.
+    /// Report server counters (runs, cells, connections, workers).
     Stats,
     /// Drain and stop the server.
     Shutdown,

@@ -16,16 +16,15 @@
 //! execution. **Cell-level:** every cell key owns a process-wide
 //! [`CellSlot`]; a run whose cell is already resident or in flight
 //! under another run subscribes to the slot instead of executing.
-//! Trace buffers dedup one level lower again, in the server-wide
-//! [`TraceLru`].
 //!
 //! ## Execution
 //!
 //! A run's claimed cells form fused groups exactly as an offline sweep
 //! forms them ([`sweep_runner::group_cells`]: by benchmark, split until
-//! every worker has one), and each group is one pool job that replays
-//! the benchmark's cached trace buffer once for all its cells — or
-//! streams the trace when the cache bypasses it.
+//! every worker has one), and each group is one pool job that streams
+//! the benchmark's trace once for all its cells through
+//! [`run_fused_group`], the offline sweep's own code path. No trace is
+//! kept resident between groups.
 //!
 //! ## Persistence and resume
 //!
@@ -47,7 +46,6 @@ use crate::protocol::{Frame, Request, SweepSpec};
 use sim_engine::config::PolicyKind;
 use sim_engine::experiments::suite::run_fused_group;
 use sim_engine::experiments::SuiteOptions;
-use sim_engine::trace_cache::TraceLru;
 use sim_engine::{codec, env};
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
@@ -79,20 +77,18 @@ pub struct ServerConfig {
     pub max_conns: usize,
     /// Directory for per-run journals (created if missing).
     pub journal_dir: PathBuf,
-    /// Server-wide trace cache budget in MiB.
-    pub trace_cache_mb: u64,
     /// Suppress stderr log lines.
     pub quiet: bool,
 }
 
 impl ServerConfig {
-    /// Loopback defaults: ephemeral port, env-derived worker count and
-    /// cache budget, journals under `journal_dir`.
+    /// Loopback defaults: ephemeral port, env-derived worker count,
+    /// journals under `journal_dir`.
     ///
     /// # Panics
     ///
-    /// When a retired knob (`SLIP_TRACE_MODE`, `SLIP_SHARDS`) is set —
-    /// a server that ignored it would misreport how it executes.
+    /// When a retired knob ([`env::check_retired`]) is set — a server
+    /// that ignored it would misreport how it executes.
     pub fn new(journal_dir: impl Into<PathBuf>) -> ServerConfig {
         env::check_retired().unwrap_or_else(|e| panic!("{e}"));
         ServerConfig {
@@ -101,7 +97,6 @@ impl ServerConfig {
             max_runs: 32,
             max_conns: 64,
             journal_dir: journal_dir.into(),
-            trace_cache_mb: env::trace_cache_mb(),
             quiet: false,
         }
     }
@@ -194,7 +189,6 @@ struct Counters {
 struct ServerState {
     config: ServerConfig,
     pool: Mutex<Option<SharedPool>>,
-    cache: Arc<TraceLru>,
     runs: Mutex<HashMap<String, Arc<RunState>>>,
     cells: Mutex<HashMap<String, Arc<CellSlot>>>,
     /// Index of completed runs whose cell results were released from
@@ -394,15 +388,12 @@ impl ServerState {
         let started = std::time::Instant::now();
         let bench = members[0].1;
         let policies: Vec<PolicyKind> = members.iter().map(|&(_, _, p)| p).collect();
-        let outputs = run_fused_group(&run.options, bench, &policies, Some(&self.cache));
+        let outputs = run_fused_group(&run.options, bench, &policies);
         debug_assert_eq!(outputs.len(), members.len());
         let wall = started.elapsed() / members.len() as u32;
         let wall_ms = wall.as_secs_f64() * 1e3;
-        for (&(index, _, _), (result, trace_source)) in members.iter().zip(outputs) {
+        for (&(index, _, _), result) in members.iter().zip(outputs) {
             let mut metrics = codec::result_metrics(&result, wall);
-            if let Some(source) = trace_source {
-                metrics = metrics.with("trace_source", Value::str(source));
-            }
             if let Some(mode) = result.exec_mode {
                 metrics = metrics.with("exec_mode", Value::str(mode));
             }
@@ -450,9 +441,9 @@ impl ServerState {
     /// Releases a completed run's in-memory cell results, keeping
     /// only an index entry: once every cell is delivered *and* the
     /// journal holds a complete record, the `RunState` leaves the run
-    /// map (live streams keep their own `Arc`) and the run's
-    /// completed dedup slots are dropped. A later submission or
-    /// resume revives the run from its journal.
+    /// map (live streams keep their own `Arc`). The run's completed
+    /// [`CellSlot`]s stay resident as the cross-run dedup memo. A
+    /// later submission or resume revives the run from its journal.
     fn maybe_archive(&self, run: &Arc<RunState>) {
         if !run.journal_ok.load(Ordering::SeqCst) {
             return;
@@ -549,7 +540,6 @@ impl ServerState {
                 Value::u64(self.conns.load(Ordering::Relaxed) as u64),
             )
             .with("jobs", Value::u64(self.config.jobs as u64))
-            .with("trace_cache", self.cache.stats().to_value())
     }
 }
 
@@ -661,7 +651,6 @@ impl Server {
         std::fs::create_dir_all(&config.journal_dir)?;
         let state = Arc::new(ServerState {
             pool: Mutex::new(Some(SharedPool::new(config.jobs.max(1), config.max_runs))),
-            cache: Arc::new(TraceLru::new(config.trace_cache_mb)),
             runs: Mutex::new(HashMap::new()),
             cells: Mutex::new(HashMap::new()),
             archived: Mutex::new(HashMap::new()),
@@ -689,10 +678,9 @@ impl Server {
         let flag = interrupt::install();
         let state = Arc::clone(&self.state);
         state.log(&format!(
-            "listening on {} ({} jobs, cache {} MiB, journals in {})",
+            "listening on {} ({} jobs, journals in {})",
             self.addr,
             state.config.jobs,
-            state.config.trace_cache_mb,
             state.config.journal_dir.display()
         ));
         // The accept loop blocks in `accept`; this watchdog turns the

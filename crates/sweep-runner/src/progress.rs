@@ -31,10 +31,6 @@ struct Aggregate {
     /// time are excluded, so the footer never aggregates a
     /// reconstruction that rounds to garbage.
     rated_cells: usize,
-    /// Cells counted per `trace_source` metric label (e.g. `cached`
-    /// cache hits vs `materialized` misses vs `regenerated`
-    /// cache-bypass fallbacks), in first-seen order.
-    trace_sources: Vec<(String, usize)>,
     /// Cells counted per `exec_mode` metric label (the execution path
     /// that actually ran — `fused`, `sharded`, `pipelined`, ... — which
     /// can differ from the requested mode on fallback), in first-seen
@@ -43,17 +39,12 @@ struct Aggregate {
 }
 
 impl Aggregate {
-    /// Counts a cell's `trace_source` and `exec_mode` labels.
-    fn tally_labels(&mut self, metrics: &Value) {
-        for (key, counts) in [
-            ("trace_source", &mut self.trace_sources),
-            ("exec_mode", &mut self.exec_modes),
-        ] {
-            if let Some(label) = metrics.get(key).and_then(Value::as_str) {
-                match counts.iter_mut().find(|(s, _)| s == label) {
-                    Some((_, n)) => *n += 1,
-                    None => counts.push((label.to_owned(), 1)),
-                }
+    /// Counts a cell's `exec_mode` label.
+    fn tally_exec_mode(&mut self, metrics: &Value) {
+        if let Some(label) = metrics.get("exec_mode").and_then(Value::as_str) {
+            match self.exec_modes.iter_mut().find(|(s, _)| s == label) {
+                Some((_, n)) => *n += 1,
+                None => self.exec_modes.push((label.to_owned(), 1)),
             }
         }
     }
@@ -116,7 +107,7 @@ impl Progress {
                     agg.rated_cells += 1;
                 }
             }
-            agg.tally_labels(metrics);
+            agg.tally_exec_mode(metrics);
         }
         if self.quiet {
             return;
@@ -153,7 +144,7 @@ impl Progress {
     /// Counts the labels of a cell restored from the journal: it did not
     /// run now, but the footer still names the path that produced it.
     pub fn restored(&self, metrics: &Value) {
-        self.aggregate.lock().unwrap().tally_labels(metrics);
+        self.aggregate.lock().unwrap().tally_exec_mode(metrics);
     }
 
     /// Aggregate simulator throughput in accesses per second across all
@@ -183,14 +174,6 @@ impl Progress {
             // the mean toward zero without carrying any signal.
             let mean = agg.cell_secs / agg.rated_cells as f64;
             detail = format!(" ({:.0} kacc/s aggregate, {mean:.2}s/cell)", rate / 1e3);
-        }
-        if !agg.trace_sources.is_empty() {
-            let counts: Vec<String> = agg
-                .trace_sources
-                .iter()
-                .map(|(s, n)| format!("{n} {s}"))
-                .collect();
-            detail.push_str(&format!(" [traces: {}]", counts.join(", ")));
         }
         if !agg.exec_modes.is_empty() {
             let counts: Vec<String> = agg
@@ -327,28 +310,6 @@ mod tests {
     }
 
     #[test]
-    fn trace_sources_are_counted_per_label() {
-        let p = Progress::new("t", 4, true);
-        let cached = Value::object().with("trace_source", Value::str("cached"));
-        let materialized = Value::object().with("trace_source", Value::str("materialized"));
-        let regen = Value::object().with("trace_source", Value::str("regenerated"));
-        p.cell_done("a", Duration::from_millis(5), &materialized);
-        p.cell_done("b", Duration::from_millis(5), &cached);
-        p.cell_done("c", Duration::from_millis(5), &cached);
-        p.cell_done("d", Duration::from_millis(5), &regen);
-        let agg = p.aggregate.lock().unwrap().clone();
-        assert_eq!(
-            agg.trace_sources,
-            vec![
-                ("materialized".to_owned(), 1),
-                ("cached".to_owned(), 2),
-                ("regenerated".to_owned(), 1)
-            ]
-        );
-        p.finish(0);
-    }
-
-    #[test]
     fn exec_modes_are_counted_per_label() {
         let p = Progress::new("t", 3, true);
         let fused = Value::object().with("exec_mode", Value::str("fused"));
@@ -368,7 +329,8 @@ mod tests {
     fn footer_tallies_retired_labels_of_restored_cells() {
         // A journal written before the execution modes were collapsed:
         // nothing runs now, yet the footer still names every path that
-        // produced the restored results.
+        // produced the restored results. The retired `trace_source`
+        // labels are ignored.
         let p = Progress::new("t", 0, true);
         for (mode, source) in [
             ("shared", "cached"),
@@ -383,10 +345,7 @@ mod tests {
         }
         let footer = p.summary(3);
         assert!(footer.contains("3 cells done (3 from journal)"), "{footer}");
-        assert!(
-            footer.contains("[traces: 2 cached, 1 regenerated]"),
-            "{footer}"
-        );
+        assert!(!footer.contains("[traces"), "{footer}");
         assert!(
             footer.contains("[exec: 1 shared, 1 pipelined, 1 sharded]"),
             "{footer}"

@@ -31,7 +31,7 @@ cargo build --release --offline --manifest-path benchmark/Cargo.toml
 
 # Conformance gate: bounded differential fuzz + invariant sweep
 # (including the fused-, fastpath-, serve-, and topology-determinism
-# checks: inline stepping, fused groups streamed and buffer-fed, the
+# checks: inline stepping, streamed fused groups, the
 # batched L1 fast path, and every built-in hierarchy spec must be
 # bit-identical to the verbatim reference over the adversarial trace
 # families) at a fixed seed, so every run covers the identical
@@ -70,10 +70,11 @@ else
 fi
 
 # Serve smoke: boot the daemon on an ephemeral loopback port and push
-# a 2x2 sweep through a real client with offline verification: the
-# server replays cached buffers, the offline sweep streams, so
-# --verify-offline is an end-to-end bit-exactness gate between the two
-# trace sources (the submit exits non-zero on any byte difference).
+# a 2x2 sweep through a real client with offline verification: server
+# and offline sweep run the same streamed fused groups, so
+# --verify-offline is an end-to-end bit-exactness gate across the pool,
+# journal and wire codec (the submit exits non-zero on any byte
+# difference).
 # Then shut down gracefully. Everything is timeout-bounded so a wedged
 # server fails the gate instead of hanging it.
 echo "==> slip serve loopback smoke"
@@ -129,6 +130,22 @@ if ./target/release/slip sweep gcc --accesses 1000 --shards 2 \
 fi
 grep -q 'fused benchmark groups; parallelism is --jobs' "$RETIRED_ERR" || {
     echo "retired --shards error lacks the replacement:" >&2
+    cat "$RETIRED_ERR" >&2
+    exit 1
+}
+rm -f "$RETIRED_ERR"
+
+# The same for the retired serve trace-cache budget: every trace is
+# streamed, so the flag must fail at parse time, before the server
+# binds (timeout-bounded in case it ever starts serving instead).
+echo "==> slip serve --trace-cache-mb 64 rejection smoke"
+if timeout 10 ./target/release/slip serve --addr 127.0.0.1:0 --trace-cache-mb 64 \
+    >/dev/null 2>"$RETIRED_ERR"; then
+    echo "retired --trace-cache-mb flag was accepted" >&2
+    exit 1
+fi
+grep -q 'so there is no cache budget to set' "$RETIRED_ERR" || {
+    echo "retired --trace-cache-mb error lacks the replacement:" >&2
     cat "$RETIRED_ERR" >&2
     exit 1
 }
