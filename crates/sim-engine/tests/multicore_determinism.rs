@@ -5,8 +5,8 @@
 use sim_engine::codec;
 use sim_engine::config::{PolicyKind, SystemConfig};
 use sim_engine::experiments::{SuiteOptions, SuiteResults};
-use sim_engine::multicore::{run_mix, MulticoreResult};
-use sim_engine::system::run_workload_with_warmup;
+use sim_engine::multicore::{run_mix, DualCoreSystem, MulticoreResult};
+use sim_engine::system::{run_workload, run_workload_with_warmup};
 use sim_engine::SweepConfig;
 
 const LEN: u64 = 25_000;
@@ -91,5 +91,39 @@ fn fused_suite_is_deterministic_and_matches_inline() {
                 "cell ({bench}, {policy}) differs between fused and inline runs"
             );
         }
+    }
+}
+
+/// With an idle second core, the two-core driver is the single-core
+/// one: for the seedless policies (no MMU, no RNG stream to derive per
+/// core) it must reproduce `run_workload` on the first trace exactly.
+#[test]
+fn idle_second_core_reproduces_the_single_core_driver() {
+    let spec = workloads::workload("gcc").expect("known benchmark");
+    for policy in [PolicyKind::Baseline, PolicyKind::NuRapid] {
+        let config = SystemConfig::paper_45nm(policy);
+        let single = run_workload(config.clone(), &spec, LEN);
+        let mut dual = DualCoreSystem::new(config.clone());
+        dual.run(spec.trace(LEN, config.seed), core::iter::empty());
+        let dual = dual.finish(("gcc".to_owned(), "idle".to_owned()));
+        assert_eq!(dual.cycles, [single.cycles, 0], "{policy}");
+        assert_eq!(dual.accesses, [single.accesses, 0], "{policy}");
+        assert_eq!(dual.l2_stats, single.l2_stats, "{policy}");
+        assert_eq!(dual.l3_stats, single.l3_stats, "{policy}");
+        assert_eq!(dual.l2_energy, single.l2_energy.total(), "{policy}");
+        assert_eq!(dual.l3_energy, single.l3_energy.total(), "{policy}");
+        assert_eq!(
+            dual.dram_demand_traffic,
+            single.dram_reads + single.dram_writes,
+            "{policy}"
+        );
+        assert_eq!(
+            dual.dram_total_traffic,
+            single.dram_reads
+                + single.dram_writes
+                + single.dram_metadata_reads
+                + single.dram_metadata_writes,
+            "{policy}"
+        );
     }
 }
