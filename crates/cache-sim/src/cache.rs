@@ -645,10 +645,11 @@ impl CacheLevel {
     /// the line timestamp, and (for NUCA-style policies) performs any
     /// promotion the placement policy requests. Port contention is
     /// modeled per set: the access first drains any fill/promotion
-    /// backlog accrued on its set's port (`_now`, the current core
-    /// cycle, is kept in the signature for API stability but the model
-    /// is a pure function of set-local history, which is what lets a
-    /// set-shard of the level reproduce the serial timings exactly).
+    /// backlog accrued on its set's port, a pure function of set-local
+    /// history. `_now` (the current core cycle) is unused; it stays in
+    /// this signature and in [`fill`](Self::fill)/[`fill_into`](Self::fill_into)
+    /// only because the repo benchmark's ledger (`benchmark/src/ledger.rs`)
+    /// passes it.
     ///
     /// Generic over the concrete policy types so monomorphic call sites
     /// (e.g. the L1, which always runs `BaselinePolicy` + `Lru`) inline

@@ -19,6 +19,7 @@
 //!   --seed <N>                                          (default 0x511b)
 //!   --replacement <lru|drrip|ship>                      (default lru)
 //!   --inclusive                                         model an inclusive LLC
+//!                                                       (not `slip mix`)
 //!   --csv <path>                                        also write metrics as CSV
 //!   --jobs <N>          sweep/compare workers; a sweep runs each
 //!                       benchmark's policy cells as one fused group
@@ -455,6 +456,13 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
 
 fn cmd_mix(args: &[String]) -> Result<(), String> {
     let o = parse_options(args)?;
+    if o.inclusive {
+        return Err(
+            "`slip mix` does not take --inclusive: the two-core system models a \
+             non-inclusive LLC"
+                .to_owned(),
+        );
+    }
     let [a, b] = o.positional.as_slice() else {
         return Err("mix needs exactly two workloads".to_owned());
     };
@@ -1136,6 +1144,15 @@ mod tests {
     fn check_accepts_topology_and_rejects_bad_values() {
         assert!(cmd_check(&s(&["--topology"])).is_err());
         assert!(cmd_check(&s(&["--topology", "no-such-node"])).is_err());
+    }
+
+    #[test]
+    fn mix_rejects_inclusive() {
+        let err = cmd_mix(&s(&["gcc", "lbm", "--accesses", "1000", "--inclusive"])).unwrap_err();
+        assert!(
+            err.contains("the two-core system models a non-inclusive LLC"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -1,11 +1,13 @@
 //! System configuration: paper Table 1 plus our documented additions.
 
-use cache_sim::{CacheGeometry, CacheLevel, SublevelEnergies};
+use crate::dispatch::{AnyPlacement, AnyReplacement};
+use cache_sim::{BaselinePolicy, CacheGeometry, CacheLevel, Drrip, Lru, Ship, SublevelEnergies};
 use energy_model::{
     BankGrid, Energy, HierarchySpec, LevelEnergyParams, LevelSpec, TechnologyParams, Topology,
 };
 use mem_substrate::{SlipMmu, Tlb};
-use slip_core::{EouObjective, LevelModelParams, SamplingConfig};
+use nuca_baselines::{LruPea, NuRapid, PeaLru};
+use slip_core::{EouObjective, LevelModelParams, SamplingConfig, SlipLevel, SlipPlacement};
 
 /// Which placement policy drives the lower-level caches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -90,6 +92,19 @@ impl ReplacementKind {
             ReplacementKind::Ship => "SHiP",
         }
     }
+}
+
+/// The seeds of one cache level's stochastic policies. Each system
+/// derives its own from [`SystemConfig::seed`], so every level (and
+/// every core) draws an independent random stream.
+#[derive(Debug, Clone, Copy)]
+pub struct PolicySeeds {
+    /// LRU-PEA's random insertion.
+    pub lru_pea: u64,
+    /// SLIP's randomized victim sublevel (non-LRU replacement only).
+    pub slip_victim: u64,
+    /// DRRIP's set dueling.
+    pub drrip: u64,
 }
 
 /// Full system configuration (paper Table 1 + Table 2 + our additions).
@@ -315,6 +330,36 @@ impl SystemConfig {
         self.l2_sublevel_ways = l2;
         self.l3_sublevel_ways = l3;
         self
+    }
+
+    /// Builds one L2/L3 level's placement and replacement policies for
+    /// `geom`.
+    pub fn build_policies(
+        &self,
+        level: SlipLevel,
+        geom: &CacheGeometry,
+        seeds: PolicySeeds,
+    ) -> (AnyPlacement, AnyReplacement) {
+        let placement = match self.policy {
+            PolicyKind::Baseline => AnyPlacement::Baseline(BaselinePolicy::new()),
+            PolicyKind::NuRapid => AnyPlacement::NuRapid(NuRapid::new(geom)),
+            PolicyKind::LruPea => AnyPlacement::LruPea(LruPea::new(geom, seeds.lru_pea)),
+            PolicyKind::Slip | PolicyKind::SlipAbp => {
+                let mut p = SlipPlacement::new(level, geom);
+                if self.replacement != ReplacementKind::Lru {
+                    p = p.with_randomized_victim_sublevel(seeds.slip_victim);
+                }
+                AnyPlacement::Slip(p)
+            }
+        };
+        let replacement = match (self.policy, self.replacement) {
+            // LRU-PEA's defining feature is its eviction priority.
+            (PolicyKind::LruPea, _) => AnyReplacement::PeaLru(PeaLru::new()),
+            (_, ReplacementKind::Lru) => AnyReplacement::Lru(Lru::new()),
+            (_, ReplacementKind::Drrip) => AnyReplacement::Drrip(Drrip::new(seeds.drrip)),
+            (_, ReplacementKind::Ship) => AnyReplacement::Ship(Ship::new()),
+        };
+        (placement, replacement)
     }
 
     /// Builds the SLIP MMU of a SLIP policy (`None` otherwise): the two

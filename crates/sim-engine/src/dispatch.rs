@@ -6,7 +6,7 @@
 //! so boxing trait objects would pay an indirect call for each of the
 //! ~10 policy consultations per simulated access and wall off inlining
 //! into the cache controller's hot loop. These enums turn every
-//! consultation into a jump table over four arms whose bodies inline
+//! consultation into a jump table over a few arms whose bodies inline
 //! (see DESIGN.md §9).
 
 use cache_sim::{
@@ -14,7 +14,7 @@ use cache_sim::{
     PlacementPolicy, ReplacementPolicy, Ship, WayMask,
 };
 use nuca_baselines::{LruPea, NuRapid, PeaLru};
-use slip_core::SlipPlacement;
+use slip_core::{PartitionedSlip, SlipPlacement};
 
 /// Every placement policy a system can run, statically dispatched.
 #[derive(Debug)]
@@ -27,6 +27,9 @@ pub enum AnyPlacement {
     LruPea(LruPea),
     /// SLIP / SLIP+ABP sublevel placement.
     Slip(SlipPlacement),
+    /// SLIP confined to one core's ways of a partitioned shared L3
+    /// (paper §7).
+    Partitioned(PartitionedSlip),
 }
 
 /// Dispatches a method call to whichever policy the enum holds.
@@ -37,6 +40,7 @@ macro_rules! each_placement {
             AnyPlacement::NuRapid($p) => $body,
             AnyPlacement::LruPea($p) => $body,
             AnyPlacement::Slip($p) => $body,
+            AnyPlacement::Partitioned($p) => $body,
         }
     };
 }

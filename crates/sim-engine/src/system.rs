@@ -1,24 +1,32 @@
-//! The single-core full-hierarchy simulation driver.
+//! The full-hierarchy simulation driver and its one hierarchy walk.
 //!
 //! Each demand access flows core → (MMU, for SLIP) → L1 → L2 → L3 →
 //! DRAM, with fills propagating back up, writebacks flowing down
 //! (write-no-allocate below L1), SLIP distribution-metadata traffic
 //! injected at the L2 (it is TLB-side, not core-side), and reuse
 //! distances recorded for sampling pages. The hierarchy is
-//! non-inclusive, which is what makes the All-Bypass Policy legal
-//! (paper §4.3).
+//! non-inclusive unless configured otherwise, which is what makes the
+//! All-Bypass Policy legal (paper §4.3).
+//!
+//! The walk is split at the last level. A `Core` holds one core's
+//! private side (L1, L2, SLIP MMU, their policies, its clock); an `Llc`
+//! holds the side every core shares (L3, its policies, DRAM). A
+//! [`SingleCoreSystem`] is one core plus one LLC, and
+//! [`crate::multicore::DualCoreSystem`] is two cores sharing one. Every
+//! access, whether it steps its own L1, consumes a fused group's shared
+//! L1 verdict, or runs on either core of the two-core system, goes
+//! through the same `Core::translate` and `Core::below_l1`.
 
-use crate::config::{PolicyKind, ReplacementKind, SystemConfig};
+use crate::config::{PolicySeeds, SystemConfig};
 use crate::dispatch::{AnyPlacement, AnyReplacement};
 use crate::result::SimResult;
 use cache_sim::{
-    AccessClass, AccessKind, AccessResult, BaselinePolicy, CacheLevel, Drrip, FillOutcome,
-    FillRequest, LineAddr, Lru, PageId, Ship,
+    Access, AccessClass, AccessKind, AccessResult, BaselinePolicy, CacheLevel, FillOutcome,
+    FillRequest, LineAddr, Lru, PageId,
 };
 use energy_model::Energy;
 use mem_substrate::{Dram, SlipMmu};
-use nuca_baselines::{LruPea, NuRapid, PeaLru};
-use slip_core::{bin_for_distance, SlipLevel, SlipPlacement};
+use slip_core::{bin_for_distance, interleaved_partitions, PartitionedSlip, Slip, SlipLevel};
 use workloads::WorkloadSpec;
 
 /// Line address region where per-page distribution metadata lives.
@@ -30,24 +38,406 @@ const METADATA_BASE_LINE: u64 = 1 << 50;
 /// residual overhead), while a single fast hit re-arms it instantly.
 const FAST_BACKOFF_MAX: u32 = 64;
 
-/// A complete single-core system: L1 + L2 + L3 + DRAM (+ SLIP MMU).
-pub struct SingleCoreSystem {
-    config: SystemConfig,
-    l1: CacheLevel,
-    l2: CacheLevel,
-    l3: CacheLevel,
-    dram: Dram,
-    mmu: Option<SlipMmu>,
+/// The metadata line holding `page`'s packed distribution record.
+fn meta_line(page: PageId) -> LineAddr {
+    LineAddr(METADATA_BASE_LINE + page.0 / 16)
+}
+
+/// One core's private side of the hierarchy: L1, L2, the SLIP MMU (SLIP
+/// policies only), their policies and the core's clock.
+pub(crate) struct Core {
+    pub(crate) l1: CacheLevel,
+    pub(crate) l2: CacheLevel,
+    pub(crate) mmu: Option<SlipMmu>,
     l1_policy: BaselinePolicy,
     l1_repl: Lru,
     l2_policy: AnyPlacement,
-    l3_policy: AnyPlacement,
     l2_repl: AnyReplacement,
-    l3_repl: AnyReplacement,
     l2_cum_caps: Vec<usize>,
-    l3_cum_caps: Vec<usize>,
-    cycles: u64,
-    accesses: u64,
+    /// Which of the LLC's placement policies serves this core.
+    llc_slot: usize,
+    /// Core cycles per access besides memory latency.
+    cycles_per_access: u32,
+    pub(crate) cycles: u64,
+    pub(crate) accesses: u64,
+}
+
+/// The last-level side every core shares: the L3, its policies, DRAM.
+pub(crate) struct Llc {
+    pub(crate) l3: CacheLevel,
+    /// One shared placement policy, or one per core when a SLIP L3 is
+    /// way-partitioned (paper §7: SLIP within each core's partition).
+    policies: Vec<AnyPlacement>,
+    repl: AnyReplacement,
+    pub(crate) dram: Dram,
+    cum_caps: Vec<usize>,
+    /// The codes metadata lines carry: the Default SLIP, so they behave
+    /// like regular residents without recursive profiling (L2 and L3
+    /// share their sublevel count).
+    meta_codes: [u8; 2],
+    /// Inclusive LLC: an L3 eviction back-invalidates the filling
+    /// core's L1/L2, and an L3-bypassed line is served uncached.
+    inclusive: bool,
+    /// Reusable fill-outcome buffer: every fill at every level writes
+    /// into this scratch via `fill_into`, so the steady-state access
+    /// loop performs no per-access allocation. Writeback routing never
+    /// re-enters a fill, so a fill takes it for the length of its loop.
+    fill_scratch: FillOutcome,
+}
+
+/// How a demand miss refills the L1 once the levels below served it.
+pub(crate) enum L1Fill<'a> {
+    /// The core fills its own L1 (write-allocate: stores dirty it).
+    Own,
+    /// A fused group's shared L1 already filled; these are the dirty
+    /// victims it evicted, in eviction order.
+    Shared(&'a [LineAddr]),
+}
+
+impl Llc {
+    /// Builds the LLC of a system with `cores` cores.
+    pub(crate) fn new(config: &SystemConfig, seeds: PolicySeeds, cores: usize) -> Llc {
+        let l3 = config.build_l3();
+        let geom = l3.geometry();
+        let (shared, repl) = config.build_policies(SlipLevel::L3, geom, seeds);
+        let policies = if cores > 1 && config.partitioned_l3 && config.policy.is_slip() {
+            interleaved_partitions(geom, cores)
+                .into_iter()
+                .map(|part| {
+                    AnyPlacement::Partitioned(PartitionedSlip::new(SlipLevel::L3, geom, part))
+                })
+                .collect()
+        } else {
+            vec![shared]
+        };
+        let cum_caps = geom.cumulative_sublevel_lines();
+        let code = Slip::default_slip(geom.sublevels())
+            .expect("valid sublevels")
+            .code();
+        Llc {
+            l3,
+            policies,
+            repl,
+            dram: Dram::from_pj_per_bit(config.tech.dram_pj_per_bit),
+            cum_caps,
+            meta_codes: [code, code],
+            inclusive: config.inclusive_llc,
+            fill_scratch: FillOutcome::default(),
+        }
+    }
+
+    /// The placement-policy slot serving core `core`.
+    pub(crate) fn slot_for(&self, core: usize) -> usize {
+        core % self.policies.len()
+    }
+
+    /// Offers a dirty line to the L3 (write-no-allocate); `false` when
+    /// it misses and must go on to DRAM. Writebacks only probe the
+    /// movement queue, which every slot's policy agrees on.
+    fn absorb_writeback(&mut self, line: LineAddr, slot: usize) -> bool {
+        self.l3.writeback_access(line, &mut self.policies[slot])
+    }
+}
+
+impl Core {
+    /// Builds one core: `seeds` drive its L2 policies, `mmu_seed` its
+    /// SLIP MMU, and `llc_slot` picks its LLC placement policy.
+    pub(crate) fn new(
+        config: &SystemConfig,
+        seeds: PolicySeeds,
+        mmu_seed: u64,
+        llc_slot: usize,
+    ) -> Core {
+        let l2 = config.build_l2();
+        let (l2_policy, l2_repl) = config.build_policies(SlipLevel::L2, l2.geometry(), seeds);
+        let l2_cum_caps = l2.geometry().cumulative_sublevel_lines();
+        Core {
+            l1: config.build_l1(),
+            l2,
+            mmu: config.build_mmu(mmu_seed),
+            l1_policy: BaselinePolicy::new(),
+            l1_repl: Lru::new(),
+            l2_policy,
+            l2_repl,
+            l2_cum_caps,
+            llc_slot,
+            cycles_per_access: config.core_cycles_per_access,
+            cycles: 0,
+            accesses: 0,
+        }
+    }
+
+    /// One demand access through this core's own L1. Kept out of line
+    /// so the L1 fast path that falls back to it stays small.
+    #[inline(never)]
+    pub(crate) fn step(&mut self, llc: &mut Llc, access: Access) {
+        let (latency, req) = self.translate(llc, access);
+        let r1 = self.l1.access(
+            req.addr,
+            access.kind,
+            AccessClass::Demand,
+            self.cycles,
+            &mut self.l1_policy,
+            &mut self.l1_repl,
+        );
+        if r1.is_hit() {
+            self.cycles += u64::from(latency + r1.latency());
+        } else {
+            self.below_l1(llc, access.kind, latency + r1.latency(), req, L1Fill::Own);
+        }
+    }
+
+    /// Counts a demand access and translates it (SLIP only), issuing the
+    /// distribution-metadata traffic a TLB miss or eviction causes.
+    /// Returns the latency accrued so far and the request the levels
+    /// below the L1 fill the line with.
+    ///
+    /// This and [`Self::below_l1`] are inlined into every caller, so each
+    /// entry point compiles to one straight walk; as out-of-line calls
+    /// they made a step about 10% slower.
+    #[inline(always)]
+    pub(crate) fn translate(&mut self, llc: &mut Llc, access: Access) -> (u32, FillRequest) {
+        self.accesses += 1;
+        let line = access.line();
+        let mut req = FillRequest::new(line);
+        // SHiP signature of the page.
+        req.signature = (access.page().0 & 0x3FFF) as u16;
+        let Some(mmu) = self.mmu.as_mut() else {
+            return (self.cycles_per_access, req);
+        };
+        let t = mmu.translate_line(line);
+        req.slip_codes = t.slip_codes;
+        req.sampling = t.sampling;
+        if t.fetch_metadata {
+            // The distribution fetch overlaps the demand access (it
+            // feeds the TLB, not the load); only its energy and traffic
+            // are charged, not its latency.
+            let block = mmu.block_of(line);
+            self.metadata_fetch(llc, meta_line(block));
+        }
+        if let Some(page) = t.writeback_metadata_page {
+            self.metadata_writeback(llc, meta_line(page));
+        }
+        (self.cycles_per_access + t.extra_cycles, req)
+    }
+
+    /// Serves an L1 miss from L2, L3 or DRAM, fills the levels back up
+    /// (the L1 as `l1` says), and advances the clock by `latency` plus
+    /// the cycles spent below the L1.
+    #[inline(always)]
+    pub(crate) fn below_l1(
+        &mut self,
+        llc: &mut Llc,
+        kind: AccessKind,
+        mut latency: u32,
+        req: FillRequest,
+        l1: L1Fill<'_>,
+    ) {
+        let line = req.addr;
+        let r2 = self.l2.access(
+            line,
+            kind,
+            AccessClass::Demand,
+            self.cycles,
+            &mut self.l2_policy,
+            &mut self.l2_repl,
+        );
+        latency += r2.latency();
+        if let AccessResult::Hit(h2) = r2 {
+            if req.sampling {
+                let bin = bin_for_distance(h2.reuse_distance, &self.l2_cum_caps);
+                self.record_reuse(line, SlipLevel::L2, bin);
+            }
+            self.fill_l1(llc, line, kind, l1);
+        } else {
+            if req.sampling {
+                self.record_reuse(line, SlipLevel::L2, self.l2_cum_caps.len());
+            }
+            let r3 = llc.l3.access(
+                line,
+                kind,
+                AccessClass::Demand,
+                self.cycles,
+                &mut llc.policies[self.llc_slot],
+                &mut llc.repl,
+            );
+            latency += r3.latency();
+            let cached_above = match r3 {
+                AccessResult::Hit(h3) => {
+                    if req.sampling {
+                        let bin = bin_for_distance(h3.reuse_distance, &llc.cum_caps);
+                        self.record_reuse(line, SlipLevel::L3, bin);
+                    }
+                    true
+                }
+                AccessResult::Miss { .. } => {
+                    if req.sampling {
+                        self.record_reuse(line, SlipLevel::L3, llc.cum_caps.len());
+                    }
+                    latency += llc.dram.read_line();
+                    let inclusive = llc.inclusive;
+                    // An inclusive LLC cannot hold a copy above a line
+                    // it does not hold (paper §4.3): a line the L3
+                    // bypassed is served uncached.
+                    !(self.fill_l3(llc, req, inclusive) && inclusive)
+                }
+            };
+            if cached_above {
+                self.fill_l2(llc, req);
+                self.fill_l1(llc, line, kind, l1);
+            }
+        }
+        self.cycles += u64::from(latency);
+    }
+
+    fn record_reuse(&mut self, line: LineAddr, level: SlipLevel, bin: usize) {
+        if let Some(mmu) = self.mmu.as_mut() {
+            mmu.record_reuse_line(line, level, bin);
+        }
+    }
+
+    /// Refills the L1 after a miss and routes its dirty victims down.
+    fn fill_l1(&mut self, llc: &mut Llc, line: LineAddr, kind: AccessKind, l1: L1Fill<'_>) {
+        match l1 {
+            L1Fill::Own => {
+                let mut req = FillRequest::new(line);
+                req.dirty = kind.is_write();
+                let mut out = core::mem::take(&mut llc.fill_scratch);
+                self.l1.fill_into(
+                    req,
+                    self.cycles,
+                    &mut self.l1_policy,
+                    &mut self.l1_repl,
+                    &mut out,
+                );
+                for wb in &out.writebacks {
+                    self.writeback_below_l1(llc, wb.addr);
+                }
+                llc.fill_scratch = out;
+            }
+            L1Fill::Shared(writebacks) => {
+                for &wb in writebacks {
+                    self.writeback_below_l1(llc, wb);
+                }
+            }
+        }
+    }
+
+    fn fill_l2(&mut self, llc: &mut Llc, req: FillRequest) {
+        let mut out = core::mem::take(&mut llc.fill_scratch);
+        self.l2.fill_into(
+            req,
+            self.cycles,
+            &mut self.l2_policy,
+            &mut self.l2_repl,
+            &mut out,
+        );
+        for wb in &out.writebacks {
+            if !llc.absorb_writeback(wb.addr, self.llc_slot) {
+                llc.dram.write_line();
+            }
+        }
+        llc.fill_scratch = out;
+    }
+
+    /// Fills the L3 from DRAM; returns whether the L3 bypassed the line.
+    /// With `back_invalidate`, every line leaving the L3 also leaves
+    /// this core's L1/L2.
+    fn fill_l3(&mut self, llc: &mut Llc, req: FillRequest, back_invalidate: bool) -> bool {
+        let mut out = core::mem::take(&mut llc.fill_scratch);
+        llc.l3.fill_into(
+            req,
+            self.cycles,
+            &mut llc.policies[self.llc_slot],
+            &mut llc.repl,
+            &mut out,
+        );
+        for wb in &out.writebacks {
+            llc.dram.write_line();
+            if back_invalidate {
+                self.back_invalidate(llc, wb.addr);
+            }
+        }
+        if back_invalidate {
+            for ev in &out.clean_evictions {
+                self.back_invalidate(llc, ev.addr);
+            }
+        }
+        let bypassed = out.bypassed;
+        llc.fill_scratch = out;
+        bypassed
+    }
+
+    /// Inclusive-LLC back-invalidation: a line leaving the L3 must also
+    /// leave the levels above; dirty upper copies go straight to DRAM
+    /// (their L3 copy is gone).
+    fn back_invalidate(&mut self, llc: &mut Llc, line: LineAddr) {
+        let dirty_above = self.l1.invalidate(line).is_some_and(|e| e.dirty)
+            | self.l2.invalidate(line).is_some_and(|e| e.dirty);
+        if dirty_above {
+            llc.dram.write_line();
+        }
+    }
+
+    /// Routes an L1 dirty eviction down the hierarchy
+    /// (write-no-allocate at L2/L3).
+    fn writeback_below_l1(&mut self, llc: &mut Llc, line: LineAddr) {
+        if !self.l2.writeback_access(line, &mut self.l2_policy)
+            && !llc.absorb_writeback(line, self.llc_slot)
+        {
+            llc.dram.write_line();
+        }
+    }
+
+    /// Fetches a page's 32 b distribution record through L2 → L3 → DRAM
+    /// (metadata class) and fills the metadata line into the caches.
+    fn metadata_fetch(&mut self, llc: &mut Llc, meta: LineAddr) {
+        let r2 = self.l2.access(
+            meta,
+            AccessKind::Read,
+            AccessClass::Metadata,
+            self.cycles,
+            &mut self.l2_policy,
+            &mut self.l2_repl,
+        );
+        if r2.is_hit() {
+            return;
+        }
+        let mut req = FillRequest::new(meta);
+        req.slip_codes = llc.meta_codes;
+        req.signature = 0xFFFF;
+        let r3 = llc.l3.access(
+            meta,
+            AccessKind::Read,
+            AccessClass::Metadata,
+            self.cycles,
+            &mut llc.policies[self.llc_slot],
+            &mut llc.repl,
+        );
+        if !r3.is_hit() {
+            llc.dram.read_metadata();
+            // Metadata fills never back-invalidate.
+            self.fill_l3(llc, req, false);
+        }
+        self.fill_l2(llc, req);
+    }
+
+    /// Writes a page's distribution record back (TLB eviction of a
+    /// sampling page).
+    fn metadata_writeback(&mut self, llc: &mut Llc, meta: LineAddr) {
+        if !self.l2.writeback_access(meta, &mut self.l2_policy)
+            && !llc.absorb_writeback(meta, self.llc_slot)
+        {
+            llc.dram.write_metadata();
+        }
+    }
+}
+
+/// A complete single-core system: L1 + L2 + L3 + DRAM (+ SLIP MMU).
+pub struct SingleCoreSystem {
+    config: SystemConfig,
+    core: Core,
+    llc: Llc,
     /// Whether the L1 hit-run scanner is armed (`!reference_hot_path`):
     /// [`Self::step_fast`] retires consecutive L1 hits through the SoA
     /// fast path and defers their accounting into the pending
@@ -68,107 +458,32 @@ pub struct SingleCoreSystem {
     /// Next backoff length after another fast-path fallback; doubles to
     /// [`FAST_BACKOFF_MAX`], reset to 1 by any fast hit.
     fast_penalty: u32,
-    /// Reusable fill-outcome buffer: every fill at every level writes
-    /// into this scratch via `fill_into`, so the steady-state access
-    /// loop performs no per-access allocation.
-    fill_scratch: FillOutcome,
 }
 
 impl SingleCoreSystem {
     /// Builds a system for `config`.
     pub fn new(config: SystemConfig) -> Self {
-        let l1 = config.build_l1();
-        let l2 = config.build_l2();
-        let l3 = config.build_l3();
-        let l2_geom = l2.geometry().clone();
-        let l3_geom = l3.geometry().clone();
         let seed = config.seed;
-
-        let randomized_victims = config.replacement != ReplacementKind::Lru;
-        let (l2_policy, l3_policy): (AnyPlacement, AnyPlacement) = match config.policy {
-            PolicyKind::Baseline => (
-                AnyPlacement::Baseline(BaselinePolicy::new()),
-                AnyPlacement::Baseline(BaselinePolicy::new()),
-            ),
-            PolicyKind::NuRapid => (
-                AnyPlacement::NuRapid(NuRapid::new(&l2_geom)),
-                AnyPlacement::NuRapid(NuRapid::new(&l3_geom)),
-            ),
-            PolicyKind::LruPea => (
-                AnyPlacement::LruPea(LruPea::new(&l2_geom, seed ^ 0xA)),
-                AnyPlacement::LruPea(LruPea::new(&l3_geom, seed ^ 0xB)),
-            ),
-            PolicyKind::Slip | PolicyKind::SlipAbp => {
-                let mut p2 = SlipPlacement::new(SlipLevel::L2, &l2_geom);
-                let mut p3 = SlipPlacement::new(SlipLevel::L3, &l3_geom);
-                if randomized_victims {
-                    p2 = p2.with_randomized_victim_sublevel(seed ^ 0xC);
-                    p3 = p3.with_randomized_victim_sublevel(seed ^ 0xD);
-                }
-                (AnyPlacement::Slip(p2), AnyPlacement::Slip(p3))
-            }
+        let l2_seeds = PolicySeeds {
+            lru_pea: seed ^ 0xA,
+            slip_victim: seed ^ 0xC,
+            drrip: seed ^ 0x22,
         };
-
-        let make_repl = |salt: u64| -> AnyReplacement {
-            if config.policy == PolicyKind::LruPea {
-                // LRU-PEA's defining feature is its eviction priority.
-                return AnyReplacement::PeaLru(PeaLru::new());
-            }
-            match config.replacement {
-                ReplacementKind::Lru => AnyReplacement::Lru(Lru::new()),
-                ReplacementKind::Drrip => AnyReplacement::Drrip(Drrip::new(seed ^ salt)),
-                ReplacementKind::Ship => AnyReplacement::Ship(Ship::new()),
-            }
+        let l3_seeds = PolicySeeds {
+            lru_pea: seed ^ 0xB,
+            slip_victim: seed ^ 0xD,
+            drrip: seed ^ 0x33,
         };
-
-        let mmu = config.build_mmu(seed ^ 0x1);
-
-        let l2_cum_caps = l2_geom.cumulative_sublevel_lines();
-        let l3_cum_caps = l3_geom.cumulative_sublevel_lines();
-        let l2_repl = make_repl(0x22);
-        let l3_repl = make_repl(0x33);
-        let fast_path = !config.reference_hot_path;
-
         SingleCoreSystem {
-            config,
-            l1,
-            l2,
-            l3,
-            dram: Dram::from_pj_per_bit(0.0), // replaced below
-            mmu,
-            l1_policy: BaselinePolicy::new(),
-            l1_repl: Lru::new(),
-            l2_policy,
-            l3_policy,
-            l2_repl,
-            l3_repl,
-            l2_cum_caps,
-            l3_cum_caps,
-            cycles: 0,
-            accesses: 0,
-            fast_path,
+            core: Core::new(&config, l2_seeds, seed ^ 0x1, 0),
+            llc: Llc::new(&config, l3_seeds, 1),
+            fast_path: !config.reference_hot_path,
             pending_hits: 0,
             pending_hit_latency: 0,
             fast_backoff: 0,
             fast_penalty: 1,
-            fill_scratch: FillOutcome::default(),
+            config,
         }
-        .with_dram()
-    }
-
-    fn with_dram(mut self) -> Self {
-        self.dram = Dram::from_pj_per_bit(self.config.tech.dram_pj_per_bit);
-        self
-    }
-
-    /// The metadata line holding `page`'s packed distribution record.
-    fn meta_line(page: PageId) -> LineAddr {
-        LineAddr(METADATA_BASE_LINE + page.0 / 16)
-    }
-
-    /// SHiP signature for a page.
-    fn signature(page: PageId) -> u16 {
-        (page.0 & 0x3FFF) as u16
     }
 
     /// Simulates one access, retiring L1 hit runs through the batched
@@ -182,16 +497,16 @@ impl SingleCoreSystem {
     /// Anything else flushes the pending batch first and falls into
     /// [`Self::step`].
     #[inline]
-    pub fn step_fast(&mut self, access: cache_sim::Access) {
+    pub fn step_fast(&mut self, access: Access) {
         if self.fast_path && self.fast_backoff == 0 {
             let line = access.line();
-            let resident = match &self.mmu {
+            let resident = match &self.core.mmu {
                 Some(mmu) => mmu.is_resident_line(line),
                 None => true,
             };
             if resident {
-                if let Some(latency) = self.l1.try_demand_hit(line, access.kind.is_write()) {
-                    if let Some(mmu) = self.mmu.as_mut() {
+                if let Some(latency) = self.core.l1.try_demand_hit(line, access.kind.is_write()) {
+                    if let Some(mmu) = self.core.mmu.as_mut() {
                         mmu.commit_resident_hit(line);
                     }
                     self.pending_hits += 1;
@@ -216,16 +531,20 @@ impl SingleCoreSystem {
     /// the run through [`Self::step_fast`] one access at a time, which
     /// keeps the backoff evolution (and therefore every counter)
     /// exactly as if the caller had never batched.
-    pub fn step_fast_run(&mut self, access: cache_sim::Access, n: u64) {
+    pub fn step_fast_run(&mut self, access: Access, n: u64) {
         if n > 1 && self.fast_path && self.fast_backoff == 0 {
             let line = access.line();
-            let resident = match &self.mmu {
+            let resident = match &self.core.mmu {
                 Some(mmu) => mmu.is_resident_line(line),
                 None => true,
             };
             if resident {
-                if let Some(total) = self.l1.try_demand_hit_run(line, access.kind.is_write(), n) {
-                    if let Some(mmu) = self.mmu.as_mut() {
+                if let Some(total) =
+                    self.core
+                        .l1
+                        .try_demand_hit_run(line, access.kind.is_write(), n)
+                {
+                    if let Some(mmu) = self.core.mmu.as_mut() {
                         mmu.commit_resident_hits(line, n);
                     }
                     self.pending_hits += n;
@@ -250,237 +569,44 @@ impl SingleCoreSystem {
         }
         let n = core::mem::take(&mut self.pending_hits);
         let latency = core::mem::take(&mut self.pending_hit_latency);
-        self.accesses += n;
-        self.cycles += n * u64::from(self.config.core_cycles_per_access) + latency;
+        self.absorb(n, latency);
+    }
+
+    /// Credits `count` L1 hits whose latencies sum to `latency_sum`.
+    fn absorb(&mut self, count: u64, latency_sum: u64) {
+        self.core.accesses += count;
+        self.core.cycles += count * u64::from(self.config.core_cycles_per_access) + latency_sum;
     }
 
     /// Simulates one access; advances the cycle clock.
-    pub fn step(&mut self, access: cache_sim::Access) {
-        let line = access.line();
-        let page = access.page();
-        self.accesses += 1;
-        let mut latency = self.config.core_cycles_per_access;
-
-        // --- Translation (SLIP only) ---
-        let (slip_codes, sampling) = if let Some(mmu) = self.mmu.as_mut() {
-            let t = mmu.translate_line(line);
-            latency += t.extra_cycles;
-            if t.fetch_metadata {
-                // The distribution fetch overlaps the demand access (it
-                // feeds the TLB, not the load); only its energy and
-                // traffic are charged, not its latency.
-                let block = self.mmu.as_ref().expect("mmu present").block_of(line);
-                self.metadata_fetch(Self::meta_line(block));
-            }
-            if let Some(p) = t.writeback_metadata_page {
-                self.metadata_writeback(Self::meta_line(p));
-            }
-            (t.slip_codes, t.sampling)
-        } else {
-            ([0, 0], false)
-        };
-
-        // --- L1 ---
-        let now = self.cycles;
-        let r1 = self.l1.access(
-            line,
-            access.kind,
-            AccessClass::Demand,
-            now,
-            &mut self.l1_policy,
-            &mut self.l1_repl,
-        );
-        if let AccessResult::Hit(h) = r1 {
-            self.cycles += u64::from(latency + h.latency);
-            return;
-        }
-        latency += r1.latency();
-
-        // --- L2 ---
-        let r2 = self.l2.access(
-            line,
-            access.kind,
-            AccessClass::Demand,
-            now,
-            &mut self.l2_policy,
-            &mut self.l2_repl,
-        );
-        match r2 {
-            AccessResult::Hit(h2) => {
-                latency += h2.latency;
-                if sampling {
-                    let bin = bin_for_distance(h2.reuse_distance, &self.l2_cum_caps);
-                    if let Some(mmu) = self.mmu.as_mut() {
-                        mmu.record_reuse_line(line, SlipLevel::L2, bin);
-                    }
-                }
-                self.fill_l1(line, access.kind);
-            }
-            AccessResult::Miss { latency: l2_lat } => {
-                latency += l2_lat;
-                if sampling {
-                    if let Some(mmu) = self.mmu.as_mut() {
-                        mmu.record_reuse_line(line, SlipLevel::L2, self.l2_cum_caps.len());
-                    }
-                }
-                // --- L3 ---
-                let r3 = self.l3.access(
-                    line,
-                    access.kind,
-                    AccessClass::Demand,
-                    now,
-                    &mut self.l3_policy,
-                    &mut self.l3_repl,
-                );
-                match r3 {
-                    AccessResult::Hit(h3) => {
-                        latency += h3.latency;
-                        if sampling {
-                            let bin = bin_for_distance(h3.reuse_distance, &self.l3_cum_caps);
-                            if let Some(mmu) = self.mmu.as_mut() {
-                                mmu.record_reuse_line(line, SlipLevel::L3, bin);
-                            }
-                        }
-                        self.fill_l2(line, slip_codes, sampling, page);
-                        self.fill_l1(line, access.kind);
-                    }
-                    AccessResult::Miss { latency: l3_lat } => {
-                        latency += l3_lat;
-                        if sampling {
-                            if let Some(mmu) = self.mmu.as_mut() {
-                                mmu.record_reuse_line(line, SlipLevel::L3, self.l3_cum_caps.len());
-                            }
-                        }
-                        latency += self.dram.read_line();
-                        let l3_bypassed = self.fill_l3(line, slip_codes, sampling, page);
-                        if l3_bypassed && self.config.inclusive_llc {
-                            // An inclusive LLC cannot hold a copy above
-                            // a line it does not hold (paper §4.3) —
-                            // the line is served uncached.
-                        } else {
-                            self.fill_l2(line, slip_codes, sampling, page);
-                            self.fill_l1(line, access.kind);
-                        }
-                    }
-                }
-            }
-        }
-        self.cycles += u64::from(latency);
+    pub fn step(&mut self, access: Access) {
+        self.core.step(&mut self.llc, access);
     }
 
     /// Simulates one access whose L1 interaction was precomputed by a
-    /// group-shared L1 (see [`crate::fused`]). Mirrors [`step`] exactly
-    /// with the two L1 touch points replaced by `l1`: the probe result
-    /// feeds the latency accounting, and the victims the L1 fill would
-    /// have evicted are routed down this system's own L2/L3/DRAM at the
-    /// position `fill_l1` holds in the serial sequence.
+    /// group-shared L1 (see [`crate::fused`]). The same walk as
+    /// [`step`] with the two L1 touch points replaced by `l1`: the probe
+    /// result feeds the latency accounting, and the victims the L1 fill
+    /// evicted are routed down this system's own L2/L3/DRAM at the
+    /// point where [`step`] fills its own L1.
     ///
     /// Only legal for non-inclusive hierarchies, where nothing below
     /// the L1 ever reaches back into it — that is what makes the L1
     /// policy-invariant and thus shareable across a fused group.
     ///
     /// [`step`]: Self::step
-    pub fn step_below_l1(&mut self, access: cache_sim::Access, l1: &L1Verdict<'_>) {
+    pub fn step_below_l1(&mut self, access: Access, l1: &L1Verdict<'_>) {
         debug_assert!(
             !self.config.inclusive_llc,
             "shared L1 requires non-inclusive LLC"
         );
-        let line = access.line();
-        let page = access.page();
-        self.accesses += 1;
-        let mut latency = self.config.core_cycles_per_access;
-
-        let (slip_codes, sampling) = if let Some(mmu) = self.mmu.as_mut() {
-            let t = mmu.translate_line(line);
-            latency += t.extra_cycles;
-            if t.fetch_metadata {
-                let block = self.mmu.as_ref().expect("mmu present").block_of(line);
-                self.metadata_fetch(Self::meta_line(block));
-            }
-            if let Some(p) = t.writeback_metadata_page {
-                self.metadata_writeback(Self::meta_line(p));
-            }
-            (t.slip_codes, t.sampling)
-        } else {
-            ([0, 0], false)
-        };
-
+        let (latency, req) = self.core.translate(&mut self.llc, access);
         if l1.hit {
-            self.cycles += u64::from(latency + l1.latency);
-            return;
-        }
-        latency += l1.latency;
-
-        let now = self.cycles;
-        let r2 = self.l2.access(
-            line,
-            access.kind,
-            AccessClass::Demand,
-            now,
-            &mut self.l2_policy,
-            &mut self.l2_repl,
-        );
-        match r2 {
-            AccessResult::Hit(h2) => {
-                latency += h2.latency;
-                if sampling {
-                    let bin = bin_for_distance(h2.reuse_distance, &self.l2_cum_caps);
-                    if let Some(mmu) = self.mmu.as_mut() {
-                        mmu.record_reuse_line(line, SlipLevel::L2, bin);
-                    }
-                }
-                self.route_l1_writebacks(l1.writebacks);
-            }
-            AccessResult::Miss { latency: l2_lat } => {
-                latency += l2_lat;
-                if sampling {
-                    if let Some(mmu) = self.mmu.as_mut() {
-                        mmu.record_reuse_line(line, SlipLevel::L2, self.l2_cum_caps.len());
-                    }
-                }
-                let r3 = self.l3.access(
-                    line,
-                    access.kind,
-                    AccessClass::Demand,
-                    now,
-                    &mut self.l3_policy,
-                    &mut self.l3_repl,
-                );
-                match r3 {
-                    AccessResult::Hit(h3) => {
-                        latency += h3.latency;
-                        if sampling {
-                            let bin = bin_for_distance(h3.reuse_distance, &self.l3_cum_caps);
-                            if let Some(mmu) = self.mmu.as_mut() {
-                                mmu.record_reuse_line(line, SlipLevel::L3, bin);
-                            }
-                        }
-                        self.fill_l2(line, slip_codes, sampling, page);
-                        self.route_l1_writebacks(l1.writebacks);
-                    }
-                    AccessResult::Miss { latency: l3_lat } => {
-                        latency += l3_lat;
-                        if sampling {
-                            if let Some(mmu) = self.mmu.as_mut() {
-                                mmu.record_reuse_line(line, SlipLevel::L3, self.l3_cum_caps.len());
-                            }
-                        }
-                        latency += self.dram.read_line();
-                        self.fill_l3(line, slip_codes, sampling, page);
-                        self.fill_l2(line, slip_codes, sampling, page);
-                        self.route_l1_writebacks(l1.writebacks);
-                    }
-                }
-            }
-        }
-        self.cycles += u64::from(latency);
-    }
-
-    /// Dirty victims of the shared L1's fill, routed down this system's
-    /// hierarchy exactly where its own `fill_l1` would have.
-    fn route_l1_writebacks(&mut self, writebacks: &[LineAddr]) {
-        for &wb in writebacks {
-            self.writeback_below_l1(wb);
+            self.core.cycles += u64::from(latency + l1.latency);
+        } else {
+            let fill = L1Fill::Shared(l1.writebacks);
+            self.core
+                .below_l1(&mut self.llc, access.kind, latency + l1.latency, req, fill);
         }
     }
 
@@ -490,17 +616,16 @@ impl SingleCoreSystem {
     /// cycles and nothing else, so a batch folds to two sums.
     pub fn absorb_l1_hits(&mut self, count: u64, latency_sum: u64) {
         debug_assert!(
-            self.mmu.is_none(),
+            self.core.mmu.is_none(),
             "hit batching requires no per-access MMU work"
         );
-        self.accesses += count;
-        self.cycles += count * u64::from(self.config.core_cycles_per_access) + latency_sum;
+        self.absorb(count, latency_sum);
     }
 
     /// Whether this system carries a per-access MMU (the SLIP
     /// policies); such systems cannot batch L1 hit runs.
     pub fn has_mmu(&self) -> bool {
-        self.mmu.is_some()
+        self.core.mmu.is_some()
     }
 
     /// Fused-group fast path for an MMU-carrying cell: attempts to
@@ -512,7 +637,7 @@ impl SingleCoreSystem {
     /// that path is exact — the pending credits are pure counter adds
     /// that nothing below the L1 reads — but a non-resident line
     /// flushes eagerly anyway to keep batch lifetimes short.
-    pub fn try_absorb_shared_hit(&mut self, access: cache_sim::Access, hit_latency: u32) -> bool {
+    pub fn try_absorb_shared_hit(&mut self, access: Access, hit_latency: u32) -> bool {
         if !self.fast_path {
             return false;
         }
@@ -521,7 +646,7 @@ impl SingleCoreSystem {
             self.flush_hit_run();
             return false;
         }
-        if let Some(mmu) = self.mmu.as_mut() {
+        if let Some(mmu) = self.core.mmu.as_mut() {
             if !mmu.is_resident_line(access.line()) {
                 self.fast_backoff = self.fast_penalty;
                 self.fast_penalty = (self.fast_penalty * 2).min(FAST_BACKOFF_MAX);
@@ -536,180 +661,10 @@ impl SingleCoreSystem {
         true
     }
 
-    /// Fills a line into L1 (write-allocate: stores dirty the L1 copy).
-    fn fill_l1(&mut self, line: LineAddr, kind: AccessKind) {
-        let mut req = FillRequest::new(line);
-        req.dirty = kind.is_write();
-        let now = self.cycles;
-        // Writeback routing below never re-enters fill, so the scratch
-        // buffer can be taken for the duration of the loop.
-        let mut out = core::mem::take(&mut self.fill_scratch);
-        self.l1
-            .fill_into(req, now, &mut self.l1_policy, &mut self.l1_repl, &mut out);
-        for wb in &out.writebacks {
-            self.writeback_below_l1(wb.addr);
-        }
-        self.fill_scratch = out;
-    }
-
-    fn fill_l2(&mut self, line: LineAddr, slip_codes: [u8; 2], sampling: bool, page: PageId) {
-        let mut req = FillRequest::new(line);
-        req.slip_codes = slip_codes;
-        req.sampling = sampling;
-        req.signature = Self::signature(page);
-        let now = self.cycles;
-        let mut out = core::mem::take(&mut self.fill_scratch);
-        self.l2
-            .fill_into(req, now, &mut self.l2_policy, &mut self.l2_repl, &mut out);
-        for wb in &out.writebacks {
-            self.writeback_below_l2(wb.addr);
-        }
-        self.fill_scratch = out;
-    }
-
-    fn fill_l3(
-        &mut self,
-        line: LineAddr,
-        slip_codes: [u8; 2],
-        sampling: bool,
-        page: PageId,
-    ) -> bool {
-        let mut req = FillRequest::new(line);
-        req.slip_codes = slip_codes;
-        req.sampling = sampling;
-        req.signature = Self::signature(page);
-        let now = self.cycles;
-        let mut out = core::mem::take(&mut self.fill_scratch);
-        self.l3
-            .fill_into(req, now, &mut self.l3_policy, &mut self.l3_repl, &mut out);
-        for wb in &out.writebacks {
-            self.dram.write_line();
-            if self.config.inclusive_llc {
-                self.back_invalidate(wb.addr);
-            }
-        }
-        if self.config.inclusive_llc {
-            for ev in &out.clean_evictions {
-                self.back_invalidate(ev.addr);
-            }
-        }
-        let bypassed = out.bypassed;
-        self.fill_scratch = out;
-        bypassed
-    }
-
-    /// Inclusive-LLC back-invalidation: a line leaving the L3 must also
-    /// leave the levels above; dirty upper copies go straight to DRAM
-    /// (their L3 copy is gone).
-    fn back_invalidate(&mut self, line: LineAddr) {
-        let dirty_above = self.l1.invalidate(line).map(|e| e.dirty).unwrap_or(false)
-            | self.l2.invalidate(line).map(|e| e.dirty).unwrap_or(false);
-        if dirty_above {
-            self.dram.write_line();
-        }
-    }
-
-    /// Routes an L1 dirty eviction down the hierarchy
-    /// (write-no-allocate at L2/L3).
-    fn writeback_below_l1(&mut self, line: LineAddr) {
-        if self.l2.writeback_access(line, &mut self.l2_policy) {
-            return;
-        }
-        self.writeback_below_l2(line);
-    }
-
-    /// Routes an L2 dirty eviction to L3 or DRAM.
-    fn writeback_below_l2(&mut self, line: LineAddr) {
-        if self.l3.writeback_access(line, &mut self.l3_policy) {
-            return;
-        }
-        self.dram.write_line();
-    }
-
-    /// Fetches a page's 32 b distribution record through L2 → L3 → DRAM
-    /// (metadata class); fills the caches with the metadata line.
-    /// Returns the latency.
-    fn metadata_fetch(&mut self, meta_line: LineAddr) -> u32 {
-        let now = self.cycles;
-        let r2 = self.l2.access(
-            meta_line,
-            AccessKind::Read,
-            AccessClass::Metadata,
-            now,
-            &mut self.l2_policy,
-            &mut self.l2_repl,
-        );
-        if let AccessResult::Hit(h) = r2 {
-            return h.latency;
-        }
-        let mut latency = r2.latency();
-        let r3 = self.l3.access(
-            meta_line,
-            AccessKind::Read,
-            AccessClass::Metadata,
-            now,
-            &mut self.l3_policy,
-            &mut self.l3_repl,
-        );
-        match r3 {
-            AccessResult::Hit(h3) => {
-                latency += h3.latency;
-            }
-            AccessResult::Miss { latency: l3_lat } => {
-                latency += l3_lat + self.dram.read_metadata();
-                self.fill_metadata_line(meta_line, &FillLevel::L3);
-            }
-        }
-        self.fill_metadata_line(meta_line, &FillLevel::L2);
-        latency
-    }
-
-    fn fill_metadata_line(&mut self, meta_line: LineAddr, level: &FillLevel) {
-        // Metadata lines carry the Default SLIP so they behave like
-        // regular cache residents without recursive profiling.
-        let default_code = slip_core::Slip::default_slip(self.l2.geometry().sublevels())
-            .expect("valid sublevels")
-            .code();
-        let mut req = FillRequest::new(meta_line);
-        req.slip_codes = [default_code, default_code];
-        req.signature = 0xFFFF;
-        let now = self.cycles;
-        let mut out = core::mem::take(&mut self.fill_scratch);
-        match level {
-            FillLevel::L2 => {
-                self.l2
-                    .fill_into(req, now, &mut self.l2_policy, &mut self.l2_repl, &mut out);
-                for wb in &out.writebacks {
-                    self.writeback_below_l2(wb.addr);
-                }
-            }
-            FillLevel::L3 => {
-                self.l3
-                    .fill_into(req, now, &mut self.l3_policy, &mut self.l3_repl, &mut out);
-                for _wb in &out.writebacks {
-                    self.dram.write_line();
-                }
-            }
-        }
-        self.fill_scratch = out;
-    }
-
-    /// Writes a page's distribution record back (TLB eviction of a
-    /// sampling page).
-    fn metadata_writeback(&mut self, meta_line: LineAddr) {
-        if self.l2.writeback_access(meta_line, &mut self.l2_policy) {
-            return;
-        }
-        if self.l3.writeback_access(meta_line, &mut self.l3_policy) {
-            return;
-        }
-        self.dram.write_metadata();
-    }
-
     /// Runs a whole trace (through the hit-run scanner when armed),
     /// collapsing runs of identical accesses into single
     /// [`Self::step_fast_run`] calls.
-    pub fn run<I: IntoIterator<Item = cache_sim::Access>>(&mut self, trace: I) {
+    pub fn run<I: IntoIterator<Item = Access>>(&mut self, trace: I) {
         let mut trace = trace.into_iter();
         let Some(mut current) = trace.next() else {
             self.flush_hit_run();
@@ -738,42 +693,43 @@ impl SingleCoreSystem {
         // credit is architectural bookkeeping the reference run also
         // performs before its counters are zeroed).
         self.flush_hit_run();
-        self.l1.reset_measurements();
-        self.l2.reset_measurements();
-        self.l3.reset_measurements();
-        self.dram.reset_measurements();
-        if let Some(mmu) = self.mmu.as_mut() {
+        self.core.l1.reset_measurements();
+        self.core.l2.reset_measurements();
+        self.llc.l3.reset_measurements();
+        self.llc.dram.reset_measurements();
+        if let Some(mmu) = self.core.mmu.as_mut() {
             mmu.reset_measurements();
         }
-        self.cycles = 0;
-        self.accesses = 0;
+        self.core.cycles = 0;
+        self.core.accesses = 0;
     }
 
     /// Finalizes statistics and extracts the result.
     pub fn finish(mut self, workload: impl Into<String>) -> SimResult {
         self.flush_hit_run();
-        self.l1.finalize();
-        self.l2.finalize();
-        self.l3.finalize();
+        let (core, llc) = (&mut self.core, &mut self.llc);
+        core.l1.finalize();
+        core.l2.finalize();
+        llc.l3.finalize();
         SimResult {
             workload: workload.into(),
             policy: self.config.policy,
-            accesses: self.accesses,
-            cycles: self.cycles,
-            l1_stats: self.l1.stats.clone(),
-            l2_stats: self.l2.stats.clone(),
-            l3_stats: self.l3.stats.clone(),
-            l1_energy: self.l1.energy(),
-            l2_energy: self.l2.energy(),
-            l3_energy: self.l3.energy(),
-            dram_reads: self.dram.reads,
-            dram_writes: self.dram.writes,
-            dram_metadata_reads: self.dram.metadata_reads,
-            dram_metadata_writes: self.dram.metadata_writes,
-            dram_energy: self.dram.energy(),
-            mmu_stats: self.mmu.as_ref().map(|m| m.stats),
-            eou_energy: self.mmu.as_ref().map_or(Energy::ZERO, |m| m.eou_energy()),
-            core_energy: self.config.core_energy_per_access * self.accesses as f64,
+            accesses: core.accesses,
+            cycles: core.cycles,
+            l1_stats: core.l1.stats.clone(),
+            l2_stats: core.l2.stats.clone(),
+            l3_stats: llc.l3.stats.clone(),
+            l1_energy: core.l1.energy(),
+            l2_energy: core.l2.energy(),
+            l3_energy: llc.l3.energy(),
+            dram_reads: llc.dram.reads,
+            dram_writes: llc.dram.writes,
+            dram_metadata_reads: llc.dram.metadata_reads,
+            dram_metadata_writes: llc.dram.metadata_writes,
+            dram_energy: llc.dram.energy(),
+            mmu_stats: core.mmu.as_ref().map(|m| m.stats),
+            eou_energy: core.mmu.as_ref().map_or(Energy::ZERO, |m| m.eou_energy()),
+            core_energy: self.config.core_energy_per_access * core.accesses as f64,
             wall_time_secs: 0.0,
             exec_mode: None,
         }
@@ -789,8 +745,8 @@ impl SingleCoreSystem {
         // Fold the pending hit batch in on the fly so probes are
         // meaningful mid-run without forcing a flush.
         (
-            self.accesses + self.pending_hits,
-            self.cycles
+            self.core.accesses + self.pending_hits,
+            self.core.cycles
                 + self.pending_hits * u64::from(self.config.core_cycles_per_access)
                 + self.pending_hit_latency,
         )
@@ -798,23 +754,18 @@ impl SingleCoreSystem {
 
     /// Read access to the L2 (for tests).
     pub fn l2(&self) -> &CacheLevel {
-        &self.l2
+        &self.core.l2
     }
 
     /// Read access to the L3 (for tests).
     pub fn l3(&self) -> &CacheLevel {
-        &self.l3
+        &self.llc.l3
     }
 
     /// Read access to the MMU (for tests).
     pub fn mmu(&self) -> Option<&SlipMmu> {
-        self.mmu.as_ref()
+        self.core.mmu.as_ref()
     }
-}
-
-enum FillLevel {
-    L2,
-    L3,
 }
 
 /// The L1 interaction of one demand access, computed once on a fused
@@ -864,7 +815,7 @@ pub fn run_workload_with_warmup(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cache_sim::Access;
+    use crate::config::PolicyKind;
 
     fn config(policy: PolicyKind) -> SystemConfig {
         SystemConfig::paper_45nm(policy)

@@ -135,6 +135,21 @@ grep -q 'fused benchmark groups; parallelism is --jobs' "$RETIRED_ERR" || {
 }
 rm -f "$RETIRED_ERR"
 
+# The two-core system models a non-inclusive LLC only, so `slip mix`
+# must refuse --inclusive instead of silently running without it.
+echo "==> slip mix --inclusive rejection smoke"
+if ./target/release/slip mix gcc lbm --accesses 20000 --inclusive \
+    >/dev/null 2>"$RETIRED_ERR"; then
+    echo "slip mix accepted --inclusive" >&2
+    exit 1
+fi
+grep -q 'the two-core system models a non-inclusive LLC' "$RETIRED_ERR" || {
+    echo "slip mix --inclusive error lacks the reason:" >&2
+    cat "$RETIRED_ERR" >&2
+    exit 1
+}
+rm -f "$RETIRED_ERR"
+
 # The same for the retired serve trace-cache budget: every trace is
 # streamed, so the flag must fail at parse time, before the server
 # binds (timeout-bounded in case it ever starts serving instead).
