@@ -98,7 +98,7 @@ impl ReplacementKind {
 /// derives its own from [`SystemConfig::seed`], so every level (and
 /// every core) draws an independent random stream.
 #[derive(Debug, Clone, Copy)]
-pub struct PolicySeeds {
+pub(crate) struct PolicySeeds {
     /// LRU-PEA's random insertion.
     pub lru_pea: u64,
     /// SLIP's randomized victim sublevel (non-LRU replacement only).
@@ -334,7 +334,7 @@ impl SystemConfig {
 
     /// Builds one L2/L3 level's placement and replacement policies for
     /// `geom`.
-    pub fn build_policies(
+    pub(crate) fn build_policies(
         &self,
         level: SlipLevel,
         geom: &CacheGeometry,
