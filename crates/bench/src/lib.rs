@@ -60,50 +60,6 @@ pub fn print_header(title: &str) {
     println!("================================================================");
 }
 
-/// Times `f`, printing ns/iter (best and mean of several samples).
-///
-/// A deliberately small stand-in for a statistical bench harness: the
-/// iteration count is calibrated so each sample runs ~100ms, then five
-/// samples are measured. Good enough to spot relative regressions in
-/// the hot paths without any external dependency.
-pub fn microbench<T>(name: &str, mut f: impl FnMut() -> T) {
-    use std::time::Instant;
-
-    const TARGET_SAMPLE: f64 = 0.1; // seconds
-    const SAMPLES: usize = 5;
-
-    // Calibrate: grow the iteration count until one batch is measurable.
-    let mut iters: u64 = 1;
-    let per_iter = loop {
-        let t = Instant::now();
-        for _ in 0..iters {
-            std::hint::black_box(f());
-        }
-        let secs = t.elapsed().as_secs_f64();
-        if secs > 0.01 {
-            break secs / iters as f64;
-        }
-        iters = iters.saturating_mul(10);
-    };
-    let iters = ((TARGET_SAMPLE / per_iter) as u64).max(1);
-
-    let mut samples = [0f64; SAMPLES];
-    for s in &mut samples {
-        let t = Instant::now();
-        for _ in 0..iters {
-            std::hint::black_box(f());
-        }
-        *s = t.elapsed().as_secs_f64() / iters as f64;
-    }
-    let best = samples.iter().copied().fold(f64::INFINITY, f64::min);
-    let mean = samples.iter().sum::<f64>() / SAMPLES as f64;
-    println!(
-        "{name:<40} {:>12.1} ns/iter (mean {:>12.1} ns, {iters} iters x {SAMPLES})",
-        best * 1e9,
-        mean * 1e9,
-    );
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -7,8 +7,9 @@
 //! slip sweep [workload ...] [options]        benchmark x policy grid, parallel
 //! slip mix <bench_a> <bench_b> [options]     two cores, shared L3
 //! slip record <workload> <out.trc> [options] dump a synthetic trace
-//! slip bench [--quick] [--out b.json] [--check BENCH.json] [--tolerance PCT]
-//!                                            hot-path performance suite
+//! slip bench [--quick] [--out b.json] [--check BENCH.json]
+//!                                            throughput gate: four system
+//!                                            replays, fixed 20% bound
 //! slip check [--full] [--oracle] [--iters N] [--seed S] [--max-len N]
 //!                                            conformance: differential fuzz +
 //!                                            invariants (+ figure oracle)
@@ -73,7 +74,6 @@ usage:
   slip mix <bench_a> <bench_b> [--accesses N] [--seed S]
   slip record <workload> <out.trc> [--accesses N] [--seed S]
   slip bench [--quick] [--out bench.json] [--check BENCH_9.json]
-             [--tolerance PCT (default SLIP_BENCH_TOL or 20)]
   slip check [--quick|--full] [--oracle] [--iters N] [--seed S] [--max-len N]
              [--accesses N] [--jobs N] [--topology NODE|FILE]
   slip serve [--addr HOST:PORT] [--jobs N] [--journal-dir DIR]
@@ -115,9 +115,10 @@ struct Options {
     topology: Option<String>,
 }
 
-/// The error for a flag that used to pick an execution path or size a
-/// trace cache, naming what replaced it; `None` for any other flag.
-/// Retired flags fail at parse time instead of being ignored.
+/// The error for a flag that used to pick an execution path, size a
+/// trace cache or loosen the bench gate, naming what replaced it;
+/// `None` for any other flag. Retired flags fail at parse time instead
+/// of being ignored.
 fn retired_flag(flag: &str) -> Option<String> {
     let why = match flag {
         "--trace-mode" => {
@@ -132,6 +133,7 @@ fn retired_flag(flag: &str) -> Option<String> {
             "sweeps and `slip serve` stream every benchmark's trace through one fused \
              group, so there is no cache budget to set"
         }
+        "--tolerance" => "the `slip bench --check` regression bound is fixed at 20%",
         _ => return None,
     };
     Some(format!("{flag} is no longer supported: {why}"))
@@ -510,37 +512,14 @@ fn cmd_record(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Default regression tolerance for `slip bench --check`: fail when
-/// the fresh suite throughput drops more than this fraction below the
-/// baseline. Override per run with `--tolerance PCT` or per
-/// environment with `SLIP_BENCH_TOL` (both in percent).
+/// Regression bound for `slip bench --check`: fail when the fresh
+/// suite throughput drops more than this fraction below the baseline.
 const BENCH_REGRESSION_TOLERANCE: f64 = 0.20;
-
-/// Resolves the `--check` tolerance fraction: the `--tolerance` flag
-/// wins over the `SLIP_BENCH_TOL` environment value, which wins over
-/// the default. Both inputs are percentages in (0, 100).
-fn resolve_bench_tolerance(flag: Option<&str>, env: Option<&str>) -> Result<f64, String> {
-    let (source, text) = match (flag, env) {
-        (Some(t), _) => ("--tolerance", t),
-        (None, Some(t)) => ("SLIP_BENCH_TOL", t),
-        (None, None) => return Ok(BENCH_REGRESSION_TOLERANCE),
-    };
-    let pct: f64 = text
-        .parse()
-        .map_err(|_| format!("{source} must be a number, got {text:?}"))?;
-    if !(pct > 0.0 && pct < 100.0) {
-        return Err(format!(
-            "{source} must be a percentage in (0, 100), got {text:?}"
-        ));
-    }
-    Ok(pct / 100.0)
-}
 
 fn cmd_bench(args: &[String]) -> Result<(), String> {
     let mut quick = false;
     let mut out: Option<String> = None;
     let mut check: Option<String> = None;
-    let mut tolerance_flag: Option<String> = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         let mut value = |name: &str| -> Result<String, String> {
@@ -552,36 +531,27 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
             "--quick" => quick = true,
             "--out" => out = Some(value("--out")?),
             "--check" => check = Some(value("--check")?),
-            "--tolerance" => tolerance_flag = Some(value("--tolerance")?),
-            other => return Err(format!("unknown bench option {other:?}")),
+            other => {
+                return Err(retired_flag(other)
+                    .unwrap_or_else(|| format!("unknown bench option {other:?}")))
+            }
         }
     }
-    let env_tol = std::env::var("SLIP_BENCH_TOL").ok();
-    let tolerance = resolve_bench_tolerance(tolerance_flag.as_deref(), env_tol.as_deref())?;
+    sim_engine::env::check_retired()?;
 
     println!("slip bench ({} mode)", if quick { "quick" } else { "full" });
     let report = sim_engine::bench::run(quick);
     println!();
-    for k in &report.kernels {
-        println!("{:<40} {:>12.1} ns/iter", k.name, k.ns_per_iter);
-    }
     for s in &report.systems {
         println!(
-            "{:<40} {:>9.0} kacc/s ({} accesses in {:.3}s)",
+            "{:<40} {:>9.0} kacc/s ({} x {} accesses in {:.3}s)",
             s.name,
             s.accesses_per_sec / 1e3,
+            s.replays,
             s.accesses,
-            s.wall_secs
+            s.sample_secs
         );
     }
-    let s = &report.sweep;
-    println!(
-        "{:<40} {:>9.0} kacc/s ({} cells in {:.3}s)",
-        s.name,
-        s.accesses_per_sec / 1e3,
-        s.cells,
-        s.wall_secs
-    );
     println!(
         "{:<40} {:>9.0} kacc/s (geometric mean)",
         "suite",
@@ -599,7 +569,7 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
         let baseline = sweep_runner::json::Value::parse(&text)
             .map_err(|e| format!("parsing {path}: {e:?}"))?;
         let current = report.suite_accesses_per_sec;
-        let (base_rate, floor) = bench_check_verdict(current, &baseline, quick, tolerance)?;
+        let (base_rate, floor) = bench_check_verdict(current, &baseline, quick)?;
         println!(
             "\ncheck vs {path}: current {:.0} kacc/s, baseline {:.0} kacc/s (floor {:.0})",
             current / 1e3,
@@ -611,25 +581,23 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// The `slip bench --check` tolerance rule, isolated for testing:
-/// `current` must stay within `tolerance` (a fraction, see
-/// [`resolve_bench_tolerance`]) of the baseline's suite rate. Returns
-/// `(baseline_rate, floor)` on success.
+/// The `slip bench --check` rule, isolated for testing: `current` must
+/// stay within [`BENCH_REGRESSION_TOLERANCE`] of the baseline's suite
+/// rate. Returns `(baseline_rate, floor)` on success.
 fn bench_check_verdict(
     current: f64,
     baseline: &sweep_runner::json::Value,
     quick: bool,
-    tolerance: f64,
 ) -> Result<(f64, f64), String> {
     let base_rate = sim_engine::bench::baseline_suite_rate(baseline, quick)
         .ok_or_else(|| "baseline has no suite_accesses_per_sec".to_owned())?;
-    let floor = base_rate * (1.0 - tolerance);
+    let floor = base_rate * (1.0 - BENCH_REGRESSION_TOLERANCE);
     if current < floor {
         return Err(format!(
             "throughput regression: {:.0} kacc/s is more than {:.0}% below the \
              baseline {:.0} kacc/s",
             current / 1e3,
-            tolerance * 100.0,
+            BENCH_REGRESSION_TOLERANCE * 100.0,
             base_rate / 1e3
         ));
     }
@@ -1187,62 +1155,19 @@ mod tests {
     fn bench_check_passes_inside_the_tolerance_band() {
         let baseline = baseline_json(r#"{"suite_accesses_per_sec": 1000000.0}"#);
         // 20% tolerance: the floor is 800k.
-        let (base, floor) =
-            bench_check_verdict(900_000.0, &baseline, false, BENCH_REGRESSION_TOLERANCE).unwrap();
+        let (base, floor) = bench_check_verdict(900_000.0, &baseline, false).unwrap();
         assert_eq!(base, 1_000_000.0);
         assert_eq!(floor, 800_000.0);
         // Exactly at the floor still passes; faster than baseline too.
-        assert!(
-            bench_check_verdict(800_000.0, &baseline, false, BENCH_REGRESSION_TOLERANCE).is_ok()
-        );
-        assert!(
-            bench_check_verdict(2_000_000.0, &baseline, false, BENCH_REGRESSION_TOLERANCE).is_ok()
-        );
+        assert!(bench_check_verdict(800_000.0, &baseline, false).is_ok());
+        assert!(bench_check_verdict(2_000_000.0, &baseline, false).is_ok());
     }
 
     #[test]
     fn bench_check_fails_below_the_tolerance_band() {
         let baseline = baseline_json(r#"{"suite_accesses_per_sec": 1000000.0}"#);
-        let err = bench_check_verdict(799_999.0, &baseline, false, BENCH_REGRESSION_TOLERANCE)
-            .unwrap_err();
+        let err = bench_check_verdict(799_999.0, &baseline, false).unwrap_err();
         assert!(err.contains("regression"), "{err}");
-    }
-
-    #[test]
-    fn bench_check_honors_a_custom_tolerance() {
-        let baseline = baseline_json(r#"{"suite_accesses_per_sec": 1000000.0}"#);
-        // A 5% band fails what the default 20% band accepts...
-        assert!(bench_check_verdict(900_000.0, &baseline, false, 0.05).is_err());
-        let (_, floor) = bench_check_verdict(960_000.0, &baseline, false, 0.05).unwrap();
-        assert_eq!(floor, 950_000.0);
-        // ...and a 50% band accepts what the default rejects.
-        assert!(bench_check_verdict(600_000.0, &baseline, false, 0.50).is_ok());
-    }
-
-    #[test]
-    fn bench_tolerance_resolution_order_and_validation() {
-        // Default when neither source is set.
-        assert_eq!(
-            resolve_bench_tolerance(None, None).unwrap(),
-            BENCH_REGRESSION_TOLERANCE
-        );
-        // Environment value applies; the flag overrides it.
-        assert_eq!(resolve_bench_tolerance(None, Some("10")).unwrap(), 0.10);
-        assert_eq!(
-            resolve_bench_tolerance(Some("35"), Some("10")).unwrap(),
-            0.35
-        );
-        assert_eq!(resolve_bench_tolerance(Some("2.5"), None).unwrap(), 0.025);
-        // Junk and out-of-range percentages are rejected, naming the
-        // offending source.
-        assert!(resolve_bench_tolerance(Some("fast"), None)
-            .unwrap_err()
-            .contains("--tolerance"));
-        assert!(resolve_bench_tolerance(None, Some("-3"))
-            .unwrap_err()
-            .contains("SLIP_BENCH_TOL"));
-        assert!(resolve_bench_tolerance(Some("0"), None).is_err());
-        assert!(resolve_bench_tolerance(Some("100"), None).is_err());
     }
 
     #[test]
@@ -1254,24 +1179,38 @@ mod tests {
         );
         // 90k passes against the quick section (floor 80k) but fails
         // against the full section (floor 800k).
-        assert!(bench_check_verdict(90_000.0, &baseline, true, BENCH_REGRESSION_TOLERANCE).is_ok());
-        assert!(
-            bench_check_verdict(90_000.0, &baseline, false, BENCH_REGRESSION_TOLERANCE).is_err()
-        );
+        assert!(bench_check_verdict(90_000.0, &baseline, true).is_ok());
+        assert!(bench_check_verdict(90_000.0, &baseline, false).is_err());
     }
 
     #[test]
     fn bench_check_rejects_baselines_without_a_suite_rate() {
         let baseline = baseline_json(r#"{"kernels": []}"#);
-        let err =
-            bench_check_verdict(1.0, &baseline, false, BENCH_REGRESSION_TOLERANCE).unwrap_err();
+        let err = bench_check_verdict(1.0, &baseline, false).unwrap_err();
         assert!(err.contains("suite_accesses_per_sec"), "{err}");
     }
 
     #[test]
-    fn bench_rejects_bad_tolerance_before_running() {
-        assert!(cmd_bench(&s(&["--tolerance"])).is_err());
-        assert!(cmd_bench(&s(&["--tolerance", "lots"])).is_err());
+    fn bench_rejects_retired_tolerance() {
+        // The flag fails at parse time, before any kernel runs.
+        retired_error(cmd_bench, &["--quick", "--tolerance", "50"], "fixed at 20%");
+        // The variable fails the same way, through `env::check_retired`.
+        // Setting it here would race the env reads of concurrent tests,
+        // so that half runs in a child copy of this test binary.
+        if std::env::var_os("SLIP_BENCH_TOL").is_some() {
+            let err = cmd_bench(&s(&["--quick"])).unwrap_err();
+            assert!(err.starts_with("SLIP_BENCH_TOL="), "{err}");
+            assert!(err.contains("fixed at 20%"), "{err}");
+            return;
+        }
+        let child = std::process::Command::new(std::env::current_exe().unwrap())
+            .args(["--exact", "tests::bench_rejects_retired_tolerance"])
+            .env("SLIP_BENCH_TOL", "50")
+            .output()
+            .unwrap();
+        let stdout = String::from_utf8_lossy(&child.stdout);
+        assert!(child.status.success(), "{stdout}");
+        assert!(stdout.contains("1 passed"), "{stdout}");
     }
 
     #[test]

@@ -14,8 +14,9 @@
 //! | `SLIP_TOPOLOGY`       | hierarchy spec: built-in node name or file path | unset (built-in 45 nm) |
 //!
 //! One exception to the garbage-falls-back rule: the retired knobs
-//! `SLIP_TRACE_MODE`, `SLIP_SHARDS` and `SLIP_TRACE_CACHE_MB` are errors
-//! when set, not silently ignored — see [`check_retired`].
+//! `SLIP_TRACE_MODE`, `SLIP_SHARDS`, `SLIP_TRACE_CACHE_MB` and
+//! `SLIP_BENCH_TOL` are errors when set, not silently ignored — see
+//! [`check_retired`].
 use std::path::PathBuf;
 use std::str::FromStr;
 
@@ -58,10 +59,10 @@ pub fn fuzz_iters() -> Option<u64> {
     parse_var("SLIP_FUZZ_ITERS")
 }
 
-/// Environment knobs that used to select an execution path or size a
-/// trace cache, with what replaced them. Setting one is an error, never
-/// a silent no-op.
-const RETIRED: [(&str, &str); 3] = [
+/// Environment knobs that used to select an execution path, size a
+/// trace cache or loosen the bench gate, with what replaced them.
+/// Setting one is an error, never a silent no-op.
+const RETIRED: [(&str, &str); 4] = [
     (
         "SLIP_TRACE_MODE",
         "`slip run` steps its trace inline and sweeps always run fused benchmark groups; \
@@ -77,11 +78,15 @@ const RETIRED: [(&str, &str); 3] = [
         "sweeps and `slip serve` stream every trace through fused benchmark groups, \
          so there is no cache budget to set",
     ),
+    (
+        "SLIP_BENCH_TOL",
+        "the `slip bench --check` regression bound is fixed at 20%",
+    ),
 ];
 
 /// Fails when a retired knob (`SLIP_TRACE_MODE`, `SLIP_SHARDS`,
-/// `SLIP_TRACE_CACHE_MB`) is set to a non-empty value, naming its
-/// replacement.
+/// `SLIP_TRACE_CACHE_MB`, `SLIP_BENCH_TOL`) is set to a non-empty
+/// value, naming its replacement.
 pub fn check_retired() -> Result<(), String> {
     check_retired_in(|name| std::env::var(name).ok())
 }
@@ -132,11 +137,14 @@ mod tests {
             ("SLIP_TRACE_MODE", "--jobs"),
             ("SLIP_SHARDS", "--jobs"),
             ("SLIP_TRACE_CACHE_MB", "no cache budget"),
+            ("SLIP_BENCH_TOL", "fixed at 20%"),
         ] {
             let set = |value: &'static str| move |n: &str| (n == name).then(|| value.to_owned());
             let e = check_retired_in(set(" 2 ")).unwrap_err();
             assert!(e.starts_with(&format!("{name}=\"2\"")), "{e}");
-            assert!(e.contains("fused benchmark groups"), "{e}");
+            if name != "SLIP_BENCH_TOL" {
+                assert!(e.contains("fused benchmark groups"), "{e}");
+            }
             assert!(e.contains(replacement), "{e}");
             // Empty means unset.
             assert_eq!(check_retired_in(set("  ")), Ok(()));

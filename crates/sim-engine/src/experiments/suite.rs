@@ -21,15 +21,6 @@ use std::path::PathBuf;
 use sweep_runner::json::Value;
 use sweep_runner::SweepOptions;
 
-/// Default trace length per benchmark (overridable with the
-/// `SLIP_ACCESSES` environment variable).
-pub const DEFAULT_ACCESSES: u64 = env::DEFAULT_ACCESSES;
-
-/// Reads the trace length from `SLIP_ACCESSES` or returns the default.
-pub fn accesses_from_env() -> u64 {
-    env::accesses()
-}
-
 /// Options for a suite run.
 #[derive(Debug, Clone)]
 pub struct SuiteOptions {

@@ -166,10 +166,31 @@ grep -q 'so there is no cache budget to set' "$RETIRED_ERR" || {
 }
 rm -f "$RETIRED_ERR"
 
-# Perf-regression smoke: the quick microbench suite must stay within
-# the tolerance (default 20%, override with --tolerance/SLIP_BENCH_TOL)
-# of the committed baseline (BENCH_9.json). Wall-clock sensitive, so
-# allow opting out on loaded/shared machines.
+# The bench gate's bound is fixed: --tolerance must fail at parse
+# time, before any replay runs (timeout-bounded in case it ever starts
+# benching instead).
+echo "==> slip bench --quick --tolerance 50 rejection smoke"
+if timeout 10 ./target/release/slip bench --quick --tolerance 50 \
+    >"$RETIRED_ERR.out" 2>"$RETIRED_ERR"; then
+    echo "retired --tolerance flag was accepted" >&2
+    exit 1
+fi
+grep -q 'regression bound is fixed at 20%' "$RETIRED_ERR" || {
+    echo "retired --tolerance error lacks the fixed bound:" >&2
+    cat "$RETIRED_ERR" >&2
+    exit 1
+}
+if [ -s "$RETIRED_ERR.out" ]; then
+    echo "slip bench --tolerance started benching before failing:" >&2
+    cat "$RETIRED_ERR.out" >&2
+    exit 1
+fi
+rm -f "$RETIRED_ERR" "$RETIRED_ERR.out"
+
+# Perf-regression smoke: the quick suite rate (geometric mean of the
+# four system replays) must stay within a fixed 20% of the committed
+# baseline (BENCH_9.json). CPU-time sensitive, so allow opting out on
+# loaded/shared machines.
 if [ "${SLIP_SKIP_BENCH:-0}" = "1" ]; then
     echo "==> SLIP_SKIP_BENCH=1; skipping bench smoke"
 else
