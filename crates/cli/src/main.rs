@@ -1,61 +1,72 @@
 //! `slip` — command-line driver for the SLIP cache-energy simulator.
 //!
 //! ```text
-//! slip list                                  the built-in workloads
-//! slip run <workload|file.trc> [options]     one simulation, full metrics
-//! slip compare <workload> [options]          all five policies side by side
-//! slip sweep [workload ...] [options]        benchmark x policy grid, parallel
-//! slip mix <bench_a> <bench_b> [options]     two cores, shared L3
-//! slip record <workload> <out.trc> [options] dump a synthetic trace
-//! slip bench [--quick] [--out b.json] [--check BENCH.json]
-//!                                            throughput gate: four system
-//!                                            replays, fixed 20% bound
-//! slip check [--full] [--oracle] [--iters N] [--seed S] [--max-len N]
-//!                                            conformance: differential fuzz +
-//!                                            invariants (+ figure oracle)
+//! slip list                         the built-in workloads
+//! slip run <workload|file.trc>      one simulation, full metrics: --policy
+//!   --accesses (not for a .trc file, which runs whole) --seed --replacement
+//!   --inclusive --csv --topology
+//! slip compare <workload>           all five policies side by side: --accesses
+//!   --seed --replacement --inclusive --jobs --topology
+//! slip sweep [workload ...]         benchmark x policy grid: --accesses --seed
+//!   --jobs --journal --topology
+//! slip mix <bench_a> <bench_b>      two cores, shared L3: --policy --accesses
+//!   --seed --replacement --topology
+//! slip record <workload> <out.trc>  dump a synthetic trace: --accesses --seed
+//! slip bench                        throughput gate, four system replays and a
+//!   fixed 20% bound: --quick --out --check
+//! slip check                        conformance, differential fuzz + invariants:
+//!   --quick|--full --iters --seed --max-len --topology; --oracle adds the
+//!   figure oracle and takes --accesses --jobs
+//! slip serve                        the sweep daemon: --addr --jobs
+//!   --journal-dir --port-file --quiet
+//! slip submit [workload ...]        one sweep on a daemon: --policy (repeatable)
+//!   --accesses --warmup --topology --connect --verify-offline --quiet
+//! slip submit --resume RUN_ID       re-attach to a run: --ack --connect --quiet
+//! slip submit --stats|--shutdown    query or drain the daemon: --connect
 //!
-//! options:
-//!   --policy <baseline|nurapid|lru-pea|slip|slip-abp>   (default slip-abp)
-//!   --accesses <N>                                      (default 1000000)
-//!   --seed <N>                                          (default 0x511b)
-//!   --replacement <lru|drrip|ship>                      (default lru)
-//!   --inclusive                                         model an inclusive LLC
-//!                                                       (not `slip mix`)
-//!   --csv <path>                                        also write metrics as CSV
-//!   --jobs <N>          sweep/compare workers; a sweep runs each
-//!                       benchmark's policy cells as one fused group
-//!                       (one pass over its trace), split in half until
-//!                       every worker has a group
-//!                                                       (default SLIP_JOBS or all cores)
-//!   --journal <path>    JSONL run journal; a re-run with the same
-//!                       options resumes, skipping completed cells
-//!                                                       (default SLIP_JOURNAL)
-//!   --topology <node|file>  hierarchy spec: a built-in technology node
-//!                       (45nm, 22nm, stt-llc) or a spec file giving
-//!                       per-level geometry and read/write/insertion
-//!                       energies; malformed files are rejected with
-//!                       line/column diagnostics
-//!                                                       (default SLIP_TOPOLOGY or built-in 45 nm)
+//! --policy <baseline|nurapid|lru-pea|slip|slip-abp>   (default slip-abp)
+//! --accesses <N>                                      (default 1000000)
+//! --seed <N|0xN>          master seed                 (default 0x511b)
+//! --replacement <lru|drrip|ship>                      (default lru)
+//! --inclusive             model an inclusive LLC
+//! --csv <path>            also write metrics as CSV
+//! --jobs <N>              worker pool size, at least 1 (default SLIP_JOBS or
+//!                         all cores); a sweep runs each benchmark's cells as
+//!                         one fused group, split until every worker has one
+//! --journal <path>        JSONL run journal; a re-run resumes, skipping
+//!                         completed cells               (default SLIP_JOURNAL)
+//! --topology <node|file>  a built-in node (45nm, 22nm, stt-llc) or a spec
+//!                         file; malformed files fail with line/column
+//!                         diagnostics (default SLIP_TOPOLOGY or built-in 45 nm)
 //! ```
+//!
+//! A subcommand accepts a flag only where it reads it: every other flag
+//! fails before anything runs, naming the subcommand ([`Args::finish`]).
 
-use sim_engine::config::{PolicyKind, ReplacementKind, SystemConfig};
+use sim_engine::config::{PolicyKind, ReplacementKind, SystemConfig, DEFAULT_SEED};
 use sim_engine::experiments::{SuiteOptions, SuiteResults};
 use sim_engine::multicore::run_mix;
 use sim_engine::report::{pct, Table};
 use sim_engine::system::run_workload;
 use sim_engine::{SimResult, SingleCoreSystem, SweepConfig};
+use std::fmt::Display;
 use std::io::Write as _;
 use std::path::PathBuf;
 use std::process::ExitCode;
+use std::str::FromStr;
+use sweep_runner::json::Value;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match dispatch(&args) {
+    // Only an argument error prints the usage; a command that fails
+    // while it runs prints just its error.
+    match dispatch(&args)
+        .map_err(|e| format!("{e}\n\n{USAGE}"))
+        .and_then(|job| job())
+    {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
-            eprintln!();
-            eprintln!("{USAGE}");
             ExitCode::FAILURE
         }
     }
@@ -66,54 +77,60 @@ usage:
   slip list
   slip run <workload|file.trc> [--policy P] [--accesses N] [--seed S]
            [--replacement R] [--inclusive] [--csv out.csv]
-           [--topology NODE|FILE]
-  slip compare <workload> [--accesses N] [--seed S] [--jobs N]
-               [--topology NODE|FILE]
-  slip sweep [workload ...] [--accesses N] [--jobs N]
+           [--topology NODE|FILE]      (--accesses: workloads only)
+  slip compare <workload> [--accesses N] [--seed S] [--replacement R]
+               [--inclusive] [--jobs N] [--topology NODE|FILE]
+  slip sweep [workload ...] [--accesses N] [--seed S] [--jobs N]
              [--journal run.jsonl] [--topology NODE|FILE]
-  slip mix <bench_a> <bench_b> [--accesses N] [--seed S]
+  slip mix <bench_a> <bench_b> [--policy P] [--accesses N] [--seed S]
+           [--replacement R] [--topology NODE|FILE]
   slip record <workload> <out.trc> [--accesses N] [--seed S]
-  slip bench [--quick] [--out bench.json] [--check BENCH_9.json]
-  slip check [--quick|--full] [--oracle] [--iters N] [--seed S] [--max-len N]
-             [--accesses N] [--jobs N] [--topology NODE|FILE]
+  slip bench [--quick] [--out bench.json] [--check BENCH_22.json]
+  slip check [--quick|--full] [--iters N] [--seed S] [--max-len N]
+             [--topology NODE|FILE] [--oracle [--accesses N] [--jobs N]]
   slip serve [--addr HOST:PORT] [--jobs N] [--journal-dir DIR]
              [--port-file FILE] [--quiet]
   slip submit [workload ...] [--policy P]... [--accesses N] [--warmup N]
               [--topology NODE|FILE] [--connect HOST:PORT] [--verify-offline]
               [--quiet]
-  slip submit --resume RUN_ID [--ack N] [--connect HOST:PORT]
+  slip submit --resume RUN_ID [--ack N] [--connect HOST:PORT] [--quiet]
   slip submit --stats|--shutdown [--connect HOST:PORT]";
 
-fn dispatch(args: &[String]) -> Result<(), String> {
-    match args.first().map(String::as_str) {
-        Some("list") => cmd_list(),
-        Some("run") => cmd_run(&args[1..]),
-        Some("compare") => cmd_compare(&args[1..]),
-        Some("sweep") => cmd_sweep(&args[1..]),
-        Some("mix") => cmd_mix(&args[1..]),
-        Some("record") => cmd_record(&args[1..]),
-        Some("bench") => cmd_bench(&args[1..]),
-        Some("check") => cmd_check(&args[1..]),
-        Some("serve") => cmd_serve(&args[1..]),
-        Some("submit") => cmd_submit(&args[1..]),
-        Some(other) => Err(format!("unknown command {other:?}")),
-        None => Err("no command given".to_owned()),
-    }
+/// What a subcommand does once its arguments are accepted.
+type Job = Box<dyn FnOnce() -> Result<(), String>>;
+
+/// Parses the command line into its subcommand's job. Every argument
+/// error surfaces here, so nothing has run, bound, connected or written
+/// a file when one does.
+fn dispatch(args: &[String]) -> Result<Job, String> {
+    let (command, rest) = args.split_first().ok_or("no command given")?;
+    let plan: fn(&mut Args) -> Result<Job, String> = match command.as_str() {
+        "list" => cmd_list,
+        "run" => cmd_run,
+        "compare" => cmd_compare,
+        "sweep" => cmd_sweep,
+        "mix" => cmd_mix,
+        "record" => cmd_record,
+        "bench" => cmd_bench,
+        "check" => cmd_check,
+        "serve" => cmd_serve,
+        "submit" => cmd_submit,
+        other => return Err(format!("unknown command {other:?}")),
+    };
+    let mut args = Args::parse(command, rest)?;
+    let job = plan(&mut args)?;
+    args.finish()?;
+    Ok(job)
 }
 
-/// Parsed common options.
-struct Options {
-    positional: Vec<String>,
-    policy: PolicyKind,
-    replacement: ReplacementKind,
-    accesses: u64,
-    seed: u64,
-    inclusive: bool,
-    csv: Option<String>,
-    jobs: usize,
-    journal: Option<PathBuf>,
-    topology: Option<String>,
-}
+/// The flags that take a value: the one table the parser reads arity from.
+const VALUED: &str = "--accesses --ack --addr --check --connect --csv --iters --jobs --journal \
+    --journal-dir --max-len --out --policy --port-file --replacement --resume --seed --topology \
+    --warmup";
+
+/// The flags that take no value.
+const SWITCHES: &str = "--full --inclusive --oracle --quick --quiet --shutdown --stats \
+    --verify-offline";
 
 /// The error for a flag that used to pick an execution path, size a
 /// trace cache or loosen the bench gate, naming what replaced it;
@@ -139,134 +156,214 @@ fn retired_flag(flag: &str) -> Option<String> {
     Some(format!("{flag} is no longer supported: {why}"))
 }
 
-fn parse_options(args: &[String]) -> Result<Options, String> {
-    sim_engine::env::check_retired()?;
-    let mut o = Options {
-        positional: Vec::new(),
-        policy: PolicyKind::SlipAbp,
-        replacement: ReplacementKind::Lru,
-        accesses: 1_000_000,
-        seed: 0x511b,
-        inclusive: false,
-        csv: None,
-        jobs: sim_engine::env::jobs(),
-        journal: sim_engine::env::journal(),
-        topology: sim_engine::env::topology(),
-    };
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut value = |name: &str| -> Result<String, String> {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} needs a value"))
+/// One subcommand's arguments, split once into positionals and
+/// `--flag [value]` pairs. A command takes what it acts on through the
+/// getters, only under the conditions where it acts on it;
+/// [`finish`](Args::finish) then rejects whatever no getter took.
+struct Args {
+    /// How errors name the command, e.g. "`slip sweep`".
+    cmd: String,
+    /// Untaken positional arguments.
+    positional: Vec<String>,
+    /// `(flag, value, taken)` in command-line order.
+    flags: Vec<(&'static str, Option<String>, bool)>,
+}
+
+impl Args {
+    /// Splits `args`; fails on an unknown or retired flag, a flag
+    /// missing its value, or a `SLIP_*` knob [`sim_engine::env::check`]
+    /// rejects.
+    fn parse(command: &str, args: &[String]) -> Result<Args, String> {
+        sim_engine::env::check()?;
+        let mut parsed = Args {
+            cmd: format!("`slip {command}`"),
+            positional: Vec::new(),
+            flags: Vec::new(),
         };
-        match a.as_str() {
-            "--policy" => {
-                let v = value("--policy")?;
-                o.policy = PolicyKind::parse(&v).ok_or_else(|| format!("unknown policy {v:?}"))?;
+        let mut it = args.iter().cloned();
+        while let Some(a) = it.next() {
+            if !a.starts_with("--") {
+                parsed.positional.push(a);
+                continue;
             }
-            "--replacement" => {
-                o.replacement = match value("--replacement")?.as_str() {
-                    "lru" => ReplacementKind::Lru,
-                    "drrip" => ReplacementKind::Drrip,
-                    "ship" => ReplacementKind::Ship,
-                    other => return Err(format!("unknown replacement {other:?}")),
+            let known = |flags: &'static str| flags.split_whitespace().find(|f| *f == a);
+            let (flag, value) = match (known(VALUED), known(SWITCHES)) {
+                (Some(flag), _) => {
+                    let value = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
+                    (flag, Some(value))
                 }
-            }
-            "--accesses" => {
-                o.accesses = value("--accesses")?
-                    .parse()
-                    .map_err(|e| format!("--accesses: {e}"))?
-            }
-            "--seed" => {
-                let v = value("--seed")?;
-                o.seed = if let Some(hex) = v.strip_prefix("0x") {
-                    u64::from_str_radix(hex, 16).map_err(|e| format!("--seed: {e}"))?
-                } else {
-                    v.parse().map_err(|e| format!("--seed: {e}"))?
+                (None, Some(flag)) => (flag, None),
+                (None, None) => {
+                    return Err(retired_flag(&a).unwrap_or_else(|| format!("unknown option {a:?}")))
                 }
-            }
-            "--inclusive" => o.inclusive = true,
-            "--csv" => o.csv = Some(value("--csv")?),
-            "--jobs" => {
-                o.jobs = value("--jobs")?
-                    .parse()
-                    .map_err(|e| format!("--jobs: {e}"))?
-            }
-            "--journal" => o.journal = Some(PathBuf::from(value("--journal")?)),
-            "--topology" => o.topology = Some(value("--topology")?),
-            other if other.starts_with("--") => {
-                return Err(
-                    retired_flag(other).unwrap_or_else(|| format!("unknown option {other:?}"))
-                )
-            }
-            _ => o.positional.push(a.clone()),
+            };
+            parsed.flags.push((flag, value, false));
+        }
+        Ok(parsed)
+    }
+
+    /// Fails on the first flag or positional no getter took.
+    fn finish(self) -> Result<(), String> {
+        if let Some(p) = self.positional.first() {
+            return Err(format!("{} does not take {p:?}", self.cmd));
+        }
+        match self.flags.iter().find(|(.., taken)| !taken) {
+            Some((flag, ..)) => Err(format!("{} does not take {flag}", self.cmd)),
+            None => Ok(()),
         }
     }
-    Ok(o)
-}
 
-/// Resolves the `--topology` argument (or `SLIP_TOPOLOGY`) into a
-/// parsed, validated hierarchy spec; `None` means the compiled-in
-/// 45 nm configuration. Malformed files fail here with the parser's
-/// line/column diagnostic.
-fn load_topology(o: &Options) -> Result<Option<energy_model::HierarchySpec>, String> {
-    o.topology
-        .as_deref()
-        .map(energy_model::HierarchySpec::load)
-        .transpose()
-}
-
-fn config_from(o: &Options) -> Result<SystemConfig, String> {
-    let mut c = match load_topology(o)? {
-        Some(spec) => SystemConfig::from_topology(&spec, o.policy)?,
-        None => SystemConfig::paper_45nm(o.policy),
-    };
-    c.replacement = o.replacement;
-    c.inclusive_llc = o.inclusive;
-    c.seed = o.seed;
-    Ok(c)
-}
-
-fn cmd_list() -> Result<(), String> {
-    println!("built-in workloads (synthetic SPEC-CPU2006-like profiles):");
-    for name in workloads::BENCHMARK_NAMES {
-        let spec = workloads::workload(name).expect("known");
-        println!("  {name:<12} {} phase(s)", spec.phases().len());
+    /// Takes the positional arguments.
+    fn positionals(&mut self) -> Vec<String> {
+        std::mem::take(&mut self.positional)
     }
-    println!("\ntwo-core mixes (paper Figure 16): ");
-    for (a, b) in workloads::MULTICORE_MIXES {
-        println!("  {a}+{b}");
-    }
-    Ok(())
-}
 
-fn cmd_run(args: &[String]) -> Result<(), String> {
-    let o = parse_options(args)?;
-    let [target] = o.positional.as_slice() else {
-        return Err("run needs exactly one workload or trace file".to_owned());
-    };
-    let result = if target.ends_with(".trc") {
-        let reader = workloads::io::read_trace(target).map_err(|e| e.to_string())?;
-        let mut system = SingleCoreSystem::new(config_from(&o)?);
-        for access in reader {
-            system.step_fast(access.map_err(|e| e.to_string())?);
+    /// Takes every occurrence of `flag`, returning their values in
+    /// order (`None` for a switch).
+    fn take(&mut self, flag: &str) -> Vec<Option<String>> {
+        self.flags
+            .iter_mut()
+            .filter(|(f, ..)| *f == flag)
+            .map(|(_, value, taken)| {
+                *taken = true;
+                value.clone()
+            })
+            .collect()
+    }
+
+    /// Takes `flag`; the last value wins.
+    fn value(&mut self, flag: &str) -> Option<String> {
+        self.take(flag).pop().flatten()
+    }
+
+    /// Takes a switch, reporting whether it was given.
+    fn switch(&mut self, flag: &str) -> bool {
+        !self.take(flag).is_empty()
+    }
+
+    /// Takes `flag` and parses its value.
+    fn parsed<T: FromStr<Err: Display>>(&mut self, flag: &str) -> Result<Option<T>, String> {
+        self.value(flag)
+            .map(|v| v.parse().map_err(|e| format!("{flag}: {e}")))
+            .transpose()
+    }
+
+    /// `--accesses`, default 1,000,000.
+    fn accesses(&mut self) -> Result<u64, String> {
+        Ok(self.parsed("--accesses")?.unwrap_or(1_000_000))
+    }
+
+    /// `--seed`, hex with a `0x` prefix or decimal.
+    fn seed(&mut self) -> Result<u64, String> {
+        let Some(v) = self.value("--seed") else {
+            return Ok(DEFAULT_SEED);
+        };
+        match v.strip_prefix("0x") {
+            Some(hex) => u64::from_str_radix(hex, 16),
+            None => v.parse(),
         }
-        system.finish(target.clone())
-    } else {
-        let spec = workloads::workload(target)
-            .ok_or_else(|| format!("unknown workload {target:?} (try `slip list`)"))?;
-        run_workload(config_from(&o)?, &spec, o.accesses)
-    };
-    print_result(&result);
-    if let Some(path) = &o.csv {
-        write_csv(path, &result).map_err(|e| e.to_string())?;
-        println!("\nwrote {path}");
+        .map_err(|e| format!("--seed: {e}"))
     }
-    Ok(())
+
+    /// `--jobs`, at least 1; default `SLIP_JOBS` or all cores.
+    fn jobs(&mut self) -> Result<usize, String> {
+        match self.parsed("--jobs")? {
+            Some(0) => Err("--jobs: a worker pool needs at least one worker".to_owned()),
+            Some(n) => Ok(n),
+            None => Ok(sim_engine::env::jobs()),
+        }
+    }
+
+    /// `--policy`, default SLIP+ABP.
+    fn policy(&mut self) -> Result<PolicyKind, String> {
+        match self.value("--policy") {
+            Some(v) => PolicyKind::parse(&v).ok_or_else(|| format!("unknown policy {v:?}")),
+            None => Ok(PolicyKind::SlipAbp),
+        }
+    }
+
+    /// `--topology` (or `SLIP_TOPOLOGY`) resolved into a validated
+    /// hierarchy spec; `None` means the compiled-in 45 nm configuration.
+    /// Malformed files fail here with the parser's line/column diagnostic.
+    fn topology(&mut self) -> Result<Option<energy_model::HierarchySpec>, String> {
+        self.value("--topology")
+            .or_else(sim_engine::env::topology)
+            .as_deref()
+            .map(energy_model::HierarchySpec::load)
+            .transpose()
+    }
+
+    /// A single-core configuration for `policy`, taking `--topology`,
+    /// `--replacement`, `--inclusive` and `--seed`.
+    fn config(&mut self, policy: PolicyKind) -> Result<SystemConfig, String> {
+        let mut c = match self.topology()? {
+            Some(spec) => SystemConfig::from_topology(&spec, policy)?,
+            None => SystemConfig::paper_45nm(policy),
+        };
+        if let Some(r) = self.value("--replacement") {
+            c.replacement = match r.as_str() {
+                "lru" => ReplacementKind::Lru,
+                "drrip" => ReplacementKind::Drrip,
+                "ship" => ReplacementKind::Ship,
+                other => return Err(format!("unknown replacement {other:?}")),
+            };
+        }
+        c.inclusive_llc = self.switch("--inclusive");
+        c.seed = self.seed()?;
+        Ok(c)
+    }
 }
 
-fn print_result(r: &SimResult) {
+/// The `N` positional arguments a command needs, or `usage` as the error.
+fn exactly<const N: usize>(a: &mut Args, usage: &str) -> Result<[String; N], String> {
+    a.positionals().try_into().map_err(|_| usage.to_owned())
+}
+
+fn workload(name: &str) -> Result<workloads::WorkloadSpec, String> {
+    workloads::workload(name).ok_or_else(|| format!("unknown workload {name:?} (try `slip list`)"))
+}
+
+fn cmd_list(_: &mut Args) -> Result<Job, String> {
+    Ok(Box::new(|| {
+        println!("built-in workloads (synthetic SPEC-CPU2006-like profiles):");
+        for name in workloads::BENCHMARK_NAMES {
+            let spec = workloads::workload(name).expect("known");
+            println!("  {name:<12} {} phase(s)", spec.phases().len());
+        }
+        println!("\ntwo-core mixes (paper Figure 16): ");
+        for (a, b) in workloads::MULTICORE_MIXES {
+            println!("  {a}+{b}");
+        }
+        Ok(())
+    }))
+}
+
+fn cmd_run(a: &mut Args) -> Result<Job, String> {
+    let [target] = exactly(a, "run needs exactly one workload or trace file")?;
+    let policy = a.policy()?;
+    let config = a.config(policy)?;
+    let csv = a.value("--csv");
+    if target.ends_with(".trc") {
+        // A trace file runs whole, so it has no --accesses.
+        a.cmd = "`slip run` on a trace file".to_owned();
+        return Ok(Box::new(move || {
+            let reader = workloads::io::read_trace(&target).map_err(|e| e.to_string())?;
+            let mut system = SingleCoreSystem::new(config);
+            for access in reader {
+                system.step_fast(access.map_err(|e| e.to_string())?);
+            }
+            print_result(&system.finish(target), csv)
+        }));
+    }
+    let spec = workload(&target)?;
+    let accesses = a.accesses()?;
+    Ok(Box::new(move || {
+        print_result(&run_workload(config, &spec, accesses), csv)
+    }))
+}
+
+/// Prints one run's metrics, and writes them to `csv` when given.
+fn print_result(r: &SimResult, csv: Option<String>) -> Result<(), String> {
     println!(
         "workload {}   policy {}   accesses {}",
         r.workload, r.policy, r.accesses
@@ -312,6 +409,11 @@ fn print_result(r: &SimResult) {
         );
     }
     println!("full-system energy: {}", r.full_system_energy());
+    if let Some(path) = csv {
+        write_csv(&path, r).map_err(|e| e.to_string())?;
+        println!("\nwrote {path}");
+    }
+    Ok(())
 }
 
 fn write_csv(path: &str, r: &SimResult) -> std::io::Result<()> {
@@ -347,248 +449,224 @@ fn write_csv(path: &str, r: &SimResult) -> std::io::Result<()> {
     Ok(())
 }
 
-fn cmd_compare(args: &[String]) -> Result<(), String> {
-    let o = parse_options(args)?;
-    let [name] = o.positional.as_slice() else {
-        return Err("compare needs exactly one workload".to_owned());
-    };
-    let spec = workloads::workload(name)
-        .ok_or_else(|| format!("unknown workload {name:?} (try `slip list`)"))?;
-    println!("workload {name}, {} accesses\n", o.accesses);
-    println!(
-        "{:<10} {:>12} {:>12} {:>9} {:>9} {:>9} {:>11}",
-        "policy", "L2 energy", "L3 energy", "L2 sav", "L3 sav", "speedup", "DRAM xfers"
-    );
-    // One independently-seeded run per policy, drained by the worker
-    // pool; PolicyKind::ALL[0] is the baseline.
-    let base_config = config_from(&o)?;
-    let results = sweep_runner::run_indexed(PolicyKind::ALL.len(), o.jobs, |i| {
-        let mut cfg = base_config.clone();
-        cfg.policy = PolicyKind::ALL[i];
-        run_workload(cfg, &spec, o.accesses)
-    });
-    let baseline = &results[0];
-    for r in &results {
+fn cmd_compare(a: &mut Args) -> Result<Job, String> {
+    let [name] = exactly(a, "compare needs exactly one workload")?;
+    let spec = workload(&name)?;
+    let accesses = a.accesses()?;
+    let jobs = a.jobs()?;
+    // Every policy runs, so --policy is not taken.
+    let base_config = a.config(PolicyKind::SlipAbp)?;
+    Ok(Box::new(move || {
+        println!("workload {name}, {accesses} accesses\n");
         println!(
-            "{:<10} {:>12} {:>12} {:>8.1}% {:>8.1}% {:>8.2}% {:>11}",
-            r.policy.label(),
-            format!("{}", r.l2_total_energy()),
-            format!("{}", r.l3_total_energy()),
-            (1.0 - r.l2_total_energy() / baseline.l2_total_energy()) * 100.0,
-            (1.0 - r.l3_total_energy() / baseline.l3_total_energy()) * 100.0,
-            (r.speedup_vs(baseline) - 1.0) * 100.0,
-            r.dram_total_traffic(),
+            "{:<10} {:>12} {:>12} {:>9} {:>9} {:>9} {:>11}",
+            "policy", "L2 energy", "L3 energy", "L2 sav", "L3 sav", "speedup", "DRAM xfers"
         );
-    }
-    Ok(())
+        // One independently-seeded run per policy, drained by the worker
+        // pool; PolicyKind::ALL[0] is the baseline.
+        let results = sweep_runner::run_indexed(PolicyKind::ALL.len(), jobs, |i| {
+            let mut cfg = base_config.clone();
+            cfg.policy = PolicyKind::ALL[i];
+            run_workload(cfg, &spec, accesses)
+        });
+        let baseline = &results[0];
+        for r in &results {
+            println!(
+                "{:<10} {:>12} {:>12} {:>8.1}% {:>8.1}% {:>8.2}% {:>11}",
+                r.policy.label(),
+                format!("{}", r.l2_total_energy()),
+                format!("{}", r.l3_total_energy()),
+                (1.0 - r.l2_total_energy() / baseline.l2_total_energy()) * 100.0,
+                (1.0 - r.l3_total_energy() / baseline.l3_total_energy()) * 100.0,
+                (r.speedup_vs(baseline) - 1.0) * 100.0,
+                r.dram_total_traffic(),
+            );
+        }
+        Ok(())
+    }))
 }
 
-fn cmd_sweep(args: &[String]) -> Result<(), String> {
-    let o = parse_options(args)?;
-    let benchmarks: Vec<&'static str> = if o.positional.is_empty() {
-        workloads::BENCHMARK_NAMES.to_vec()
-    } else {
-        o.positional
-            .iter()
-            .map(|n| {
-                workloads::BENCHMARK_NAMES
-                    .iter()
-                    .copied()
-                    .find(|b| b == n)
-                    .ok_or_else(|| format!("unknown workload {n:?} (try `slip list`)"))
-            })
-            .collect::<Result<_, _>>()?
-    };
+fn cmd_sweep(a: &mut Args) -> Result<Job, String> {
+    let mut benchmarks = Vec::new();
+    for n in a.positionals() {
+        let known = workloads::BENCHMARK_NAMES.iter().find(|&&b| b == n);
+        benchmarks.push(*known.ok_or_else(|| format!("unknown workload {n:?} (try `slip list`)"))?);
+    }
+    if benchmarks.is_empty() {
+        benchmarks = workloads::BENCHMARK_NAMES.to_vec();
+    }
+    let accesses = a.accesses()?;
     let mut options = SuiteOptions::paper_full()
         .with_benchmarks(&benchmarks)
-        .with_accesses(o.accesses);
-    if let Some(spec) = load_topology(&o)? {
+        .with_accesses(accesses)
+        .with_seed(a.seed()?);
+    if let Some(spec) = a.topology()? {
         options = options.with_topology(spec);
     }
-    let sweep = SweepConfig {
-        journal: o.journal.clone(),
-        quiet: false,
-        // Ctrl-C stops dispatching cells and seals the journal so a
-        // re-run resumes instead of starting over.
-        cancel: Some(sweep_runner::interrupt::install()),
-        ..SweepConfig::with_jobs(o.jobs)
-    };
-    let suite = SuiteResults::run_with(options, &sweep).map_err(|e| {
-        if e.kind() == std::io::ErrorKind::Interrupted {
-            "sweep interrupted; re-run with the same options to resume".to_owned()
-        } else {
-            format!("journal: {e}")
+    let jobs = a.jobs()?;
+    let journal = a
+        .value("--journal")
+        .map(PathBuf::from)
+        .or_else(sim_engine::env::journal);
+    Ok(Box::new(move || {
+        let sweep = SweepConfig {
+            journal: journal.clone(),
+            quiet: false,
+            // Ctrl-C stops dispatching cells and seals the journal so a
+            // re-run resumes instead of starting over.
+            cancel: Some(sweep_runner::interrupt::install()),
+            ..SweepConfig::with_jobs(jobs)
+        };
+        let suite = SuiteResults::run_with(options, &sweep).map_err(|e| {
+            if e.kind() == std::io::ErrorKind::Interrupted {
+                "sweep interrupted; re-run with the same options to resume".to_owned()
+            } else {
+                format!("journal: {e}")
+            }
+        })?;
+        let mut t = Table::new(
+            format!("energy savings vs baseline ({accesses} accesses/benchmark, {jobs} jobs)"),
+            &[
+                "benchmark",
+                "SLIP L2",
+                "SLIP L3",
+                "SLIP+ABP L2",
+                "SLIP+ABP L3",
+            ],
+        );
+        for &bench in suite.benchmarks() {
+            t.row(vec![
+                bench.to_owned(),
+                pct(suite.l2_saving(bench, PolicyKind::Slip)),
+                pct(suite.l3_saving(bench, PolicyKind::Slip)),
+                pct(suite.l2_saving(bench, PolicyKind::SlipAbp)),
+                pct(suite.l3_saving(bench, PolicyKind::SlipAbp)),
+            ]);
         }
-    })?;
-    let mut t = Table::new(
-        format!(
-            "energy savings vs baseline ({} accesses/benchmark, {} jobs)",
-            o.accesses, o.jobs
-        ),
-        &[
-            "benchmark",
-            "SLIP L2",
-            "SLIP L3",
-            "SLIP+ABP L2",
-            "SLIP+ABP L3",
-        ],
-    );
-    for &bench in suite.benchmarks() {
         t.row(vec![
-            bench.to_owned(),
-            pct(suite.l2_saving(bench, PolicyKind::Slip)),
-            pct(suite.l3_saving(bench, PolicyKind::Slip)),
-            pct(suite.l2_saving(bench, PolicyKind::SlipAbp)),
-            pct(suite.l3_saving(bench, PolicyKind::SlipAbp)),
+            "mean".to_owned(),
+            pct(suite.mean_l2_saving(PolicyKind::Slip)),
+            pct(suite.mean_l3_saving(PolicyKind::Slip)),
+            pct(suite.mean_l2_saving(PolicyKind::SlipAbp)),
+            pct(suite.mean_l3_saving(PolicyKind::SlipAbp)),
         ]);
-    }
-    t.row(vec![
-        "mean".to_owned(),
-        pct(suite.mean_l2_saving(PolicyKind::Slip)),
-        pct(suite.mean_l3_saving(PolicyKind::Slip)),
-        pct(suite.mean_l2_saving(PolicyKind::SlipAbp)),
-        pct(suite.mean_l3_saving(PolicyKind::SlipAbp)),
-    ]);
-    print!("{}", t.render());
-    if let Some(j) = &o.journal {
-        println!("journal: {}", j.display());
-    }
-    Ok(())
+        print!("{}", t.render());
+        if let Some(j) = &journal {
+            println!("journal: {}", j.display());
+        }
+        Ok(())
+    }))
 }
 
-fn cmd_mix(args: &[String]) -> Result<(), String> {
-    let o = parse_options(args)?;
-    if o.inclusive {
+fn cmd_mix(a: &mut Args) -> Result<Job, String> {
+    if a.switch("--inclusive") {
         return Err(
             "`slip mix` does not take --inclusive: the two-core system models a \
              non-inclusive LLC"
                 .to_owned(),
         );
     }
-    let [a, b] = o.positional.as_slice() else {
-        return Err("mix needs exactly two workloads".to_owned());
-    };
-    let spec_a = workloads::workload(a).ok_or_else(|| format!("unknown workload {a:?}"))?;
-    let spec_b = workloads::workload(b).ok_or_else(|| format!("unknown workload {b:?}"))?;
-    let mut base_cfg = config_from(&o)?;
-    base_cfg.policy = PolicyKind::Baseline;
-    let base = run_mix(base_cfg, &spec_a, &spec_b, o.accesses);
-    let mut slip_cfg = config_from(&o)?;
-    slip_cfg.policy = o.policy;
-    let slip = run_mix(slip_cfg, &spec_a, &spec_b, o.accesses);
-    println!("mix {a}+{b}, {} accesses/core, shared 2 MB L3", o.accesses);
-    println!(
-        "L3 energy: baseline {} -> {} {} ({:+.1}%)",
-        base.l3_energy,
-        o.policy.label(),
-        slip.l3_energy,
-        (slip.l3_energy / base.l3_energy - 1.0) * 100.0
-    );
-    println!(
-        "L2+L3 energy: {} -> {} ({:+.1}%)",
-        base.l2_plus_l3_energy(),
-        slip.l2_plus_l3_energy(),
-        (slip.l2_plus_l3_energy() / base.l2_plus_l3_energy() - 1.0) * 100.0
-    );
-    println!(
-        "DRAM traffic: {} -> {} ({:+.1}%)",
-        base.dram_demand_traffic,
-        slip.dram_total_traffic,
-        (slip.dram_total_traffic as f64 / base.dram_demand_traffic as f64 - 1.0) * 100.0
-    );
-    Ok(())
+    let [name_a, name_b] = exactly(a, "mix needs exactly two workloads")?;
+    let spec_a = workload(&name_a)?;
+    let spec_b = workload(&name_b)?;
+    let accesses = a.accesses()?;
+    let policy = a.policy()?;
+    let base_cfg = a.config(PolicyKind::Baseline)?;
+    let mut slip_cfg = base_cfg.clone();
+    slip_cfg.policy = policy;
+    Ok(Box::new(move || {
+        let base = run_mix(base_cfg, &spec_a, &spec_b, accesses);
+        let slip = run_mix(slip_cfg, &spec_a, &spec_b, accesses);
+        println!("mix {name_a}+{name_b}, {accesses} accesses/core, shared 2 MB L3");
+        println!(
+            "L3 energy: baseline {} -> {} {} ({:+.1}%)",
+            base.l3_energy,
+            policy.label(),
+            slip.l3_energy,
+            (slip.l3_energy / base.l3_energy - 1.0) * 100.0
+        );
+        println!(
+            "L2+L3 energy: {} -> {} ({:+.1}%)",
+            base.l2_plus_l3_energy(),
+            slip.l2_plus_l3_energy(),
+            (slip.l2_plus_l3_energy() / base.l2_plus_l3_energy() - 1.0) * 100.0
+        );
+        println!(
+            "DRAM traffic: {} -> {} ({:+.1}%)",
+            base.dram_demand_traffic,
+            slip.dram_total_traffic,
+            (slip.dram_total_traffic as f64 / base.dram_demand_traffic as f64 - 1.0) * 100.0
+        );
+        Ok(())
+    }))
 }
 
-fn cmd_record(args: &[String]) -> Result<(), String> {
-    let o = parse_options(args)?;
-    let [name, out] = o.positional.as_slice() else {
-        return Err("record needs a workload and an output path".to_owned());
-    };
-    let spec = workloads::workload(name)
-        .ok_or_else(|| format!("unknown workload {name:?} (try `slip list`)"))?;
-    let n = workloads::io::write_trace(out, spec.trace(o.accesses, o.seed))
-        .map_err(|e| e.to_string())?;
-    println!("wrote {n} accesses to {out}");
-    Ok(())
+fn cmd_record(a: &mut Args) -> Result<Job, String> {
+    let [name, out] = exactly(a, "record needs a workload and an output path")?;
+    let spec = workload(&name)?;
+    let accesses = a.accesses()?;
+    let seed = a.seed()?;
+    Ok(Box::new(move || {
+        let n = workloads::io::write_trace(&out, spec.trace(accesses, seed))
+            .map_err(|e| e.to_string())?;
+        println!("wrote {n} accesses to {out}");
+        Ok(())
+    }))
 }
 
 /// Regression bound for `slip bench --check`: fail when the fresh
 /// suite throughput drops more than this fraction below the baseline.
 const BENCH_REGRESSION_TOLERANCE: f64 = 0.20;
 
-fn cmd_bench(args: &[String]) -> Result<(), String> {
-    let mut quick = false;
-    let mut out: Option<String> = None;
-    let mut check: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut value = |name: &str| -> Result<String, String> {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} needs a value"))
-        };
-        match a.as_str() {
-            "--quick" => quick = true,
-            "--out" => out = Some(value("--out")?),
-            "--check" => check = Some(value("--check")?),
-            other => {
-                return Err(retired_flag(other)
-                    .unwrap_or_else(|| format!("unknown bench option {other:?}")))
-            }
+fn cmd_bench(a: &mut Args) -> Result<Job, String> {
+    let quick = a.switch("--quick");
+    let out = a.value("--out");
+    let check = a.value("--check");
+    Ok(Box::new(move || {
+        println!("slip bench ({} mode)", if quick { "quick" } else { "full" });
+        let report = sim_engine::bench::run(quick);
+        println!();
+        for s in &report.systems {
+            println!(
+                "{:<40} {:>9.0} kacc/s ({} x {} accesses in {:.3}s)",
+                s.name,
+                s.accesses_per_sec / 1e3,
+                s.replays,
+                s.accesses,
+                s.sample_secs
+            );
         }
-    }
-    sim_engine::env::check_retired()?;
-
-    println!("slip bench ({} mode)", if quick { "quick" } else { "full" });
-    let report = sim_engine::bench::run(quick);
-    println!();
-    for s in &report.systems {
         println!(
-            "{:<40} {:>9.0} kacc/s ({} x {} accesses in {:.3}s)",
-            s.name,
-            s.accesses_per_sec / 1e3,
-            s.replays,
-            s.accesses,
-            s.sample_secs
+            "{:<40} {:>9.0} kacc/s (geometric mean)",
+            "suite",
+            report.suite_accesses_per_sec / 1e3
         );
-    }
-    println!(
-        "{:<40} {:>9.0} kacc/s (geometric mean)",
-        "suite",
-        report.suite_accesses_per_sec / 1e3
-    );
-
-    if let Some(path) = &out {
-        std::fs::write(path, report.to_value().to_json() + "\n")
-            .map_err(|e| format!("writing {path}: {e}"))?;
-        println!("\nwrote {path}");
-    }
-
-    if let Some(path) = &check {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-        let baseline = sweep_runner::json::Value::parse(&text)
-            .map_err(|e| format!("parsing {path}: {e:?}"))?;
-        let current = report.suite_accesses_per_sec;
-        let (base_rate, floor) = bench_check_verdict(current, &baseline, quick)?;
-        println!(
-            "\ncheck vs {path}: current {:.0} kacc/s, baseline {:.0} kacc/s (floor {:.0})",
-            current / 1e3,
-            base_rate / 1e3,
-            floor / 1e3
-        );
-        println!("check OK");
-    }
-    Ok(())
+        if let Some(path) = &out {
+            std::fs::write(path, report.to_value().to_json() + "\n")
+                .map_err(|e| format!("writing {path}: {e}"))?;
+            println!("\nwrote {path}");
+        }
+        if let Some(path) = &check {
+            let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
+            let baseline = Value::parse(&text).map_err(|e| format!("parsing {path}: {e:?}"))?;
+            let current = report.suite_accesses_per_sec;
+            let (base_rate, floor) = bench_check_verdict(current, &baseline, quick)?;
+            println!(
+                "\ncheck vs {path}: current {:.0} kacc/s, baseline {:.0} kacc/s (floor {:.0})",
+                current / 1e3,
+                base_rate / 1e3,
+                floor / 1e3
+            );
+            println!("check OK");
+        }
+        Ok(())
+    }))
 }
 
 /// The `slip bench --check` rule, isolated for testing: `current` must
 /// stay within [`BENCH_REGRESSION_TOLERANCE`] of the baseline's suite
 /// rate. Returns `(baseline_rate, floor)` on success.
-fn bench_check_verdict(
-    current: f64,
-    baseline: &sweep_runner::json::Value,
-    quick: bool,
-) -> Result<(f64, f64), String> {
+fn bench_check_verdict(current: f64, baseline: &Value, quick: bool) -> Result<(f64, f64), String> {
     let base_rate = sim_engine::bench::baseline_suite_rate(baseline, quick)
         .ok_or_else(|| "baseline has no suite_accesses_per_sec".to_owned())?;
     let floor = base_rate * (1.0 - BENCH_REGRESSION_TOLERANCE);
@@ -604,69 +682,12 @@ fn bench_check_verdict(
     Ok((base_rate, floor))
 }
 
-fn cmd_check(args: &[String]) -> Result<(), String> {
-    let mut full = false;
-    let mut oracle = false;
-    let mut iters: Option<u64> = None;
-    let mut max_len: Option<u64> = None;
-    let mut seed = 0x511bu64;
-    let mut accesses = 1_000_000u64;
-    let mut jobs = sim_engine::env::jobs();
-    let mut topology = sim_engine::env::topology();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut value = |name: &str| -> Result<String, String> {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} needs a value"))
-        };
-        match a.as_str() {
-            "--quick" => full = false,
-            "--full" => full = true,
-            "--oracle" => oracle = true,
-            "--iters" => {
-                iters = Some(
-                    value("--iters")?
-                        .parse()
-                        .map_err(|e| format!("--iters: {e}"))?,
-                )
-            }
-            "--max-len" => {
-                max_len = Some(
-                    value("--max-len")?
-                        .parse()
-                        .map_err(|e| format!("--max-len: {e}"))?,
-                )
-            }
-            "--seed" => {
-                let v = value("--seed")?;
-                seed = if let Some(hex) = v.strip_prefix("0x") {
-                    u64::from_str_radix(hex, 16).map_err(|e| format!("--seed: {e}"))?
-                } else {
-                    v.parse().map_err(|e| format!("--seed: {e}"))?
-                }
-            }
-            "--accesses" => {
-                accesses = value("--accesses")?
-                    .parse()
-                    .map_err(|e| format!("--accesses: {e}"))?
-            }
-            "--jobs" => {
-                jobs = value("--jobs")?
-                    .parse()
-                    .map_err(|e| format!("--jobs: {e}"))?
-            }
-            "--topology" => topology = Some(value("--topology")?),
-            other => return Err(format!("unknown check option {other:?}")),
-        }
+fn cmd_check(a: &mut Args) -> Result<Job, String> {
+    let full = a.switch("--full");
+    if a.switch("--quick") && full {
+        return Err("`slip check` takes --quick or --full, not both".to_owned());
     }
-    // Resolve the spec up front: a malformed file must fail fast with
-    // the parser's line/column diagnostic, not after minutes of fuzz.
-    let topology_spec = topology
-        .as_deref()
-        .map(energy_model::HierarchySpec::load)
-        .transpose()?;
-
+    let seed = a.seed()?;
     let mut opts = if full {
         slip_conformance::FuzzOptions::full(seed)
     } else {
@@ -674,160 +695,147 @@ fn cmd_check(args: &[String]) -> Result<(), String> {
     };
     // Budget precedence: --iters beats SLIP_FUZZ_ITERS beats the mode
     // default, so CI can pin a deterministic budget in one place.
-    if let Some(n) = iters.or_else(sim_engine::env::fuzz_iters) {
+    if let Some(n) = a.parsed("--iters")?.or_else(sim_engine::env::fuzz_iters) {
         opts.iters = n;
     }
-    if let Some(n) = max_len {
+    if let Some(n) = a.parsed("--max-len")? {
         opts.max_len = n;
     }
-    let phases = 2 + u32::from(oracle);
-    println!(
-        "slip check ({} mode, seed {seed:#x}, {} fuzz iterations, max trace {})",
-        if full { "full" } else { "quick" },
-        opts.iters,
-        opts.max_len
-    );
-
-    println!("[1/{phases}] differential fuzz: reference vs optimized paths");
-    let divergences = slip_conformance::run_fuzz(&opts);
-    for d in &divergences {
-        println!("{d}");
-    }
-
-    println!("[2/{phases}] executable invariants");
-    let invariant_len = if full { 20_000 } else { 5_000 };
-    let mut violations = slip_conformance::run_invariant_sweep(seed, invariant_len, opts.quiet);
-    if let Some(spec) = &topology_spec {
-        // Hold the user's spec to the same bar as the built-ins (which
-        // the sweep above already covered).
-        println!("  topology {}: run-mode determinism", spec.name);
-        if let Err(v) = slip_conformance::check_spec_determinism(spec, invariant_len, opts.quiet) {
-            violations.push(v);
-        }
-    }
-    for v in &violations {
-        println!("{v}");
-    }
-
-    let mut oracle_failures = 0;
-    if oracle {
-        println!("[3/{phases}] figure oracle at {accesses} accesses/benchmark");
-        let report =
-            slip_conformance::run_oracle(accesses, &sim_engine::SweepConfig::with_jobs(jobs))
-                .map_err(|e| format!("oracle sweep: {e}"))?;
-        print!("{report}");
-        oracle_failures = report.failures().len();
-    }
-
-    println!(
-        "slip check: {} divergence(s), {} invariant violation(s){}",
-        divergences.len(),
-        violations.len(),
-        if oracle {
-            format!(", {oracle_failures} oracle failure(s)")
-        } else {
-            String::new()
-        }
-    );
-    if divergences.is_empty() && violations.is_empty() && oracle_failures == 0 {
-        println!("check OK");
-        Ok(())
+    // Resolve the spec up front: a malformed file must fail fast with
+    // the parser's line/column diagnostic, not after minutes of fuzz.
+    let topology_spec = a.topology()?;
+    // The oracle's sweep is the only phase with a length and a pool.
+    let oracle = if a.switch("--oracle") {
+        Some((a.accesses()?, a.jobs()?))
     } else {
-        Err("conformance check failed (details above)".to_owned())
-    }
+        a.cmd = "`slip check` without --oracle".to_owned();
+        None
+    };
+    Ok(Box::new(move || {
+        let phases = 2 + u32::from(oracle.is_some());
+        println!(
+            "slip check ({} mode, seed {seed:#x}, {} fuzz iterations, max trace {})",
+            if full { "full" } else { "quick" },
+            opts.iters,
+            opts.max_len
+        );
+
+        println!("[1/{phases}] differential fuzz: reference vs optimized paths");
+        let divergences = slip_conformance::run_fuzz(&opts);
+        for d in &divergences {
+            println!("{d}");
+        }
+
+        println!("[2/{phases}] executable invariants");
+        let invariant_len = if full { 20_000 } else { 5_000 };
+        let mut violations = slip_conformance::run_invariant_sweep(seed, invariant_len, opts.quiet);
+        if let Some(spec) = &topology_spec {
+            // Hold the user's spec to the same bar as the built-ins (which
+            // the sweep above already covered).
+            println!("  topology {}: run-mode determinism", spec.name);
+            if let Err(v) =
+                slip_conformance::check_spec_determinism(spec, invariant_len, opts.quiet)
+            {
+                violations.push(v);
+            }
+        }
+        for v in &violations {
+            println!("{v}");
+        }
+
+        let mut oracle_failures = 0;
+        if let Some((accesses, jobs)) = oracle {
+            println!("[3/{phases}] figure oracle at {accesses} accesses/benchmark");
+            let report = slip_conformance::run_oracle(accesses, &SweepConfig::with_jobs(jobs))
+                .map_err(|e| format!("oracle sweep: {e}"))?;
+            print!("{report}");
+            oracle_failures = report.failures().len();
+        }
+
+        println!(
+            "slip check: {} divergence(s), {} invariant violation(s){}",
+            divergences.len(),
+            violations.len(),
+            if oracle.is_some() {
+                format!(", {oracle_failures} oracle failure(s)")
+            } else {
+                String::new()
+            }
+        );
+        if divergences.is_empty() && violations.is_empty() && oracle_failures == 0 {
+            println!("check OK");
+            Ok(())
+        } else {
+            Err("conformance check failed (details above)".to_owned())
+        }
+    }))
 }
 
 /// Default loopback endpoint shared by `slip serve` and `slip submit`.
 const DEFAULT_SERVE_ADDR: &str = "127.0.0.1:7511";
 
-fn cmd_serve(args: &[String]) -> Result<(), String> {
-    // Surface a retired knob as a normal CLI error before
-    // `ServerConfig::new` (which panics on one) reads the environment.
-    sim_engine::env::check_retired()?;
+fn cmd_serve(a: &mut Args) -> Result<Job, String> {
     let mut config = slip_serve::ServerConfig::new("slip-serve-journals");
-    config.addr = DEFAULT_SERVE_ADDR.to_owned();
-    let mut port_file: Option<PathBuf> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut value = |name: &str| -> Result<String, String> {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} needs a value"))
-        };
-        match a.as_str() {
-            "--addr" => config.addr = value("--addr")?,
-            "--jobs" => {
-                config.jobs = value("--jobs")?
-                    .parse()
-                    .map_err(|e| format!("--jobs: {e}"))?
-            }
-            "--journal-dir" => config.journal_dir = PathBuf::from(value("--journal-dir")?),
-            "--port-file" => port_file = Some(PathBuf::from(value("--port-file")?)),
-            "--quiet" => config.quiet = true,
-            other => {
-                return Err(
-                    retired_flag(other).unwrap_or_else(|| format!("unknown option {other:?}"))
-                )
-            }
+    config.addr = a
+        .value("--addr")
+        .unwrap_or_else(|| DEFAULT_SERVE_ADDR.to_owned());
+    config.jobs = a.jobs()?;
+    if let Some(dir) = a.value("--journal-dir") {
+        config.journal_dir = PathBuf::from(dir);
+    }
+    config.quiet = a.switch("--quiet");
+    let port_file = a.value("--port-file").map(PathBuf::from);
+    Ok(Box::new(move || {
+        let server = slip_serve::Server::bind(config).map_err(|e| format!("bind: {e}"))?;
+        if let Some(path) = port_file {
+            // Scripts bind port 0 and read the real endpoint back from here.
+            std::fs::write(&path, format!("{}\n", server.local_addr()))
+                .map_err(|e| format!("--port-file: {e}"))?;
         }
-    }
-    let server = slip_serve::Server::bind(config).map_err(|e| format!("bind: {e}"))?;
-    if let Some(path) = port_file {
-        // Scripts bind port 0 and read the real endpoint back from here.
-        std::fs::write(&path, format!("{}\n", server.local_addr()))
-            .map_err(|e| format!("--port-file: {e}"))?;
-    }
-    server.run().map_err(|e| format!("serve: {e}"))
+        server.run().map_err(|e| format!("serve: {e}"))
+    }))
 }
 
-fn cmd_submit(args: &[String]) -> Result<(), String> {
-    let mut connect = DEFAULT_SERVE_ADDR.to_owned();
+fn cmd_submit(a: &mut Args) -> Result<Job, String> {
+    let connect = a
+        .value("--connect")
+        .unwrap_or_else(|| DEFAULT_SERVE_ADDR.to_owned());
+    if a.switch("--stats") {
+        a.cmd = "`slip submit --stats`".to_owned();
+        return Ok(Box::new(move || {
+            let value = slip_serve::client::stats(&connect).map_err(|e| format!("stats: {e}"))?;
+            println!("{}", value.to_json());
+            Ok(())
+        }));
+    }
+    if a.switch("--shutdown") {
+        a.cmd = "`slip submit --shutdown`".to_owned();
+        return Ok(Box::new(move || {
+            slip_serve::client::shutdown(&connect).map_err(|e| format!("shutdown: {e}"))?;
+            eprintln!("server at {connect} is draining");
+            Ok(())
+        }));
+    }
+    let quiet = a.switch("--quiet");
+    if let Some(run_id) = a.value("--resume") {
+        // A resumed run's spec lives on the server: no spec flags, and
+        // nothing to verify offline.
+        a.cmd = "`slip submit --resume`".to_owned();
+        let ack = a.parsed("--ack")?.unwrap_or(0);
+        return Ok(Box::new(move || {
+            let stream = slip_serve::client::resume(&connect, &run_id, ack)
+                .map_err(|e| format!("resume: {e}"))?;
+            stream_cells(stream, quiet).map(drop)
+        }));
+    }
     let mut spec = slip_serve::SweepSpec {
-        benchmarks: Vec::new(),
-        policies: Vec::new(),
-        accesses: 1_000_000,
-        warmup: 0,
+        benchmarks: a.positionals(),
+        policies: a.take("--policy").into_iter().flatten().collect(),
+        accesses: a.accesses()?,
+        warmup: a.parsed("--warmup")?.unwrap_or(0),
         topology: None,
     };
-    let mut topology_arg = sim_engine::env::topology();
-    let mut resume: Option<String> = None;
-    let mut ack: u64 = 0;
-    let mut stats = false;
-    let mut shutdown = false;
-    let mut verify_offline = false;
-    let mut quiet = false;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut value = |name: &str| -> Result<String, String> {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} needs a value"))
-        };
-        match a.as_str() {
-            "--connect" => connect = value("--connect")?,
-            "--policy" => spec.policies.push(value("--policy")?),
-            "--accesses" => {
-                spec.accesses = value("--accesses")?
-                    .parse()
-                    .map_err(|e| format!("--accesses: {e}"))?
-            }
-            "--warmup" => {
-                spec.warmup = value("--warmup")?
-                    .parse()
-                    .map_err(|e| format!("--warmup: {e}"))?
-            }
-            "--topology" => topology_arg = Some(value("--topology")?),
-            "--resume" => resume = Some(value("--resume")?),
-            "--ack" => ack = value("--ack")?.parse().map_err(|e| format!("--ack: {e}"))?,
-            "--stats" => stats = true,
-            "--shutdown" => shutdown = true,
-            "--verify-offline" => verify_offline = true,
-            "--quiet" => quiet = true,
-            other if other.starts_with("--") => return Err(format!("unknown option {other:?}")),
-            _ => spec.benchmarks.push(a.clone()),
-        }
-    }
-    if let Some(arg) = topology_arg {
+    if let Some(arg) = a.value("--topology").or_else(sim_engine::env::topology) {
         // The server never reads client file paths: built-in node names
         // travel as-is, anything else is loaded locally (failing fast
         // on malformed specs) and sent as canonical spec text.
@@ -837,72 +845,16 @@ fn cmd_submit(args: &[String]) -> Result<(), String> {
             energy_model::HierarchySpec::load(&arg)?.format()
         });
     }
-
-    if stats {
-        let value = slip_serve::client::stats(&connect).map_err(|e| format!("stats: {e}"))?;
-        println!("{}", value.to_json());
-        return Ok(());
-    }
-    if shutdown {
-        slip_serve::client::shutdown(&connect).map_err(|e| format!("shutdown: {e}"))?;
-        eprintln!("server at {connect} is draining");
-        return Ok(());
-    }
-
-    let mut stream = match &resume {
-        Some(run_id) => {
-            slip_serve::client::resume(&connect, run_id, ack).map_err(|e| format!("resume: {e}"))?
+    // Validate locally first: a typo should not cost a round trip.
+    let options = spec.suite_options()?;
+    let verify_offline = a.switch("--verify-offline");
+    Ok(Box::new(move || {
+        let stream =
+            slip_serve::client::submit(&connect, &spec).map_err(|e| format!("submit: {e}"))?;
+        let cells = stream_cells(stream, quiet)?;
+        if !verify_offline {
+            return Ok(());
         }
-        None => {
-            // Validate locally first: a typo should not cost a round trip.
-            spec.suite_options()?;
-            slip_serve::client::submit(&connect, &spec).map_err(|e| format!("submit: {e}"))?
-        }
-    };
-    if !quiet {
-        eprintln!(
-            "run {} ({} cells, from {}{})",
-            stream.run_id,
-            stream.cells,
-            stream.from,
-            if stream.joined { ", joined" } else { "" }
-        );
-    }
-    // One JSON line per cell on stdout; everything else goes to stderr
-    // so the stream pipes cleanly into files or other tools.
-    let mut cells = Vec::new();
-    while let Some((index, key, payload)) = stream.next_cell().map_err(|e| {
-        format!(
-            "stream: {e} (resume with: slip submit --resume {} --ack {})",
-            stream.run_id,
-            cells.len() as u64 + stream.from
-        )
-    })? {
-        println!(
-            "{}",
-            sweep_runner::json::Value::object()
-                .with("index", sweep_runner::json::Value::u64(index))
-                .with("key", sweep_runner::json::Value::str(&key))
-                .with("payload", payload.clone())
-                .to_json()
-        );
-        cells.push((index, key, payload));
-    }
-    let done = stream.done().expect("stream ended without done frame");
-    if !quiet {
-        eprintln!(
-            "done: {} cells ({} executed, {} restored)",
-            cells.len(),
-            done.executed,
-            done.restored
-        );
-    }
-
-    if verify_offline {
-        if resume.is_some() {
-            return Err("--verify-offline needs the full spec; use it with submit".to_owned());
-        }
-        let options = spec.suite_options()?;
         let mut sweep = SweepConfig::with_jobs(sim_engine::env::jobs());
         sweep.quiet = true;
         let offline = SuiteResults::run_with(options.clone(), &sweep)
@@ -924,8 +876,54 @@ fn cmd_submit(args: &[String]) -> Result<(), String> {
         if !quiet {
             eprintln!("verified: {index} cells bit-identical to offline sweep");
         }
+        Ok(())
+    }))
+}
+
+/// Prints a run's cells to stdout, one JSON line each, and returns
+/// them; progress goes to stderr unless `quiet`, so the stream pipes
+/// cleanly into files or other tools.
+fn stream_cells(
+    mut stream: slip_serve::client::RunStream,
+    quiet: bool,
+) -> Result<Vec<(u64, String, Value)>, String> {
+    if !quiet {
+        eprintln!(
+            "run {} ({} cells, from {}{})",
+            stream.run_id,
+            stream.cells,
+            stream.from,
+            if stream.joined { ", joined" } else { "" }
+        );
     }
-    Ok(())
+    let mut cells = Vec::new();
+    while let Some((index, key, payload)) = stream.next_cell().map_err(|e| {
+        format!(
+            "stream: {e} (resume with: slip submit --resume {} --ack {})",
+            stream.run_id,
+            cells.len() as u64 + stream.from
+        )
+    })? {
+        println!(
+            "{}",
+            Value::object()
+                .with("index", Value::u64(index))
+                .with("key", Value::str(&key))
+                .with("payload", payload.clone())
+                .to_json()
+        );
+        cells.push((index, key, payload));
+    }
+    let done = stream.done().expect("stream ended without done frame");
+    if !quiet {
+        eprintln!(
+            "done: {} cells ({} executed, {} restored)",
+            cells.len(),
+            done.executed,
+            done.restored
+        );
+    }
+    Ok(cells)
 }
 
 #[cfg(test)]
@@ -936,20 +934,38 @@ mod tests {
         v.iter().map(|x| (*x).to_owned()).collect()
     }
 
+    /// `slip sweep` arguments, split.
+    fn args(v: &[&str]) -> Args {
+        Args::parse("sweep", &s(v)).unwrap()
+    }
+
+    /// The argument error `slip <argv>` fails with; nothing runs.
+    fn rejected(argv: &[&str]) -> String {
+        match dispatch(&s(argv)) {
+            Ok(_) => panic!("{argv:?} was accepted"),
+            Err(e) => e,
+        }
+    }
+
     #[test]
     fn parses_defaults() {
-        let o = parse_options(&s(&["gcc"])).unwrap();
-        assert_eq!(o.positional, vec!["gcc"]);
-        assert_eq!(o.policy, PolicyKind::SlipAbp);
-        assert_eq!(o.accesses, 1_000_000);
-        assert!(!o.inclusive);
-        assert!(o.csv.is_none());
-        assert!(o.jobs >= 1);
+        let mut a = args(&["gcc"]);
+        assert_eq!(a.positionals(), vec!["gcc"]);
+        assert_eq!(a.policy().unwrap(), PolicyKind::SlipAbp);
+        assert_eq!(a.accesses().unwrap(), 1_000_000);
+        assert_eq!(a.seed().unwrap(), 0x511b);
+        assert!(!a.switch("--inclusive"));
+        assert!(a.value("--csv").is_none());
+        assert!(a.jobs().unwrap() >= 1);
+        let c = a.config(PolicyKind::Slip).unwrap();
+        assert_eq!(c.replacement, ReplacementKind::Lru);
+        assert!(!c.inclusive_llc);
+        assert!(a.finish().is_ok());
     }
 
     #[test]
     fn parses_all_options() {
-        let o = parse_options(&s(&[
+        let mut a = args(&[
             "soplex",
             "--policy",
             "nurapid",
@@ -966,50 +982,159 @@ mod tests {
             "3",
             "--journal",
             "run.jsonl",
-        ]))
-        .unwrap();
-        assert_eq!(o.policy, PolicyKind::NuRapid);
-        assert_eq!(o.accesses, 5000);
-        assert_eq!(o.seed, 0xff);
-        assert_eq!(o.replacement, ReplacementKind::Drrip);
-        assert!(o.inclusive);
-        assert_eq!(o.csv.as_deref(), Some("out.csv"));
-        assert_eq!(o.jobs, 3);
+        ]);
+        assert_eq!(a.policy().unwrap(), PolicyKind::NuRapid);
+        assert_eq!(a.accesses().unwrap(), 5000);
+        let c = a.config(PolicyKind::NuRapid).unwrap();
+        assert_eq!(c.seed, 0xff);
+        assert_eq!(c.replacement, ReplacementKind::Drrip);
+        assert!(c.inclusive_llc);
+        assert_eq!(a.value("--csv").as_deref(), Some("out.csv"));
+        assert_eq!(a.jobs().unwrap(), 3);
+        assert_eq!(a.value("--journal").as_deref(), Some("run.jsonl"));
+        assert_eq!(a.positionals(), vec!["soplex"]);
+        assert!(a.finish().is_ok());
+    }
+
+    #[test]
+    fn repeated_flags_keep_every_value_and_the_last_wins() {
+        let mut a = args(&[
+            "--policy",
+            "slip",
+            "--accesses",
+            "1",
+            "--policy",
+            "baseline",
+        ]);
+        assert_eq!(a.accesses().unwrap(), 1);
+        let policies: Vec<String> = a.take("--policy").into_iter().flatten().collect();
+        assert_eq!(policies, ["slip", "baseline"]);
+        assert!(a.finish().is_ok());
+        let mut a = args(&["--accesses", "1", "--accesses", "2"]);
+        assert_eq!(a.accesses().unwrap(), 2);
+    }
+
+    #[test]
+    fn finish_names_the_command_and_the_untaken_flag() {
+        let mut a = args(&["gcc", "--csv", "out.csv", "--accesses", "10"]);
+        a.positionals();
+        a.accesses().unwrap();
+        assert_eq!(a.finish().unwrap_err(), "`slip sweep` does not take --csv");
+        // A switch, and a positional, are rejected the same way.
         assert_eq!(
-            o.journal.as_deref(),
-            Some(std::path::Path::new("run.jsonl"))
+            args(&["--inclusive"]).finish().unwrap_err(),
+            "`slip sweep` does not take --inclusive"
+        );
+        assert_eq!(
+            args(&["gcc"]).finish().unwrap_err(),
+            "`slip sweep` does not take \"gcc\""
         );
     }
 
     #[test]
+    fn flags_are_taken_only_where_they_act() {
+        for (argv, err) in [
+            (
+                &["sweep", "gcc", "--csv", "x.csv"][..],
+                "`slip sweep` does not take --csv",
+            ),
+            (
+                &["sweep", "gcc", "--policy", "slip"],
+                "`slip sweep` does not take --policy",
+            ),
+            (
+                &["compare", "gcc", "--journal", "j"],
+                "`slip compare` does not take --journal",
+            ),
+            (
+                &["mix", "gcc", "lbm", "--jobs", "2"],
+                "`slip mix` does not take --jobs",
+            ),
+            (
+                &["record", "gcc", "x.trc", "--topology", "22nm"],
+                "`slip record` does not take --topology",
+            ),
+            (
+                &["run", "x.trc", "--accesses", "5"],
+                "`slip run` on a trace file does not take --accesses",
+            ),
+            (
+                &["check", "--jobs", "2"],
+                "`slip check` without --oracle does not take --jobs",
+            ),
+            (&["list", "--seed", "1"], "`slip list` does not take --seed"),
+            (&["list", "gcc"], "`slip list` does not take \"gcc\""),
+            (
+                &["bench", "--seed", "1"],
+                "`slip bench` does not take --seed",
+            ),
+            (&["serve", "--csv", "x"], "`slip serve` does not take --csv"),
+            (
+                &["submit", "--stats", "--quiet"],
+                "`slip submit --stats` does not take --quiet",
+            ),
+            (
+                &["submit", "--stats", "--shutdown"],
+                "`slip submit --stats` does not take --shutdown",
+            ),
+            (
+                &["submit", "--resume", "r", "--verify-offline"],
+                "`slip submit --resume` does not take --verify-offline",
+            ),
+            (
+                &["submit", "--resume", "r", "--accesses", "5"],
+                "`slip submit --resume` does not take --accesses",
+            ),
+            (
+                &["submit", "gcc", "--ack", "3"],
+                "`slip submit` does not take --ack",
+            ),
+        ] {
+            assert_eq!(rejected(argv), err, "{argv:?}");
+        }
+        // The same flags are taken where they act.
+        assert!(dispatch(&s(&["check", "--oracle", "--jobs", "2", "--accesses", "5"])).is_ok());
+        assert!(dispatch(&s(&["run", "gcc", "--accesses", "5", "--csv", "x.csv"])).is_ok());
+        assert!(dispatch(&s(&["submit", "--resume", "r", "--ack", "3", "--quiet"])).is_ok());
+    }
+
+    #[test]
     fn policy_accepts_report_labels_too() {
-        let o = parse_options(&s(&["--policy", "SLIP+ABP"])).unwrap();
-        assert_eq!(o.policy, PolicyKind::SlipAbp);
-        let o = parse_options(&s(&["--policy", "LRU-PEA"])).unwrap();
-        assert_eq!(o.policy, PolicyKind::LruPea);
+        assert_eq!(
+            args(&["--policy", "SLIP+ABP"]).policy().unwrap(),
+            PolicyKind::SlipAbp
+        );
+        assert_eq!(
+            args(&["--policy", "LRU-PEA"]).policy().unwrap(),
+            PolicyKind::LruPea
+        );
     }
 
     #[test]
     fn rejects_unknown_flags_and_values() {
-        assert!(parse_options(&s(&["--bogus"])).is_err());
-        assert!(parse_options(&s(&["--policy", "magic"])).is_err());
-        assert!(parse_options(&s(&["--accesses", "many"])).is_err());
-        assert!(parse_options(&s(&["--csv"])).is_err());
-        assert!(parse_options(&s(&["--jobs", "few"])).is_err());
-        assert!(parse_options(&s(&["--journal"])).is_err());
+        for argv in [&["--bogus"][..], &["--csv"], &["--journal"], &["--policy"]] {
+            assert!(Args::parse("run", &s(argv)).is_err(), "{argv:?}");
+        }
+        assert!(args(&["--policy", "magic"]).policy().is_err());
+        assert!(args(&["--accesses", "many"]).accesses().is_err());
+        assert!(args(&["--jobs", "few"]).jobs().is_err());
+        assert!(args(&["--replacement", "fifo"])
+            .config(PolicyKind::Slip)
+            .is_err());
+        // A pool needs a worker: --jobs 0 is an error, not a clamp.
+        let err = args(&["--jobs", "0"]).jobs().unwrap_err();
+        assert!(err.contains("at least one worker"), "{err}");
+        assert!(rejected(&["sweep", "gcc", "--jobs", "0"]).contains("--jobs"));
+        assert!(rejected(&["check", "--quick", "--full"]).contains("--full"));
     }
 
-    /// The error a retired flag spelling produces on `cmd`, which must
+    /// The error a retired flag spelling produces on `argv`, which must
     /// fail at parse time — before any simulation — naming the
     /// `replacement`.
-    fn retired_error(
-        cmd: fn(&[String]) -> Result<(), String>,
-        args: &[&str],
-        replacement: &str,
-    ) -> String {
-        let err = cmd(&s(args)).unwrap_err();
-        assert!(err.contains("no longer supported"), "{args:?}: {err}");
-        assert!(err.contains(replacement), "{args:?}: {err}");
+    fn retired_error(argv: &[&str], replacement: &str) -> String {
+        let err = rejected(argv);
+        assert!(err.contains("no longer supported"), "{argv:?}: {err}");
+        assert!(err.contains(replacement), "{argv:?}: {err}");
         err
     }
 
@@ -1017,7 +1142,9 @@ mod tests {
     fn rejects_non_power_of_two_shards_at_parse_time() {
         // Set sharding is gone: every --shards value fails at parse time.
         for n in ["0", "3", "1", "2", "64"] {
-            let err = parse_options(&s(&["--shards", n])).map(|_| ()).unwrap_err();
+            let err = Args::parse("run", &s(&["--shards", n]))
+                .map(|_| ())
+                .unwrap_err();
             assert!(
                 err.contains("fused benchmark groups"),
                 "--shards {n}: {err}"
@@ -1027,31 +1154,30 @@ mod tests {
 
     #[test]
     fn run_rejects_retired_trace_mode() {
-        retired_error(cmd_run, &["gcc", "--trace-mode", "fused"], "--jobs");
+        retired_error(&["run", "gcc", "--trace-mode", "fused"], "--jobs");
     }
 
     #[test]
     fn run_rejects_retired_shards() {
-        retired_error(cmd_run, &["gcc", "--shards", "2"], "--jobs");
+        retired_error(&["run", "gcc", "--shards", "2"], "--jobs");
     }
 
     #[test]
     fn sweep_rejects_retired_trace_mode() {
-        let err = retired_error(cmd_sweep, &["gcc", "--trace-mode", "shared"], "--jobs");
+        let err = retired_error(&["sweep", "gcc", "--trace-mode", "shared"], "--jobs");
         assert!(err.contains("fused benchmark groups"), "{err}");
     }
 
     #[test]
     fn sweep_rejects_retired_shards() {
-        let err = retired_error(cmd_sweep, &["gcc", "--shards", "2"], "--jobs");
+        let err = retired_error(&["sweep", "gcc", "--shards", "2"], "--jobs");
         assert!(err.contains("fused benchmark groups"), "{err}");
     }
 
     #[test]
     fn sweep_rejects_retired_trace_cache_mb() {
         let err = retired_error(
-            cmd_sweep,
-            &["gcc", "--trace-cache-mb", "64"],
+            &["sweep", "gcc", "--trace-cache-mb", "64"],
             "no cache budget",
         );
         assert!(err.contains("slip serve"), "{err}");
@@ -1060,8 +1186,7 @@ mod tests {
     #[test]
     fn serve_rejects_retired_trace_mode() {
         retired_error(
-            cmd_serve,
-            &["--addr", "127.0.0.1:0", "--trace-mode", "fused"],
+            &["serve", "--addr", "127.0.0.1:0", "--trace-mode", "fused"],
             "--jobs",
         );
     }
@@ -1069,8 +1194,7 @@ mod tests {
     #[test]
     fn serve_rejects_retired_shards() {
         retired_error(
-            cmd_serve,
-            &["--addr", "127.0.0.1:0", "--shards", "2"],
+            &["serve", "--addr", "127.0.0.1:0", "--shards", "2"],
             "--jobs",
         );
     }
@@ -1078,8 +1202,7 @@ mod tests {
     #[test]
     fn serve_rejects_retired_trace_cache_mb() {
         let err = retired_error(
-            cmd_serve,
-            &["--addr", "127.0.0.1:0", "--trace-cache-mb", "64"],
+            &["serve", "--addr", "127.0.0.1:0", "--trace-cache-mb", "64"],
             "no cache budget",
         );
         assert!(err.contains("stream every benchmark's trace"), "{err}");
@@ -1087,36 +1210,41 @@ mod tests {
 
     #[test]
     fn topology_option_resolves_builtins_and_rejects_garbage() {
-        let o = parse_options(&s(&["--topology", "stt-llc"])).unwrap();
-        assert_eq!(o.topology.as_deref(), Some("stt-llc"));
-        let spec = load_topology(&o).unwrap().unwrap();
+        let spec = args(&["--topology", "stt-llc"])
+            .topology()
+            .unwrap()
+            .unwrap();
         assert_eq!(spec.name, "stt-llc");
         // from_topology honors the spec's asymmetric LLC energies.
-        let c = config_from(&o).unwrap();
+        let c = args(&["--topology", "stt-llc"])
+            .config(PolicyKind::SlipAbp)
+            .unwrap();
         assert_eq!(c.tech.name, "stt-llc");
         // Unknown names / missing files surface as CLI errors.
-        let bad = parse_options(&s(&["--topology", "no-such-node-or-file"])).unwrap();
-        assert!(load_topology(&bad).is_err());
-        assert!(config_from(&bad).is_err());
+        let bad = || args(&["--topology", "no-such-node-or-file"]);
+        assert!(bad().topology().is_err());
+        assert!(bad().config(PolicyKind::SlipAbp).is_err());
         // A malformed file is rejected with a line/column diagnostic.
         let mut path = std::env::temp_dir();
         path.push(format!("slip-cli-topo-{}.topo", std::process::id()));
         std::fs::write(&path, "node broken\nwire 0.16\n").unwrap();
-        let malformed = parse_options(&s(&["--topology", path.to_str().unwrap()])).unwrap();
-        let err = load_topology(&malformed).unwrap_err();
+        let err = args(&["--topology", path.to_str().unwrap()])
+            .topology()
+            .unwrap_err();
         assert!(err.contains("line 2"), "{err}");
         std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn check_accepts_topology_and_rejects_bad_values() {
-        assert!(cmd_check(&s(&["--topology"])).is_err());
-        assert!(cmd_check(&s(&["--topology", "no-such-node"])).is_err());
+        rejected(&["check", "--topology"]);
+        rejected(&["check", "--topology", "no-such-node"]);
+        assert!(dispatch(&s(&["check", "--topology", "stt-llc"])).is_ok());
     }
 
     #[test]
     fn mix_rejects_inclusive() {
-        let err = cmd_mix(&s(&["gcc", "lbm", "--accesses", "1000", "--inclusive"])).unwrap_err();
+        let err = rejected(&["mix", "gcc", "lbm", "--accesses", "1000", "--inclusive"]);
         assert!(
             err.contains("the two-core system models a non-inclusive LLC"),
             "{err}"
@@ -1125,30 +1253,31 @@ mod tests {
 
     #[test]
     fn dispatch_rejects_unknown_command() {
-        assert!(dispatch(&s(&["frobnicate"])).is_err());
-        assert!(dispatch(&[]).is_err());
+        rejected(&["frobnicate"]);
+        rejected(&[]);
     }
 
     #[test]
     fn sweep_rejects_unknown_benchmarks() {
-        assert!(cmd_sweep(&s(&["not-a-bench", "--accesses", "1000"])).is_err());
+        rejected(&["sweep", "not-a-bench", "--accesses", "1000"]);
     }
 
     #[test]
     fn bench_rejects_bad_options_before_running() {
-        assert!(cmd_bench(&s(&["--bogus"])).is_err());
-        assert!(cmd_bench(&s(&["--out"])).is_err());
-        assert!(cmd_bench(&s(&["--check"])).is_err());
+        rejected(&["bench", "--bogus"]);
+        rejected(&["bench", "--out"]);
+        rejected(&["bench", "--check"]);
+        rejected(&["bench", "extra"]);
     }
 
     #[test]
     fn decimal_seed_parses() {
-        let o = parse_options(&s(&["--seed", "123"])).unwrap();
-        assert_eq!(o.seed, 123);
+        assert_eq!(args(&["--seed", "123"]).seed().unwrap(), 123);
+        assert!(args(&["--seed", "0xzz"]).seed().is_err());
     }
 
-    fn baseline_json(text: &str) -> sweep_runner::json::Value {
-        sweep_runner::json::Value::parse(text).unwrap()
+    fn baseline_json(text: &str) -> Value {
+        Value::parse(text).unwrap()
     }
 
     #[test]
@@ -1193,12 +1322,12 @@ mod tests {
     #[test]
     fn bench_rejects_retired_tolerance() {
         // The flag fails at parse time, before any kernel runs.
-        retired_error(cmd_bench, &["--quick", "--tolerance", "50"], "fixed at 20%");
-        // The variable fails the same way, through `env::check_retired`.
+        retired_error(&["bench", "--quick", "--tolerance", "50"], "fixed at 20%");
+        // The variable fails the same way, through `env::check`.
         // Setting it here would race the env reads of concurrent tests,
         // so that half runs in a child copy of this test binary.
         if std::env::var_os("SLIP_BENCH_TOL").is_some() {
-            let err = cmd_bench(&s(&["--quick"])).unwrap_err();
+            let err = rejected(&["bench", "--quick"]);
             assert!(err.starts_with("SLIP_BENCH_TOL="), "{err}");
             assert!(err.contains("fixed at 20%"), "{err}");
             return;
@@ -1215,10 +1344,11 @@ mod tests {
 
     #[test]
     fn check_rejects_bad_options_before_running() {
-        assert!(cmd_check(&s(&["--bogus"])).is_err());
-        assert!(cmd_check(&s(&["--iters"])).is_err());
-        assert!(cmd_check(&s(&["--iters", "many"])).is_err());
-        assert!(cmd_check(&s(&["--seed", "0xzz"])).is_err());
-        assert!(cmd_check(&s(&["--max-len", "long"])).is_err());
+        rejected(&["check", "--bogus"]);
+        rejected(&["check", "--iters"]);
+        rejected(&["check", "--iters", "many"]);
+        rejected(&["check", "--seed", "0xzz"]);
+        rejected(&["check", "--max-len", "long"]);
+        rejected(&["check", "extra"]);
     }
 }

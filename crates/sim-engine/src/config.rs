@@ -9,6 +9,10 @@ use mem_substrate::{SlipMmu, Tlb};
 use nuca_baselines::{LruPea, NuRapid, PeaLru};
 use slip_core::{EouObjective, LevelModelParams, SamplingConfig, SlipLevel, SlipPlacement};
 
+/// The master seed every configuration starts with
+/// ([`SystemConfig::seed`]).
+pub const DEFAULT_SEED: u64 = 0x511b;
+
 /// Which placement policy drives the lower-level caches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PolicyKind {
@@ -216,7 +220,7 @@ impl SystemConfig {
             core_cycles_per_access: 2,
             sampling: SamplingConfig::paper_default(),
             rd_bin_bits: 4,
-            seed: 0x511b,
+            seed: DEFAULT_SEED,
             reference_hot_path: false,
         })
     }

@@ -11,7 +11,7 @@
 //! serial one.
 
 use crate::codec;
-use crate::config::{PolicyKind, SystemConfig};
+use crate::config::{PolicyKind, SystemConfig, DEFAULT_SEED};
 use crate::env;
 use crate::fused::run_group;
 use crate::result::SimResult;
@@ -35,6 +35,11 @@ pub struct SuiteOptions {
     pub policies: Vec<PolicyKind>,
     /// Reuse-distance bin counter width.
     pub rd_bin_bits: u32,
+    /// Master seed of every cell's [`SystemConfig`] and trace (default
+    /// [`DEFAULT_SEED`]). Set via [`with_seed`].
+    ///
+    /// [`with_seed`]: SuiteOptions::with_seed
+    pub seed: u64,
     /// The hierarchy every cell runs on — geometry *and* energy; `None`
     /// is the built-in 45 nm node. Set via [`with_topology`].
     ///
@@ -52,6 +57,7 @@ impl SuiteOptions {
             benchmarks: workloads::BENCHMARK_NAMES.to_vec(),
             policies: PolicyKind::ALL.to_vec(),
             rd_bin_bits: 4,
+            seed: DEFAULT_SEED,
             topology: None,
         }
     }
@@ -84,6 +90,12 @@ impl SuiteOptions {
         self
     }
 
+    /// Overrides the master seed of every cell.
+    pub fn with_seed(mut self, seed: u64) -> Self {
+        self.seed = seed;
+        self
+    }
+
     /// Overrides the distribution counter width.
     pub fn with_bin_bits(mut self, bits: u32) -> Self {
         self.rd_bin_bits = bits;
@@ -113,6 +125,7 @@ impl SuiteOptions {
             None => SystemConfig::paper_45nm(policy),
         };
         config.rd_bin_bits = self.rd_bin_bits;
+        config.seed = self.seed;
         config
     }
 
@@ -166,11 +179,11 @@ impl SweepConfig {
     ///
     /// # Panics
     ///
-    /// Panics when a retired knob ([`env::check_retired`]) is set —
-    /// ignoring it would mislabel what ran. The CLI surfaces the
-    /// same error politely.
+    /// Panics on a knob [`env::check`] rejects (retired or unparseable)
+    /// — ignoring it would mislabel what ran. The CLI surfaces the same
+    /// error politely.
     pub fn from_env() -> Self {
-        env::check_retired().unwrap_or_else(|e| panic!("{e}"));
+        env::check().unwrap_or_else(|e| panic!("{e}"));
         SweepConfig {
             journal: env::journal(),
             quiet: false,
@@ -652,5 +665,27 @@ mod tests {
             a.cell_key("gcc", PolicyKind::Slip),
             a.cell_key("mcf", PolicyKind::Slip)
         );
+    }
+
+    #[test]
+    fn seeded_sweep_differs_and_keys_carry_the_seed() {
+        let default = SuiteOptions::paper_full()
+            .with_benchmarks(&["gcc"])
+            .with_policies(&[PolicyKind::SlipAbp])
+            .with_accesses(20_000)
+            .with_warmup(0);
+        let seeded = default.clone().with_seed(7);
+        assert_eq!(
+            seeded.cell_key("gcc", PolicyKind::SlipAbp),
+            "gcc/SLIP+ABP@acc=20000,warm=0,tech=45nm,bits=4,seed=0x7"
+        );
+        assert_eq!(seeded.cell_config(PolicyKind::Baseline).seed, 7);
+        let run = |o: &SuiteOptions| {
+            fingerprint(&SuiteResults::run_with(o.clone(), &SweepConfig::serial()).unwrap())
+        };
+        assert_ne!(run(&default), run(&seeded));
+        // The seed reaches the fused path exactly as it reaches a
+        // single inline run.
+        assert_eq!(run(&seeded), reference(&seeded));
     }
 }

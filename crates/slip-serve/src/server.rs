@@ -87,10 +87,10 @@ impl ServerConfig {
     ///
     /// # Panics
     ///
-    /// When a retired knob ([`env::check_retired`]) is set — a server
-    /// that ignored it would misreport how it executes.
+    /// On a knob [`env::check`] rejects (retired or unparseable) — a
+    /// server that ignored it would misreport how it executes.
     pub fn new(journal_dir: impl Into<PathBuf>) -> ServerConfig {
-        env::check_retired().unwrap_or_else(|e| panic!("{e}"));
+        env::check().unwrap_or_else(|e| panic!("{e}"));
         ServerConfig {
             addr: "127.0.0.1:0".to_owned(),
             jobs: env::jobs(),

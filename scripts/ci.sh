@@ -150,6 +150,28 @@ grep -q 'the two-core system models a non-inclusive LLC' "$RETIRED_ERR" || {
 }
 rm -f "$RETIRED_ERR"
 
+# A subcommand accepts a flag only where it reads it: `slip sweep` has
+# no CSV output, so --csv must fail at parse time, naming the
+# subcommand and the flag, and write no file.
+echo "==> slip sweep --csv rejection smoke"
+SWEEP_CSV="target/ci-sweep.csv"
+rm -f "$SWEEP_CSV"
+if ./target/release/slip sweep gcc --accesses 1000 --csv "$SWEEP_CSV" \
+    >/dev/null 2>"$RETIRED_ERR"; then
+    echo "slip sweep accepted --csv" >&2
+    exit 1
+fi
+head -n 1 "$RETIRED_ERR" | grep -q '`slip sweep` does not take --csv' || {
+    echo "slip sweep --csv error does not name the subcommand and flag:" >&2
+    cat "$RETIRED_ERR" >&2
+    exit 1
+}
+if [ -e "$SWEEP_CSV" ]; then
+    echo "slip sweep --csv wrote $SWEEP_CSV before failing" >&2
+    exit 1
+fi
+rm -f "$RETIRED_ERR"
+
 # The same for the retired serve trace-cache budget: every trace is
 # streamed, so the flag must fail at parse time, before the server
 # binds (timeout-bounded in case it ever starts serving instead).
@@ -189,13 +211,14 @@ rm -f "$RETIRED_ERR" "$RETIRED_ERR.out"
 
 # Perf-regression smoke: the quick suite rate (geometric mean of the
 # four system replays) must stay within a fixed 20% of the committed
-# baseline (BENCH_9.json). CPU-time sensitive, so allow opting out on
-# loaded/shared machines.
+# baseline (BENCH_22.json, the best of six quick runs on a shared 2-vCPU
+# host). CPU-time sensitive, so allow opting out on loaded/shared
+# machines.
 if [ "${SLIP_SKIP_BENCH:-0}" = "1" ]; then
     echo "==> SLIP_SKIP_BENCH=1; skipping bench smoke"
 else
-    echo "==> slip bench --quick --check BENCH_9.json"
-    ./target/release/slip bench --quick --check BENCH_9.json
+    echo "==> slip bench --quick --check BENCH_22.json"
+    ./target/release/slip bench --quick --check BENCH_22.json
 fi
 
 echo "==> ci OK"
