@@ -398,11 +398,6 @@ impl CacheLevel {
         self
     }
 
-    /// Whether the structure-of-arrays L1 mode is enabled.
-    pub fn packed_lru_enabled(&self) -> bool {
-        self.packed_lru
-    }
-
     /// The memoized last-hit way of `set` (introspection/tests).
     pub fn memoized_way(&self, set: usize) -> Option<usize> {
         let memo = self.hit_memo[set];
@@ -834,76 +829,6 @@ impl CacheLevel {
                 .uniform_latency
                 .unwrap_or_else(|| self.geom.latency(way)),
         )
-    }
-
-    /// Retires `n` back-to-back demand accesses to the *same* line as
-    /// one closed-form L1 hit, returning their summed latency, or
-    /// `None` (mutating nothing) if the line is not resident.
-    ///
-    /// Must mirror `n` consecutive [`Self::try_demand_hit`] calls
-    /// exactly; every per-hit update collapses: the counters and the
-    /// reuse counter gain `n`, the port backlog is drained by the first
-    /// hit only (nothing re-arms it between baseline hits), the final
-    /// timestamp is the `n`-th stamp, the dirty/LRU/memo updates are
-    /// idempotent after the first hit, and each hit past the first adds
-    /// one uniform-latency term. The `fastpath-determinism` family and
-    /// the golden suite hold this equivalence.
-    #[inline]
-    pub fn try_demand_hit_run(&mut self, line: LineAddr, is_write: bool, n: u64) -> Option<u64> {
-        debug_assert!(self.packed_lru, "fast hits need the SoA layout");
-        debug_assert!(n >= 1, "a hit run has at least one access");
-        let set = self.geom.set_of(line);
-        let base = set * self.geom.ways;
-        let memo = self.hit_memo[set];
-        let way = if usize::from(memo) < self.geom.ways
-            && self.valid_bits[set] & (1u32 << memo) != 0
-            && self.lines[base + usize::from(memo)].addr == line
-        {
-            usize::from(memo)
-        } else {
-            let tags = &self.tags[base..base + self.geom.ways];
-            let mut candidates =
-                Self::tag_match_mask(tags, Self::tag_of(line)) & self.valid_bits[set];
-            loop {
-                if candidates == 0 {
-                    return None;
-                }
-                let way = candidates.trailing_zeros() as usize;
-                candidates &= candidates - 1;
-                if self.lines[base + way].addr == line {
-                    break way;
-                }
-            }
-        };
-
-        self.set_counters[set] += n;
-        self.stats.demand_accesses += n;
-        self.stats.demand_hits += n;
-        self.stats.hits_per_sublevel[self.geom.sublevel(way)] += n;
-        self.ledger.count_way_n(EnergyCategory::Access, way, n);
-        let wait = core::mem::take(&mut self.port_backlog[set]);
-        let stamp_now = if self.set_stamp_granule == 1 {
-            (self.set_counters[set] % 64) as u8
-        } else {
-            self.stamp6_of(set)
-        };
-        {
-            let slot = &mut self.lines[base + way];
-            slot.timestamp = stamp_now;
-            slot.hits_since_fill += n as u32;
-            if is_write {
-                slot.dirty = true;
-            }
-        }
-        if is_write {
-            self.dirty_bits[set] |= 1 << way;
-        }
-        self.lru_stacks[set].touch(way);
-        self.hit_memo[set] = way as u16;
-        let per_hit = self
-            .uniform_latency
-            .unwrap_or_else(|| self.geom.latency(way));
-        Some(u64::from(wait) + n * u64::from(per_hit))
     }
 
     /// Swaps the line at `way` with the slot at `target` (promotion).

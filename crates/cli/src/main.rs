@@ -38,6 +38,12 @@
 //! --topology <node|file>  a built-in node (45nm, 22nm, stt-llc) or a spec
 //!                         file; malformed files fail with line/column
 //!                         diagnostics (default SLIP_TOPOLOGY or built-in 45 nm)
+//!
+//! SLIP_WARMUP=<N>         unmeasured warmup accesses before `run <workload>`,
+//!                         `compare` and `sweep` measure; `run file.trc` and
+//!                         `mix` run no warmup and fail when it is non-zero
+//! SLIP_JOURNAL=<path>     the default --journal; `compare` keeps no journal
+//!                         and fails when it is set
 //! ```
 //!
 //! A subcommand accepts a flag only where it reads it: every other flag
@@ -47,7 +53,7 @@ use sim_engine::config::{PolicyKind, ReplacementKind, SystemConfig, DEFAULT_SEED
 use sim_engine::experiments::{SuiteOptions, SuiteResults};
 use sim_engine::multicore::run_mix;
 use sim_engine::report::{pct, Table};
-use sim_engine::system::run_workload;
+use sim_engine::system::run_workload_with_warmup;
 use sim_engine::{SimResult, SingleCoreSystem, SweepConfig};
 use std::fmt::Display;
 use std::io::Write as _;
@@ -319,6 +325,16 @@ fn exactly<const N: usize>(a: &mut Args, usage: &str) -> Result<[String; N], Str
     a.positionals().try_into().map_err(|_| usage.to_owned())
 }
 
+/// Fails when `SLIP_WARMUP` asks `cmd`, which runs no warmup, for one.
+fn no_warmup(cmd: &str, why: &str) -> Result<(), String> {
+    match sim_engine::env::warmup() {
+        0 => Ok(()),
+        n => Err(format!(
+            "{cmd} does not read SLIP_WARMUP (set to {n}): {why}"
+        )),
+    }
+}
+
 fn workload(name: &str) -> Result<workloads::WorkloadSpec, String> {
     workloads::workload(name).ok_or_else(|| format!("unknown workload {name:?} (try `slip list`)"))
 }
@@ -346,6 +362,7 @@ fn cmd_run(a: &mut Args) -> Result<Job, String> {
     if target.ends_with(".trc") {
         // A trace file runs whole, so it has no --accesses.
         a.cmd = "`slip run` on a trace file".to_owned();
+        no_warmup(&a.cmd, "a trace file runs whole, with no warmup")?;
         return Ok(Box::new(move || {
             let reader = workloads::io::read_trace(&target).map_err(|e| e.to_string())?;
             let mut system = SingleCoreSystem::new(config);
@@ -357,8 +374,12 @@ fn cmd_run(a: &mut Args) -> Result<Job, String> {
     }
     let spec = workload(&target)?;
     let accesses = a.accesses()?;
+    let warmup = sim_engine::env::warmup();
     Ok(Box::new(move || {
-        print_result(&run_workload(config, &spec, accesses), csv)
+        print_result(
+            &run_workload_with_warmup(config, &spec, accesses, warmup),
+            csv,
+        )
     }))
 }
 
@@ -456,6 +477,13 @@ fn cmd_compare(a: &mut Args) -> Result<Job, String> {
     let jobs = a.jobs()?;
     // Every policy runs, so --policy is not taken.
     let base_config = a.config(PolicyKind::SlipAbp)?;
+    let warmup = sim_engine::env::warmup();
+    if sim_engine::env::journal().is_some() {
+        return Err(format!(
+            "{} does not read SLIP_JOURNAL: it keeps no journal (unset the variable)",
+            a.cmd
+        ));
+    }
     Ok(Box::new(move || {
         println!("workload {name}, {accesses} accesses\n");
         println!(
@@ -467,7 +495,7 @@ fn cmd_compare(a: &mut Args) -> Result<Job, String> {
         let results = sweep_runner::run_indexed(PolicyKind::ALL.len(), jobs, |i| {
             let mut cfg = base_config.clone();
             cfg.policy = PolicyKind::ALL[i];
-            run_workload(cfg, &spec, accesses)
+            run_workload_with_warmup(cfg, &spec, accesses, warmup)
         });
         let baseline = &results[0];
         for r in &results {
@@ -566,6 +594,7 @@ fn cmd_mix(a: &mut Args) -> Result<Job, String> {
                 .to_owned(),
         );
     }
+    no_warmup(&a.cmd, "a two-core mix runs without warmup")?;
     let [name_a, name_b] = exactly(a, "mix needs exactly two workloads")?;
     let spec_a = workload(&name_a)?;
     let spec_b = workload(&name_b)?;
@@ -621,7 +650,17 @@ const BENCH_REGRESSION_TOLERANCE: f64 = 0.20;
 fn cmd_bench(a: &mut Args) -> Result<Job, String> {
     let quick = a.switch("--quick");
     let out = a.value("--out");
-    let check = a.value("--check");
+    // The baseline loads here, so a missing or malformed file fails
+    // before any replay.
+    let check = match a.value("--check") {
+        Some(path) => {
+            let text =
+                std::fs::read_to_string(&path).map_err(|e| format!("reading {path}: {e}"))?;
+            let baseline = Value::parse(&text).map_err(|e| format!("parsing {path}: {e:?}"))?;
+            Some((bench_baseline_rate(&baseline, quick)?, path))
+        }
+        None => None,
+    };
     Ok(Box::new(move || {
         println!("slip bench ({} mode)", if quick { "quick" } else { "full" });
         let report = sim_engine::bench::run(quick);
@@ -646,11 +685,9 @@ fn cmd_bench(a: &mut Args) -> Result<Job, String> {
                 .map_err(|e| format!("writing {path}: {e}"))?;
             println!("\nwrote {path}");
         }
-        if let Some(path) = &check {
-            let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-            let baseline = Value::parse(&text).map_err(|e| format!("parsing {path}: {e:?}"))?;
+        if let Some((base_rate, path)) = &check {
             let current = report.suite_accesses_per_sec;
-            let (base_rate, floor) = bench_check_verdict(current, &baseline, quick)?;
+            let floor = bench_check_verdict(current, *base_rate)?;
             println!(
                 "\ncheck vs {path}: current {:.0} kacc/s, baseline {:.0} kacc/s (floor {:.0})",
                 current / 1e3,
@@ -663,12 +700,16 @@ fn cmd_bench(a: &mut Args) -> Result<Job, String> {
     }))
 }
 
+/// The suite rate a `slip bench --check` baseline records for the mode.
+fn bench_baseline_rate(baseline: &Value, quick: bool) -> Result<f64, String> {
+    sim_engine::bench::baseline_suite_rate(baseline, quick)
+        .ok_or_else(|| "baseline has no suite_accesses_per_sec".to_owned())
+}
+
 /// The `slip bench --check` rule, isolated for testing: `current` must
 /// stay within [`BENCH_REGRESSION_TOLERANCE`] of the baseline's suite
-/// rate. Returns `(baseline_rate, floor)` on success.
-fn bench_check_verdict(current: f64, baseline: &Value, quick: bool) -> Result<(f64, f64), String> {
-    let base_rate = sim_engine::bench::baseline_suite_rate(baseline, quick)
-        .ok_or_else(|| "baseline has no suite_accesses_per_sec".to_owned())?;
+/// rate `base_rate`. Returns the floor on success.
+fn bench_check_verdict(current: f64, base_rate: f64) -> Result<f64, String> {
     let floor = base_rate * (1.0 - BENCH_REGRESSION_TOLERANCE);
     if current < floor {
         return Err(format!(
@@ -679,7 +720,7 @@ fn bench_check_verdict(current: f64, baseline: &Value, quick: bool) -> Result<(f
             base_rate / 1e3
         ));
     }
-    Ok((base_rate, floor))
+    Ok(floor)
 }
 
 fn cmd_check(a: &mut Args) -> Result<Job, String> {
@@ -1283,19 +1324,18 @@ mod tests {
     #[test]
     fn bench_check_passes_inside_the_tolerance_band() {
         let baseline = baseline_json(r#"{"suite_accesses_per_sec": 1000000.0}"#);
-        // 20% tolerance: the floor is 800k.
-        let (base, floor) = bench_check_verdict(900_000.0, &baseline, false).unwrap();
+        let base = bench_baseline_rate(&baseline, false).unwrap();
         assert_eq!(base, 1_000_000.0);
-        assert_eq!(floor, 800_000.0);
+        // 20% tolerance: the floor is 800k.
+        assert_eq!(bench_check_verdict(900_000.0, base), Ok(800_000.0));
         // Exactly at the floor still passes; faster than baseline too.
-        assert!(bench_check_verdict(800_000.0, &baseline, false).is_ok());
-        assert!(bench_check_verdict(2_000_000.0, &baseline, false).is_ok());
+        assert!(bench_check_verdict(800_000.0, base).is_ok());
+        assert!(bench_check_verdict(2_000_000.0, base).is_ok());
     }
 
     #[test]
     fn bench_check_fails_below_the_tolerance_band() {
-        let baseline = baseline_json(r#"{"suite_accesses_per_sec": 1000000.0}"#);
-        let err = bench_check_verdict(799_999.0, &baseline, false).unwrap_err();
+        let err = bench_check_verdict(799_999.0, 1_000_000.0).unwrap_err();
         assert!(err.contains("regression"), "{err}");
     }
 
@@ -1306,16 +1346,14 @@ mod tests {
             r#"{"after": {"suite_accesses_per_sec": 1000000.0},
                 "after_quick": {"suite_accesses_per_sec": 100000.0}}"#,
         );
-        // 90k passes against the quick section (floor 80k) but fails
-        // against the full section (floor 800k).
-        assert!(bench_check_verdict(90_000.0, &baseline, true).is_ok());
-        assert!(bench_check_verdict(90_000.0, &baseline, false).is_err());
+        assert_eq!(bench_baseline_rate(&baseline, true), Ok(100_000.0));
+        assert_eq!(bench_baseline_rate(&baseline, false), Ok(1_000_000.0));
     }
 
     #[test]
     fn bench_check_rejects_baselines_without_a_suite_rate() {
         let baseline = baseline_json(r#"{"kernels": []}"#);
-        let err = bench_check_verdict(1.0, &baseline, false).unwrap_err();
+        let err = bench_baseline_rate(&baseline, false).unwrap_err();
         assert!(err.contains("suite_accesses_per_sec"), "{err}");
     }
 

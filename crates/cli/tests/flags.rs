@@ -20,6 +20,11 @@ use std::time::{Duration, Instant};
 /// outlives the deadline (a command that should have been rejected may
 /// serve forever).
 fn slip(args: &[String]) -> Output {
+    slip_with(args, &[])
+}
+
+/// [`slip`] with the `SLIP_*` knobs in `vars` set.
+fn slip_with(args: &[String], vars: &[(&str, &str)]) -> Output {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_slip"));
     for knob in [
         "SLIP_ACCESSES",
@@ -31,6 +36,7 @@ fn slip(args: &[String]) -> Output {
     ] {
         cmd.env_remove(knob);
     }
+    cmd.envs(vars.iter().copied());
     let mut child = cmd
         .args(args)
         .stdin(Stdio::null())
@@ -407,6 +413,83 @@ fn bench_rejects_other_flags_before_replaying() {
         &["bench", "--quick", "--out", "{out}"],
         &["--quick", "--out", "--check"],
     );
+}
+
+#[test]
+fn bench_rejects_an_unreadable_baseline_before_replaying() {
+    let dir = scratch("bench-check");
+    let missing = dir.join("missing.json");
+    let malformed = dir.join("malformed.json");
+    std::fs::write(&malformed, "{\"suite_accesses_per_sec\": ").unwrap();
+    let no_rate = dir.join("no-rate.json");
+    std::fs::write(&no_rate, "{\"kernels\": []}").unwrap();
+    for (path, error) in [
+        (&missing, "reading"),
+        (&malformed, "parsing"),
+        (&no_rate, "no suite_accesses_per_sec"),
+    ] {
+        let args = ["bench", "--quick", "--check", path.to_str().unwrap()].map(String::from);
+        let started = Instant::now();
+        let out = slip(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{args:?}");
+        assert!(stderr.lines().next().unwrap().contains(error), "{stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} benched before failing");
+        assert!(started.elapsed() < Duration::from_secs(5), "{args:?}");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Each `SLIP_*` knob a subcommand could be expected to read either
+/// changes what it prints or writes, or fails before it runs with an
+/// error naming the subcommand and the variable.
+#[test]
+fn env_knobs_change_the_output_or_fail_before_running() {
+    let dir = scratch("env");
+    let trc = dir.join("gcc.trc");
+    let journal = dir.join("j.jsonl");
+    let (trc, journal) = (trc.to_str().unwrap(), journal.to_str().unwrap());
+    assert!(
+        slip(&["record", "gcc", trc, "--accesses", "20000"].map(String::from))
+            .status
+            .success()
+    );
+    let warmup = ("SLIP_WARMUP", "5000");
+    let journaled = ("SLIP_JOURNAL", journal);
+    let written = || Path::new(journal).exists();
+    for (argv, var, honoured) in [
+        ("run gcc --accesses 20000", warmup, true),
+        ("compare gcc --accesses 20000 --jobs 1", warmup, true),
+        ("sweep gcc --accesses 20000 --jobs 1", warmup, true),
+        ("sweep gcc --accesses 20000 --jobs 1", journaled, true),
+        ("run {trc}", warmup, false),
+        ("mix gcc lbm --accesses 20000", warmup, false),
+        ("compare gcc --accesses 20000 --jobs 1", journaled, false),
+    ] {
+        let args: Vec<String> = argv
+            .replace("{trc}", trc)
+            .split(' ')
+            .map(String::from)
+            .collect();
+        let base = slip(&args);
+        assert!(base.status.success(), "{args:?}");
+        let out = slip_with(&args, &[var]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let tag = format!("{}={} {args:?}", var.0, var.1);
+        if honoured {
+            assert!(out.status.success(), "{tag}: {stderr}");
+            assert!(
+                out.stdout != base.stdout || written(),
+                "{tag} changed nothing"
+            );
+        } else {
+            assert!(rejects(&out, &args[0], var.0), "{tag}: {stderr}");
+            assert!(out.stdout.is_empty(), "{tag} ran");
+            assert!(!written(), "{tag} wrote");
+        }
+        let _ = std::fs::remove_file(journal);
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]

@@ -243,19 +243,6 @@ impl SlipMmu {
         self.stats.tlb_hits += 1;
     }
 
-    /// [`Self::commit_resident_hit`] for `n` back-to-back accesses to
-    /// the same resident line: `n` lookups of a resident page are `n`
-    /// hit credits but a single recency splice (after the first the
-    /// page already heads the recency list).
-    #[inline]
-    pub fn commit_resident_hits(&mut self, line: LineAddr, n: u64) {
-        debug_assert!(n >= 1, "a hit run has at least one access");
-        let hit = self.tlb.lookup(self.block_of(line));
-        debug_assert!(hit, "callers probe residency before committing");
-        self.tlb.hits += n - 1;
-        self.stats.tlb_hits += n;
-    }
-
     /// Excludes the All-Bypass Policy from both EOUs ("SLIP" vs
     /// "SLIP+ABP" in the paper's figures).
     pub fn forbid_all_bypass(mut self) -> Self {

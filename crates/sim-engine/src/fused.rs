@@ -22,18 +22,20 @@
 //! and fill sequence, and since the cache substrate is a pure function
 //! of set-local history (no dependence on the cycle clock), one shared
 //! L1 instance reproduces each cell's L1 evolution exactly. The group
-//! probes it once per access and hands each cell an [`L1Verdict`];
-//! cells without per-access MMU work additionally fold runs of
-//! consecutive L1 hits into one batched update
-//! ([`SingleCoreSystem::absorb_l1_hits`]).
+//! probes it once per access and hands every cell an [`L1Verdict`]
+//! through [`SingleCoreSystem::step_below_l1`]. The shared L1 is what
+//! keeps the full 70-cell sweep (the repo benchmark's `sweep_paper`)
+//! about 20% faster than stepping each cell's own L1. Hits are not
+//! batched on top of it: the built-in profiles, the only traffic fused
+//! groups see, hit the L1 on at most 0.25% of accesses.
 //!
 //! Groups that do not qualify (inclusive LLC, heterogeneous L1
 //! geometry) still share the stream: each system steps the shared
 //! chunk through its ordinary [`SingleCoreSystem::step_fast`].
 //!
-//! [`run_group_observed`] is the same lockstep loop with a per-access
-//! hook between cells — the conformance fuzzer's cross-policy
-//! divergence probe for prefix minimization.
+//! [`run_group_observed`] runs the same lockstep loop one access per
+//! chunk, with a hook after each — the conformance fuzzer's
+//! cross-policy divergence probe for prefix minimization.
 
 use crate::config::SystemConfig;
 use crate::result::SimResult;
@@ -102,16 +104,6 @@ impl SharedL1 {
     /// nothing touches the L1 in between on a non-inclusive hierarchy.
     /// Dirty victims append to `wbs`; returns `(hit, latency)`.
     fn step(&mut self, access: Access, wbs: &mut Vec<LineAddr>) -> (bool, u32) {
-        if self.level.packed_lru_enabled() {
-            // SoA fast hit; a miss mutates nothing and falls into the
-            // full access below, which re-probes and records it.
-            if let Some(latency) = self
-                .level
-                .try_demand_hit(access.line(), access.kind.is_write())
-            {
-                return (true, latency);
-            }
-        }
         let r = self.level.access(
             access.line(),
             access.kind,
@@ -154,10 +146,10 @@ struct GroupScratch {
 }
 
 impl GroupScratch {
-    fn new() -> GroupScratch {
+    fn new(chunk: usize) -> GroupScratch {
         GroupScratch {
-            accesses: Vec::with_capacity(CHUNK_ACCESSES),
-            verdicts: Vec::with_capacity(CHUNK_ACCESSES),
+            accesses: Vec::with_capacity(chunk),
+            verdicts: Vec::with_capacity(chunk),
             wbs: Vec::new(),
         }
     }
@@ -201,37 +193,8 @@ fn run_chunk(
                 });
             }
             for sys in systems.iter_mut() {
-                if sys.has_mmu() {
-                    for (i, &a) in scratch.accesses.iter().enumerate() {
-                        // Shared-L1 hits on TLB-resident blocks batch
-                        // into the cell's pending hit run (the TLB hit
-                        // commits eagerly; the rest is a pure credit).
-                        let v = scratch.verdicts[i];
-                        if v.hit && sys.try_absorb_shared_hit(a, v.latency) {
-                            continue;
-                        }
-                        sys.step_below_l1(a, &scratch.verdict(i));
-                    }
-                } else {
-                    // Hits carry no below-L1 work for these cells, so a
-                    // run of them folds into two sums (bit-exact: the
-                    // per-hit updates are u64 additions).
-                    let mut i = 0;
-                    while i < scratch.accesses.len() {
-                        if scratch.verdicts[i].hit {
-                            let mut count = 0u64;
-                            let mut latency_sum = 0u64;
-                            while i < scratch.accesses.len() && scratch.verdicts[i].hit {
-                                count += 1;
-                                latency_sum += u64::from(scratch.verdicts[i].latency);
-                                i += 1;
-                            }
-                            sys.absorb_l1_hits(count, latency_sum);
-                        } else {
-                            sys.step_below_l1(scratch.accesses[i], &scratch.verdict(i));
-                            i += 1;
-                        }
-                    }
+                for (i, &a) in scratch.accesses.iter().enumerate() {
+                    sys.step_below_l1(a, &scratch.verdict(i));
                 }
             }
         }
@@ -292,6 +255,56 @@ fn finish_group(
         .collect()
 }
 
+/// The lockstep loop behind [`run_group`] and [`run_group_observed`]:
+/// pulls `chunk` accesses at a time, steps every cell through them, and
+/// calls `after_chunk(index, &systems)` with the stream index of the
+/// chunk's last access. Measurements reset at the warmup boundary
+/// (warmup chunks end exactly on it, so the reset lands between the
+/// same two accesses as a solo run's). Returns `None` when the hook
+/// returns `false`, else the results with the measured wall time split
+/// evenly across the cells.
+fn run_lockstep(
+    configs: Vec<SystemConfig>,
+    name: &str,
+    accesses: impl IntoIterator<Item = Access>,
+    warmup: u64,
+    chunk: usize,
+    mut after_chunk: impl FnMut(u64, &[SingleCoreSystem]) -> bool,
+) -> Option<Vec<SimResult>> {
+    let (mut systems, mut shared) = build_group(configs);
+    let mut scratch = GroupScratch::new(chunk);
+    let mut stream = accesses.into_iter();
+    let mut done = 0u64;
+    while done < warmup {
+        let want = (warmup - done).min(chunk as u64) as usize;
+        assert_eq!(
+            scratch.fill(&mut stream, want),
+            want,
+            "trace long enough for warmup"
+        );
+        run_chunk(&mut systems, &mut shared, &mut scratch);
+        done += want as u64;
+        if !after_chunk(done - 1, &systems) {
+            return None;
+        }
+    }
+    reset_group(&mut systems, &mut shared);
+    let started = Instant::now();
+    loop {
+        let n = scratch.fill(&mut stream, chunk);
+        if n == 0 {
+            break;
+        }
+        run_chunk(&mut systems, &mut shared, &mut scratch);
+        done += n as u64;
+        if !after_chunk(done - 1, &systems) {
+            return None;
+        }
+    }
+    let wall = started.elapsed().as_secs_f64();
+    Some(finish_group(systems, shared, name, wall))
+}
+
 /// Runs all `configs` over one access stream in lockstep, returning
 /// one result per config (in order). `accesses` is the cell's full
 /// `warmup + len` stream; measurements reset at the warmup
@@ -311,81 +324,25 @@ pub fn run_group(
     accesses: impl IntoIterator<Item = Access>,
     warmup: u64,
 ) -> Vec<SimResult> {
-    let (mut systems, mut shared) = build_group(configs);
-    let mut scratch = GroupScratch::new();
-    let mut stream = accesses.into_iter();
-    let mut remaining = warmup;
-    while remaining > 0 {
-        // Warmup chunks end exactly on the boundary, so the reset
-        // below lands between the same two accesses as a solo run's.
-        let want = remaining.min(CHUNK_ACCESSES as u64) as usize;
-        assert_eq!(
-            scratch.fill(&mut stream, want),
-            want,
-            "trace long enough for warmup"
-        );
-        run_chunk(&mut systems, &mut shared, &mut scratch);
-        remaining -= want as u64;
-    }
-    reset_group(&mut systems, &mut shared);
-    let started = Instant::now();
-    while scratch.fill(&mut stream, CHUNK_ACCESSES) > 0 {
-        run_chunk(&mut systems, &mut shared, &mut scratch);
-    }
-    let wall = started.elapsed().as_secs_f64();
-    finish_group(systems, shared, name, wall)
+    run_lockstep(configs, name, accesses, warmup, CHUNK_ACCESSES, |_, _| true)
+        .expect("a hook that never aborts")
 }
 
-/// The lockstep loop with a per-access observation hook: after every
-/// access steps through all cells, `observe(index, &systems)` sees the
-/// group's state (`index` counts from 0 over the whole stream, warmup
-/// included). Returning `false` aborts the replay and yields `None` —
-/// the conformance fuzzer uses this to find the shortest prefix on
-/// which two policies diverge. A completed run returns results
-/// bit-identical to [`run_group`] (untimed).
+/// [`run_group`] one access per chunk, with an observation hook: after
+/// every access steps through all cells, `observe(index, &systems)`
+/// sees the group's state (`index` counts from 0 over the whole
+/// stream, warmup included). Returning `false` aborts the replay and
+/// yields `None` — the conformance fuzzer uses this to find the
+/// shortest prefix on which two policies diverge. A completed run
+/// returns results bit-identical to [`run_group`].
 pub fn run_group_observed(
     configs: Vec<SystemConfig>,
     name: &str,
     accesses: impl IntoIterator<Item = Access>,
     warmup: u64,
-    mut observe: impl FnMut(u64, &[SingleCoreSystem]) -> bool,
+    observe: impl FnMut(u64, &[SingleCoreSystem]) -> bool,
 ) -> Option<Vec<SimResult>> {
-    let (mut systems, mut shared) = build_group(configs);
-    let mut wbs: Vec<LineAddr> = Vec::new();
-    let mut index = 0u64;
-    for access in accesses {
-        if index == warmup {
-            reset_group(&mut systems, &mut shared);
-        }
-        match &mut shared {
-            Some(l1) => {
-                wbs.clear();
-                let (hit, latency) = l1.step(access, &mut wbs);
-                let verdict = L1Verdict {
-                    hit,
-                    latency,
-                    writebacks: &wbs,
-                };
-                for sys in &mut systems {
-                    sys.step_below_l1(access, &verdict);
-                }
-            }
-            None => {
-                for sys in &mut systems {
-                    sys.step(access);
-                }
-            }
-        }
-        if !observe(index, &systems) {
-            return None;
-        }
-        index += 1;
-    }
-    assert!(index >= warmup, "trace long enough for warmup");
-    if index == warmup {
-        reset_group(&mut systems, &mut shared);
-    }
-    Some(finish_group(systems, shared, name, 0.0))
+    run_lockstep(configs, name, accesses, warmup, 1, observe)
 }
 
 #[cfg(test)]

@@ -16,6 +16,16 @@
 //! access, whether it steps its own L1, consumes a fused group's shared
 //! L1 verdict, or runs on either core of the two-core system, goes
 //! through the same `Core::translate` and `Core::below_l1`.
+//!
+//! [`SingleCoreSystem::step_fast`] puts an L1 fast path in front of the
+//! walk: an L1 hit on a TLB-resident line retires through the cache's
+//! structure-of-arrays probe and way memo (`CacheLevel::try_demand_hit`)
+//! and defers its access/cycle credit into a pending batch; anything
+//! else falls into the walk. The scanner and the memo are there for
+//! L1-hit-heavy replays (the repo benchmark's `cell_l1`, a 98.6%-L1-hit
+//! `.trc` replay); the probe backoff keeps their failed probes off runs
+//! that almost never hit the L1 (`cell_llc`, the built-in profiles).
+//! Every path is bit-identical to `reference_hot_path = true`.
 
 use crate::config::{PolicySeeds, SystemConfig};
 use crate::dispatch::{AnyPlacement, AnyReplacement};
@@ -524,41 +534,6 @@ impl SingleCoreSystem {
         self.step(access);
     }
 
-    /// Retires `n` back-to-back copies of the *same* access — the trace
-    /// runners collapse equal-neighbor runs before stepping. A run
-    /// whose first access would take the fast path retires in closed
-    /// form ([`CacheLevel::try_demand_hit_run`]); anything else replays
-    /// the run through [`Self::step_fast`] one access at a time, which
-    /// keeps the backoff evolution (and therefore every counter)
-    /// exactly as if the caller had never batched.
-    pub fn step_fast_run(&mut self, access: Access, n: u64) {
-        if n > 1 && self.fast_path && self.fast_backoff == 0 {
-            let line = access.line();
-            let resident = match &self.core.mmu {
-                Some(mmu) => mmu.is_resident_line(line),
-                None => true,
-            };
-            if resident {
-                if let Some(total) =
-                    self.core
-                        .l1
-                        .try_demand_hit_run(line, access.kind.is_write(), n)
-                {
-                    if let Some(mmu) = self.core.mmu.as_mut() {
-                        mmu.commit_resident_hits(line, n);
-                    }
-                    self.pending_hits += n;
-                    self.pending_hit_latency += total;
-                    self.fast_penalty = 1;
-                    return;
-                }
-            }
-        }
-        for _ in 0..n {
-            self.step_fast(access);
-        }
-    }
-
     /// Folds the pending L1 hit batch into the architectural counters:
     /// each hit is `core_cycles_per_access + its hit latency` cycles
     /// and one access (its TLB hit, if any, was committed when the hit
@@ -569,13 +544,8 @@ impl SingleCoreSystem {
         }
         let n = core::mem::take(&mut self.pending_hits);
         let latency = core::mem::take(&mut self.pending_hit_latency);
-        self.absorb(n, latency);
-    }
-
-    /// Credits `count` L1 hits whose latencies sum to `latency_sum`.
-    fn absorb(&mut self, count: u64, latency_sum: u64) {
-        self.core.accesses += count;
-        self.core.cycles += count * u64::from(self.config.core_cycles_per_access) + latency_sum;
+        self.core.accesses += n;
+        self.core.cycles += n * u64::from(self.config.core_cycles_per_access) + latency;
     }
 
     /// Simulates one access; advances the cycle clock.
@@ -610,77 +580,12 @@ impl SingleCoreSystem {
         }
     }
 
-    /// Credits a run of consecutive L1 hits in one step. Only exact for
-    /// systems without an MMU (no translation work per access): each
-    /// hit contributes `core_cycles_per_access + its L1 hit latency`
-    /// cycles and nothing else, so a batch folds to two sums.
-    pub fn absorb_l1_hits(&mut self, count: u64, latency_sum: u64) {
-        debug_assert!(
-            self.core.mmu.is_none(),
-            "hit batching requires no per-access MMU work"
-        );
-        self.absorb(count, latency_sum);
-    }
-
-    /// Whether this system carries a per-access MMU (the SLIP
-    /// policies); such systems cannot batch L1 hit runs.
-    pub fn has_mmu(&self) -> bool {
-        self.core.mmu.is_some()
-    }
-
-    /// Fused-group fast path for an MMU-carrying cell: attempts to
-    /// retire an access the shared L1 already verdicted as a hit (at
-    /// `hit_latency`) as a committed TLB hit plus a batched
-    /// access/cycle credit. Returns `false` when the scanner is off or
-    /// the line's block is not TLB-resident; the caller then takes the
-    /// full [`Self::step_below_l1`] path. Deferring the batch across
-    /// that path is exact — the pending credits are pure counter adds
-    /// that nothing below the L1 reads — but a non-resident line
-    /// flushes eagerly anyway to keep batch lifetimes short.
-    pub fn try_absorb_shared_hit(&mut self, access: Access, hit_latency: u32) -> bool {
-        if !self.fast_path {
-            return false;
-        }
-        if self.fast_backoff > 0 {
-            self.fast_backoff -= 1;
-            self.flush_hit_run();
-            return false;
-        }
-        if let Some(mmu) = self.core.mmu.as_mut() {
-            if !mmu.is_resident_line(access.line()) {
-                self.fast_backoff = self.fast_penalty;
-                self.fast_penalty = (self.fast_penalty * 2).min(FAST_BACKOFF_MAX);
-                self.flush_hit_run();
-                return false;
-            }
-            mmu.commit_resident_hit(access.line());
-        }
-        self.pending_hits += 1;
-        self.pending_hit_latency += u64::from(hit_latency);
-        self.fast_penalty = 1;
-        true
-    }
-
-    /// Runs a whole trace (through the hit-run scanner when armed),
-    /// collapsing runs of identical accesses into single
-    /// [`Self::step_fast_run`] calls.
+    /// Runs a whole trace through [`Self::step_fast`], then retires the
+    /// pending hit batch.
     pub fn run<I: IntoIterator<Item = Access>>(&mut self, trace: I) {
-        let mut trace = trace.into_iter();
-        let Some(mut current) = trace.next() else {
-            self.flush_hit_run();
-            return;
-        };
-        let mut n: u64 = 1;
         for access in trace {
-            if access == current {
-                n += 1;
-            } else {
-                self.step_fast_run(current, n);
-                current = access;
-                n = 1;
-            }
+            self.step_fast(access);
         }
-        self.step_fast_run(current, n);
         self.flush_hit_run();
     }
 

@@ -1,21 +1,22 @@
-//! Fast-path determinism check: the batched L1-resident fast path
-//! (SoA set layout, hit-run scanner, way memo, TLB-residency gate)
-//! must be bit-identical to the verbatim reference path.
+//! Fast-path determinism check: the L1 fast path (SoA set layout,
+//! hit-run scanner, way memo, TLB-residency gate) must be bit-identical
+//! to the verbatim reference path.
 //!
 //! This is the conformance-side guarantee backing the default
 //! execution path: `reference_hot_path = false` is purely an execution
 //! strategy, never a modeling change. The check replays adversarial
 //! trace families — the repeat-heavy ones that exercise the way memo
-//! and hit-run batching hardest, plus tag aliases, address edges, and
-//! TLB thrash that stress its invalidation and residency gating —
-//! through the reference path (`reference_hot_path = true`) and every
-//! optimized execution that ships:
+//! and the scanner's deferred hit batch hardest, plus tag aliases,
+//! address edges, and TLB thrash that stress its invalidation and
+//! residency gating — through the reference path
+//! (`reference_hot_path = true`) and every optimized execution that
+//! ships:
 //!
-//! 1. inline `run` — equal-neighbor runs collapsed into
-//!    `step_fast_run`, the `slip run` path,
-//! 2. inline `step_fast`, one access at a time,
-//! 3. a singleton fused group streaming the trace (the sweep and `slip
-//!    serve` path),
+//! 1. inline `step_fast`, one access at a time (`SingleCoreSystem::run`,
+//!    the `slip run` path; the repo benchmark's `cell_l1` keeps the
+//!    scanner and memo, `cell_llc` the probe backoff),
+//! 2. a singleton fused group streaming the trace (the sweep and `slip
+//!    serve` path, which steps the group's shared L1 instead),
 //!
 //! and compares all encoded results byte for byte.
 
@@ -48,29 +49,16 @@ fn first_difference(a: &str, b: &str) -> String {
 }
 
 /// Inline replay: `warmup` accesses through `step_fast`, a measurement
-/// reset, then the rest through `run` (`per_access = false`, the
-/// `run_workload_with_warmup` structure) or `step_fast` one access at
-/// a time.
-fn run_inline(
-    config: SystemConfig,
-    name: &str,
-    trace: &[Access],
-    warmup: u64,
-    per_access: bool,
-) -> SimResult {
+/// reset, then the rest through `run` (the `run_workload_with_warmup`
+/// structure).
+fn run_inline(config: SystemConfig, name: &str, trace: &[Access], warmup: u64) -> SimResult {
     let mut system = SingleCoreSystem::new(config);
     let (head, tail) = trace.split_at(warmup as usize);
     for &access in head {
         system.step_fast(access);
     }
     system.reset_measurements();
-    if per_access {
-        for &access in tail {
-            system.step_fast(access);
-        }
-    } else {
-        system.run(tail.iter().copied());
-    }
+    system.run(tail.iter().copied());
     system.finish(name.to_owned())
 }
 
@@ -120,18 +108,14 @@ pub fn check_fastpath_determinism(seed: u64, trace_len: u64, quiet: bool) -> Res
         let mut reference = config.clone();
         reference.reference_hot_path = true;
         let want =
-            codec::encode_result(&run_inline(reference, &scenario, &trace, warmup, true)).to_json();
+            codec::encode_result(&run_inline(reference, &scenario, &trace, warmup)).to_json();
 
         debug_assert!(!config.reference_hot_path);
         let c = || config.clone();
         for (mode, result) in [
             (
-                "inline run",
-                run_inline(c(), &scenario, &trace, warmup, false),
-            ),
-            (
                 "inline step_fast",
-                run_inline(c(), &scenario, &trace, warmup, true),
+                run_inline(c(), &scenario, &trace, warmup),
             ),
             (
                 "fused streamed",

@@ -10,8 +10,9 @@
 //! streaming the trace, and through each cell's solo reference run,
 //! comparing the encoded results byte for byte — warmup included, so
 //! the group-wide measurement reset at the warmup boundary is exercised
-//! too. An inclusive-LLC group is covered as well: it must take the
-//! plain-lockstep fallback (no shared L1) and still match.
+//! too. A hit-heavy single-line loop holds every policy's shared-L1
+//! hits to the same bar. An inclusive-LLC group is covered as well: it
+//! must take the plain-lockstep fallback (no shared L1) and still match.
 //!
 //! On a mismatch the check does not stop at "results differ": it
 //! re-runs the diverging cell as a singleton fused group under
@@ -89,6 +90,9 @@ fn first_diverging_access(
 pub fn check_fused_determinism(seed: u64, trace_len: u64, quiet: bool) -> Result<(), Violation> {
     // Shared-L1 groups across several trace families, plus one
     // inclusive-LLC group that must take the plain-lockstep fallback.
+    // The hit-heavy single-line loop (appended last, so the other
+    // cases keep their seeds) drives every policy's shared-L1 hits
+    // through `step_below_l1`.
     let group_of = |inclusive: bool| -> Vec<SystemConfig> {
         PolicyKind::ALL
             .iter()
@@ -99,11 +103,12 @@ pub fn check_fused_determinism(seed: u64, trace_len: u64, quiet: bool) -> Result
             })
             .collect()
     };
-    let cases: [(Pattern, bool); 4] = [
+    let cases: [(Pattern, bool); 5] = [
         (Pattern::ConflictStorm, false),
         (Pattern::TlbThrash, false),
         (Pattern::RandomMix, false),
         (Pattern::PhaseChange, true),
+        (Pattern::SingleLineLoop, false),
     ];
     for (i, (pattern, inclusive)) in cases.into_iter().enumerate() {
         let scenario = format!(

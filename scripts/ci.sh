@@ -31,10 +31,10 @@ cargo build --release --offline --manifest-path benchmark/Cargo.toml
 
 # Conformance gate: bounded differential fuzz + invariant sweep
 # (including the fused-, fastpath-, serve-, and topology-determinism
-# checks: inline stepping, streamed fused groups, the
-# batched L1 fast path, and every built-in hierarchy spec must be
-# bit-identical to the verbatim reference over the adversarial trace
-# families) at a fixed seed, so every run covers the identical
+# checks: inline stepping through the L1 fast path, streamed fused
+# groups stepping every cell through their shared L1, and every
+# built-in hierarchy spec must be bit-identical to the verbatim
+# reference over the adversarial trace families) at a fixed seed, so every run covers the identical
 # scenario set. --topology stt-llc additionally drives the asymmetric
 # STT-RAM node through the CLI spec-loading path and holds it to the
 # same run-mode determinism bar. Override the iteration budget with
@@ -204,6 +204,29 @@ grep -q 'regression bound is fixed at 20%' "$RETIRED_ERR" || {
 }
 if [ -s "$RETIRED_ERR.out" ]; then
     echo "slip bench --tolerance started benching before failing:" >&2
+    cat "$RETIRED_ERR.out" >&2
+    exit 1
+fi
+rm -f "$RETIRED_ERR" "$RETIRED_ERR.out"
+
+# The --check baseline loads before any replay: a missing file must
+# fail at parse time and print nothing to stdout (timeout-bounded in
+# case it ever starts benching first).
+echo "==> slip bench --quick --check target/ci-missing.json rejection smoke"
+MISSING_BASELINE="target/ci-missing.json"
+rm -f "$MISSING_BASELINE"
+if timeout 10 ./target/release/slip bench --quick --check "$MISSING_BASELINE" \
+    >"$RETIRED_ERR.out" 2>"$RETIRED_ERR"; then
+    echo "slip bench accepted a missing --check baseline" >&2
+    exit 1
+fi
+grep -q "reading $MISSING_BASELINE" "$RETIRED_ERR" || {
+    echo "slip bench missing-baseline error does not name the file:" >&2
+    cat "$RETIRED_ERR" >&2
+    exit 1
+}
+if [ -s "$RETIRED_ERR.out" ]; then
+    echo "slip bench started benching before reading its --check baseline:" >&2
     cat "$RETIRED_ERR.out" >&2
     exit 1
 fi
