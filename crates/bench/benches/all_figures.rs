@@ -1,71 +1,39 @@
-//! Regenerates every single-core figure (9-15) from ONE shared sweep,
-//! plus the motivation figures, hardware tables, topology comparison,
-//! node study, bin-width study, replacement ablation, and the two-core
-//! Figure 16. This is the efficient way to reproduce the whole paper.
+//! Regenerates every table and figure of the paper, and the ablations,
+//! from ONE grouped sweep over every table's cells
+//! (`sim_engine::experiments::paper`). `SLIP_ACCESSES`, `SLIP_WARMUP`,
+//! `SLIP_JOBS` and `SLIP_JOURNAL` set the length, warmup, worker count
+//! and run journal; Ctrl-C seals the journal, and a re-run with the same
+//! settings resumes from it.
 
-use sim_engine::experiments::{
-    energy, hardware, motivation, multicore_exp, sensitivity, speedup, traffic, SuiteOptions,
-    SuiteResults,
-};
-use sim_engine::PolicyKind;
+use sim_engine::experiments::{paper, SuiteOptions};
+use sim_engine::{env, SweepConfig};
+use std::process::ExitCode;
 
-fn main() {
-    let accesses = slip_bench::bench_accesses();
+fn main() -> ExitCode {
+    if let Err(e) = env::check() {
+        eprintln!("all_figures: {e}");
+        return ExitCode::FAILURE;
+    }
+    let options = SuiteOptions::paper_full().with_accesses(slip_bench::bench_accesses());
     slip_bench::print_header("SLIP reproduction: all tables and figures");
-
-    print!("{}", hardware::tab02_table(&hardware::tab02()).render());
-    println!();
-    print!("{}", hardware::eou_table(&hardware::eou_summary()).render());
-    println!();
-
-    print!(
-        "{}",
-        motivation::fig01_table(&motivation::fig01(accesses)).render()
-    );
-    println!();
-    print!(
-        "{}",
-        motivation::fig03_table(&motivation::fig03(accesses)).render()
-    );
-    println!();
-
-    let suite = SuiteResults::run(SuiteOptions::paper_full().with_accesses(accesses));
-    print!("{}", energy::fig09_table(&energy::fig09(&suite)).render());
-    println!(
-        "DRAM traffic change: SLIP {:+.1}%, SLIP+ABP {:+.1}%  (paper: -2.2% for SLIP+ABP)\n",
-        energy::mean_dram_traffic_change(&suite, PolicyKind::Slip) * 100.0,
-        energy::mean_dram_traffic_change(&suite, PolicyKind::SlipAbp) * 100.0,
-    );
-    print!("{}", energy::fig10_table(&energy::fig10(&suite)).render());
-    println!();
-    print!("{}", energy::fig11_table(&energy::fig11(&suite)).render());
-    println!();
-    print!("{}", traffic::fig12_table(&traffic::fig12(&suite)).render());
-    println!();
-    print!("{}", speedup::fig13_table(&speedup::fig13(&suite)).render());
-    println!();
-    print!("{}", traffic::fig14_table(&traffic::fig14(&suite)).render());
-    println!();
-    print!("{}", traffic::fig15_table(&traffic::fig15(&suite)).render());
-    println!();
-
-    let rows = energy::htree_comparison(accesses, &["soplex", "gcc", "mcf", "lbm"]);
-    print!("{}", energy::htree_table(&rows).render());
-    println!();
-
-    let (l2, l3) = energy::node22(accesses, &["soplex", "gcc", "mcf", "lbm"]);
-    println!("== Section 6: 22 nm node, SLIP+ABP ==");
-    println!("mean L2 saving: {:.1}%   (paper: 36%)", l2 * 100.0);
-    println!("mean L3 saving: {:.1}%   (paper: 25%)\n", l3 * 100.0);
-
-    let rows = sensitivity::bin_width_sweep(accesses, &["soplex", "mcf", "lbm"], &[2, 3, 4, 6, 8]);
-    print!("{}", sensitivity::bin_width_table(&rows).render());
-    println!();
-
-    let rows = sensitivity::replacement_ablation(accesses);
-    print!("{}", sensitivity::replacement_table(&rows).render());
-    println!();
-
-    let rows = multicore_exp::fig16(accesses);
-    print!("{}", multicore_exp::fig16_table(&rows).render());
+    let sweep = SweepConfig {
+        journal: env::journal(),
+        quiet: false,
+        cancel: Some(sweep_runner::interrupt::install()),
+        ..SweepConfig::with_jobs(env::jobs())
+    };
+    match paper::run(options, &sweep) {
+        Ok(tables) => {
+            print!("{tables}");
+            ExitCode::SUCCESS
+        }
+        Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {
+            eprintln!("all_figures: {e}; re-run with the same settings to resume");
+            ExitCode::FAILURE
+        }
+        Err(e) => {
+            eprintln!("all_figures: journal: {e}");
+            ExitCode::FAILURE
+        }
+    }
 }

@@ -1,17 +1,19 @@
-//! Shared helpers for the paper-figure bench targets.
+//! Shared helpers for the paper-figure bench target.
 //!
-//! Every `harness = false` bench in this crate regenerates one table or
-//! figure of the SLIP paper (see DESIGN.md §5 for the index). Trace
-//! length is controlled by the `SLIP_ACCESSES` environment variable
-//! (default 1,000,000 accesses per benchmark for the bench targets;
-//! larger values sharpen the numbers at linear cost).
-//!
-//! Run everything from one shared simulation sweep with:
+//! The crate's one `harness = false` bench, `all_figures`, regenerates
+//! every table and figure of the SLIP paper and the ablations from one
+//! grouped sweep (see DESIGN.md §5 for the index). `SLIP_ACCESSES` sets
+//! the trace length (default 1,000,000 accesses per benchmark; larger
+//! values sharpen the numbers at linear cost), `SLIP_WARMUP` an
+//! unmeasured warmup, `SLIP_JOBS` the worker count and `SLIP_JOURNAL` a
+//! run journal that an interrupted run resumes from:
 //!
 //! ```sh
-//! cargo bench --bench all_figures
+//! SLIP_JOURNAL=figures.jsonl cargo bench -p slip-bench --bench all_figures
 //! ```
 
+use energy_model::params::LINE_BYTES;
+use energy_model::LevelEnergyParams;
 use sim_engine::config::SystemConfig;
 use sim_engine::PolicyKind;
 
@@ -23,6 +25,35 @@ pub fn bench_accesses() -> u64 {
     sim_engine::env::accesses_or(BENCH_DEFAULT_ACCESSES)
 }
 
+/// The Table 1 line of `c`: capacities in whole MB, else KB.
+fn system_line(c: &SystemConfig) -> String {
+    let size = |lines: usize| match lines * LINE_BYTES {
+        b if b % (1 << 20) == 0 => format!("{}MB", b >> 20),
+        b => format!("{}KB", b >> 10),
+    };
+    let level = |sets: usize, ways: &[usize], latency: &[u32]| {
+        let kb: Vec<String> = ways
+            .iter()
+            .map(|w| ((sets * w * LINE_BYTES) >> 10).to_string())
+            .collect();
+        let all: usize = ways.iter().sum();
+        format!(
+            "{}/{all}w, sublevels {}KB @ {latency:?}cyc",
+            size(sets * all),
+            kb.join("/")
+        )
+    };
+    format!(
+        "system (paper Table 1): L1 {}/{}w/{}cyc; L2 {}; L3 {}; DRAM {}cyc",
+        size(c.l1_sets * c.l1_ways),
+        c.l1_ways,
+        c.l1_latency,
+        level(c.l2_sets, &c.l2_sublevel_ways, &c.l2_sublevel_latency),
+        level(c.l3_sets, &c.l3_sublevel_ways, &c.l3_sublevel_latency),
+        mem_substrate::DRAM_LATENCY_CYCLES,
+    )
+}
+
 /// Prints the Table 1 system-parameter header every figure bench leads
 /// with, so printed results are self-describing.
 pub fn print_header(title: &str) {
@@ -30,33 +61,25 @@ pub fn print_header(title: &str) {
     println!("================================================================");
     println!("{title}");
     println!("----------------------------------------------------------------");
-    println!(
-        "system (paper Table 1): L1 32KB/8w/{}cyc; L2 256KB/16w, sublevels \
-         64/64/128KB @ {:?}cyc; L3 2MB/16w, sublevels 512/512/1024KB @ {:?}cyc; \
-         DRAM 100cyc",
-        c.l1_latency, c.l2_sublevel_latency, c.l3_sublevel_latency
-    );
+    println!("{}", system_line(&c));
+    let pj = |l: &LevelEnergyParams| -> Vec<f64> {
+        l.sublevel_access.iter().map(|e| e.as_pj()).collect()
+    };
     println!(
         "energy (Table 2, {}): L2 {:?} pJ, L3 {:?} pJ, DRAM {} pJ/bit",
         c.tech.name,
-        c.tech
-            .l2
-            .sublevel_access
-            .iter()
-            .map(|e| e.as_pj())
-            .collect::<Vec<_>>(),
-        c.tech
-            .l3
-            .sublevel_access
-            .iter()
-            .map(|e| e.as_pj())
-            .collect::<Vec<_>>(),
+        pj(&c.tech.l2),
+        pj(&c.tech.l3),
         c.tech.dram_pj_per_bit
     );
     println!(
         "trace: {} accesses/benchmark (set SLIP_ACCESSES to change)",
         bench_accesses()
     );
+    let warmup = sim_engine::env::warmup();
+    if warmup > 0 {
+        println!("warmup: {warmup} unmeasured accesses/benchmark before each trace (SLIP_WARMUP)");
+    }
     println!("================================================================");
 }
 
@@ -74,5 +97,19 @@ mod tests {
     #[test]
     fn header_prints_without_panic() {
         print_header("test header");
+    }
+
+    #[test]
+    fn table1_line_is_derived_from_the_config() {
+        let c = SystemConfig::paper_45nm(PolicyKind::SlipAbp);
+        assert_eq!(
+            system_line(&c),
+            "system (paper Table 1): L1 32KB/8w/4cyc; L2 256KB/16w, sublevels \
+             64/64/128KB @ [4, 6, 8]cyc; L3 2MB/16w, sublevels 512/512/1024KB @ \
+             [15, 19, 23]cyc; DRAM 100cyc"
+        );
+        // A different split prints what it is.
+        let split = c.with_sublevel_ways(vec![8, 8], vec![8, 8]);
+        assert!(system_line(&split).contains("L2 256KB/16w, sublevels 128/128KB"));
     }
 }

@@ -42,15 +42,19 @@
 //! SLIP_WARMUP=<N>         unmeasured warmup accesses before `run <workload>`,
 //!                         `compare` and `sweep` measure; `run file.trc` and
 //!                         `mix` run no warmup and fail when it is non-zero
-//! SLIP_JOURNAL=<path>     the default --journal; `compare` keeps no journal
-//!                         and fails when it is set
+//! SLIP_JOURNAL=<path>     the default --journal; `run`, `compare`, `mix`,
+//!                         `record` and `check` keep no journal and fail when
+//!                         it is set
 //! ```
+//!
+//! A closed stdout (`slip list | head -1`) ends any command quietly, as
+//! it does any Unix filter.
 //!
 //! A subcommand accepts a flag only where it reads it: every other flag
 //! fails before anything runs, naming the subcommand ([`Args::finish`]).
 
 use sim_engine::config::{PolicyKind, ReplacementKind, SystemConfig, DEFAULT_SEED};
-use sim_engine::experiments::{SuiteOptions, SuiteResults};
+use sim_engine::experiments::{SuiteOptions, SuiteResults, Variant};
 use sim_engine::multicore::run_mix;
 use sim_engine::report::{pct, Table};
 use sim_engine::system::run_workload_with_warmup;
@@ -64,6 +68,11 @@ use sweep_runner::json::Value;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    // The daemon writes nothing to stdout and keeps ignoring SIGPIPE;
+    // every other command ends on a closed stdout.
+    if args.first().map(String::as_str) != Some("serve") {
+        sweep_runner::interrupt::end_on_closed_stdout();
+    }
     // Only an argument error prints the usage; a command that fails
     // while it runs prints just its error.
     match dispatch(&args)
@@ -299,24 +308,30 @@ impl Args {
             .transpose()
     }
 
-    /// A single-core configuration for `policy`, taking `--topology`,
-    /// `--replacement`, `--inclusive` and `--seed`.
-    fn config(&mut self, policy: PolicyKind) -> Result<SystemConfig, String> {
-        let mut c = match self.topology()? {
-            Some(spec) => SystemConfig::from_topology(&spec, policy)?,
-            None => SystemConfig::paper_45nm(policy),
+    /// The configuration variant `--topology`, `--replacement` and
+    /// `--inclusive` select.
+    fn variant(&mut self) -> Result<Variant, String> {
+        let mut v = Variant {
+            topology: self.topology()?,
+            inclusive_llc: self.switch("--inclusive"),
+            ..Variant::default()
         };
         if let Some(r) = self.value("--replacement") {
-            c.replacement = match r.as_str() {
+            v.replacement = match r.as_str() {
                 "lru" => ReplacementKind::Lru,
                 "drrip" => ReplacementKind::Drrip,
                 "ship" => ReplacementKind::Ship,
                 other => return Err(format!("unknown replacement {other:?}")),
             };
         }
-        c.inclusive_llc = self.switch("--inclusive");
-        c.seed = self.seed()?;
-        Ok(c)
+        Ok(v)
+    }
+
+    /// A single-core configuration for `policy`, taking `--topology`,
+    /// `--replacement`, `--inclusive` and `--seed`.
+    fn config(&mut self, policy: PolicyKind) -> Result<SystemConfig, String> {
+        let variant = self.variant()?;
+        Ok(variant.config(policy, self.seed()?))
     }
 }
 
@@ -331,6 +346,16 @@ fn no_warmup(cmd: &str, why: &str) -> Result<(), String> {
         0 => Ok(()),
         n => Err(format!(
             "{cmd} does not read SLIP_WARMUP (set to {n}): {why}"
+        )),
+    }
+}
+
+/// Fails when `SLIP_JOURNAL` is set for `cmd`, which keeps no journal.
+fn no_journal(cmd: &str) -> Result<(), String> {
+    match sim_engine::env::journal() {
+        None => Ok(()),
+        Some(_) => Err(format!(
+            "{cmd} does not read SLIP_JOURNAL: it keeps no journal (unset the variable)"
         )),
     }
 }
@@ -356,6 +381,7 @@ fn cmd_list(_: &mut Args) -> Result<Job, String> {
 
 fn cmd_run(a: &mut Args) -> Result<Job, String> {
     let [target] = exactly(a, "run needs exactly one workload or trace file")?;
+    no_journal(&a.cmd)?;
     let policy = a.policy()?;
     let config = a.config(policy)?;
     let csv = a.value("--csv");
@@ -369,7 +395,7 @@ fn cmd_run(a: &mut Args) -> Result<Job, String> {
             for access in reader {
                 system.step_fast(access.map_err(|e| e.to_string())?);
             }
-            print_result(&system.finish(target), csv)
+            print_result(&system.finish(target), 0, csv)
         }));
     }
     let spec = workload(&target)?;
@@ -378,16 +404,29 @@ fn cmd_run(a: &mut Args) -> Result<Job, String> {
     Ok(Box::new(move || {
         print_result(
             &run_workload_with_warmup(config, &spec, accesses, warmup),
+            warmup,
             csv,
         )
     }))
 }
 
-/// Prints one run's metrics, and writes them to `csv` when given.
-fn print_result(r: &SimResult, csv: Option<String>) -> Result<(), String> {
+/// `, after a N-access warmup` for a header, or nothing at warmup 0.
+fn warmup_note(warmup: u64) -> String {
+    match warmup {
+        0 => String::new(),
+        n => format!(", after a {n}-access warmup"),
+    }
+}
+
+/// Prints one run's metrics, measured after `warmup` accesses, and
+/// writes them to `csv` when given.
+fn print_result(r: &SimResult, warmup: u64, csv: Option<String>) -> Result<(), String> {
     println!(
-        "workload {}   policy {}   accesses {}",
-        r.workload, r.policy, r.accesses
+        "workload {}   policy {}   accesses {}{}",
+        r.workload,
+        r.policy,
+        r.accesses,
+        warmup_note(warmup)
     );
     println!("cycles {}   IPC {:.3}", r.cycles, r.ipc());
     if let Some(mode) = r.exec_mode {
@@ -470,35 +509,42 @@ fn write_csv(path: &str, r: &SimResult) -> std::io::Result<()> {
     Ok(())
 }
 
+/// The built-in benchmark `name`, as the suite grid names it.
+fn benchmark(name: &str) -> Result<&'static str, String> {
+    let known = workloads::BENCHMARK_NAMES.iter().find(|&&b| b == name);
+    known
+        .copied()
+        .ok_or_else(|| format!("unknown workload {name:?} (try `slip list`)"))
+}
+
 fn cmd_compare(a: &mut Args) -> Result<Job, String> {
     let [name] = exactly(a, "compare needs exactly one workload")?;
-    let spec = workload(&name)?;
-    let accesses = a.accesses()?;
-    let jobs = a.jobs()?;
+    no_journal(&a.cmd)?;
     // Every policy runs, so --policy is not taken.
-    let base_config = a.config(PolicyKind::SlipAbp)?;
-    let warmup = sim_engine::env::warmup();
-    if sim_engine::env::journal().is_some() {
-        return Err(format!(
-            "{} does not read SLIP_JOURNAL: it keeps no journal (unset the variable)",
-            a.cmd
-        ));
-    }
+    let options = SuiteOptions {
+        benchmarks: vec![benchmark(&name)?],
+        accesses: a.accesses()?,
+        seed: a.seed()?,
+        variant: a.variant()?,
+        ..SuiteOptions::paper_full()
+    };
+    let jobs = a.jobs()?;
     Ok(Box::new(move || {
-        println!("workload {name}, {accesses} accesses\n");
+        println!(
+            "workload {name}, {} accesses{}\n",
+            options.accesses,
+            warmup_note(options.warmup)
+        );
         println!(
             "{:<10} {:>12} {:>12} {:>9} {:>9} {:>9} {:>11}",
             "policy", "L2 energy", "L3 energy", "L2 sav", "L3 sav", "speedup", "DRAM xfers"
         );
-        // One independently-seeded run per policy, drained by the worker
-        // pool; PolicyKind::ALL[0] is the baseline.
-        let results = sweep_runner::run_indexed(PolicyKind::ALL.len(), jobs, |i| {
-            let mut cfg = base_config.clone();
-            cfg.policy = PolicyKind::ALL[i];
-            run_workload_with_warmup(cfg, &spec, accesses, warmup)
-        });
-        let baseline = &results[0];
-        for r in &results {
+        // One fused group of the five policy cells, split over the pool.
+        let suite = SuiteResults::run_with(options, &SweepConfig::with_jobs(jobs))
+            .map_err(|e| e.to_string())?;
+        let baseline = suite.baseline(&name);
+        for policy in PolicyKind::ALL {
+            let r = suite.get(&name, policy);
             println!(
                 "{:<10} {:>12} {:>12} {:>8.1}% {:>8.1}% {:>8.2}% {:>11}",
                 r.policy.label(),
@@ -517,8 +563,7 @@ fn cmd_compare(a: &mut Args) -> Result<Job, String> {
 fn cmd_sweep(a: &mut Args) -> Result<Job, String> {
     let mut benchmarks = Vec::new();
     for n in a.positionals() {
-        let known = workloads::BENCHMARK_NAMES.iter().find(|&&b| b == n);
-        benchmarks.push(*known.ok_or_else(|| format!("unknown workload {n:?} (try `slip list`)"))?);
+        benchmarks.push(benchmark(&n)?);
     }
     if benchmarks.is_empty() {
         benchmarks = workloads::BENCHMARK_NAMES.to_vec();
@@ -528,9 +573,7 @@ fn cmd_sweep(a: &mut Args) -> Result<Job, String> {
         .with_benchmarks(&benchmarks)
         .with_accesses(accesses)
         .with_seed(a.seed()?);
-    if let Some(spec) = a.topology()? {
-        options = options.with_topology(spec);
-    }
+    options.variant.topology = a.topology()?;
     let jobs = a.jobs()?;
     let journal = a
         .value("--journal")
@@ -571,12 +614,13 @@ fn cmd_sweep(a: &mut Args) -> Result<Job, String> {
                 pct(suite.l3_saving(bench, PolicyKind::SlipAbp)),
             ]);
         }
+        let [slip, abp] = [PolicyKind::Slip, PolicyKind::SlipAbp].map(|p| suite.mean_saving(p));
         t.row(vec![
             "mean".to_owned(),
-            pct(suite.mean_l2_saving(PolicyKind::Slip)),
-            pct(suite.mean_l3_saving(PolicyKind::Slip)),
-            pct(suite.mean_l2_saving(PolicyKind::SlipAbp)),
-            pct(suite.mean_l3_saving(PolicyKind::SlipAbp)),
+            pct(slip.0),
+            pct(slip.1),
+            pct(abp.0),
+            pct(abp.1),
         ]);
         print!("{}", t.render());
         if let Some(j) = &journal {
@@ -595,6 +639,7 @@ fn cmd_mix(a: &mut Args) -> Result<Job, String> {
         );
     }
     no_warmup(&a.cmd, "a two-core mix runs without warmup")?;
+    no_journal(&a.cmd)?;
     let [name_a, name_b] = exactly(a, "mix needs exactly two workloads")?;
     let spec_a = workload(&name_a)?;
     let spec_b = workload(&name_b)?;
@@ -632,6 +677,7 @@ fn cmd_mix(a: &mut Args) -> Result<Job, String> {
 
 fn cmd_record(a: &mut Args) -> Result<Job, String> {
     let [name, out] = exactly(a, "record needs a workload and an output path")?;
+    no_journal(&a.cmd)?;
     let spec = workload(&name)?;
     let accesses = a.accesses()?;
     let seed = a.seed()?;
@@ -724,6 +770,7 @@ fn bench_check_verdict(current: f64, base_rate: f64) -> Result<f64, String> {
 }
 
 fn cmd_check(a: &mut Args) -> Result<Job, String> {
+    no_journal(&a.cmd)?;
     let full = a.switch("--full");
     if a.switch("--quick") && full {
         return Err("`slip check` takes --quick or --full, not both".to_owned());

@@ -23,17 +23,20 @@ fn slip(args: &[String]) -> Output {
     slip_with(args, &[])
 }
 
+/// The `SLIP_*` knobs a run starts without.
+const KNOBS: [&str; 6] = [
+    "SLIP_ACCESSES",
+    "SLIP_WARMUP",
+    "SLIP_JOBS",
+    "SLIP_JOURNAL",
+    "SLIP_FUZZ_ITERS",
+    "SLIP_TOPOLOGY",
+];
+
 /// [`slip`] with the `SLIP_*` knobs in `vars` set.
 fn slip_with(args: &[String], vars: &[(&str, &str)]) -> Output {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_slip"));
-    for knob in [
-        "SLIP_ACCESSES",
-        "SLIP_WARMUP",
-        "SLIP_JOBS",
-        "SLIP_JOURNAL",
-        "SLIP_FUZZ_ITERS",
-        "SLIP_TOPOLOGY",
-    ] {
+    for knob in KNOBS {
         cmd.env_remove(knob);
     }
     cmd.envs(vars.iter().copied());
@@ -448,7 +451,9 @@ fn env_knobs_change_the_output_or_fail_before_running() {
     let dir = scratch("env");
     let trc = dir.join("gcc.trc");
     let journal = dir.join("j.jsonl");
+    let rec = dir.join("rec.trc");
     let (trc, journal) = (trc.to_str().unwrap(), journal.to_str().unwrap());
+    let rec = rec.to_str().unwrap();
     assert!(
         slip(&["record", "gcc", trc, "--accesses", "20000"].map(String::from))
             .status
@@ -465,9 +470,15 @@ fn env_knobs_change_the_output_or_fail_before_running() {
         ("run {trc}", warmup, false),
         ("mix gcc lbm --accesses 20000", warmup, false),
         ("compare gcc --accesses 20000 --jobs 1", journaled, false),
+        ("run gcc --accesses 20000", journaled, false),
+        ("run {trc}", journaled, false),
+        ("mix gcc lbm --accesses 20000", journaled, false),
+        ("record gcc {rec} --accesses 20000", journaled, false),
+        ("check --quick --iters 1", journaled, false),
     ] {
         let args: Vec<String> = argv
             .replace("{trc}", trc)
+            .replace("{rec}", rec)
             .split(' ')
             .map(String::from)
             .collect();
@@ -547,4 +558,58 @@ fn submit_takes_each_flag_only_in_its_mode_and_rejects_before_connecting() {
         &["submit", "--shutdown", "--connect", "{addr}"],
         &["--stats", "--shutdown", "--connect"],
     );
+}
+
+/// A closed stdout ends every printing subcommand quietly: the first
+/// write to it stops the process, with no panic or backtrace, and never
+/// with Rust's panic exit code 101.
+#[test]
+fn a_closed_stdout_ends_every_command_quietly() {
+    let dir = scratch("pipe");
+    let trc = dir.join("gcc.trc");
+    let trc = trc.to_str().unwrap();
+    assert!(
+        slip(&["record", "gcc", trc, "--accesses", "2000"].map(String::from))
+            .status
+            .success()
+    );
+    let rec = dir.join("rec.trc");
+    let rec = rec.to_str().unwrap();
+    for argv in [
+        "list",
+        "run gcc --accesses 2000",
+        "run {trc}",
+        "compare gcc --accesses 2000 --jobs 1",
+        "sweep gcc --accesses 2000 --jobs 1",
+        "mix gcc lbm --accesses 2000",
+        "record gcc {rec} --accesses 2000",
+        "check --quick --iters 1",
+    ] {
+        let args: Vec<String> = argv
+            .replace("{trc}", trc)
+            .replace("{rec}", rec)
+            .split(' ')
+            .map(String::from)
+            .collect();
+        // The read end closes before the child starts, so its first
+        // write to stdout fails.
+        let (reader, writer) = std::io::pipe().unwrap();
+        drop(reader);
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_slip"));
+        for knob in KNOBS {
+            cmd.env_remove(knob);
+        }
+        let out = cmd
+            .args(&args)
+            .stdin(Stdio::null())
+            .stdout(writer)
+            .stderr(Stdio::piped())
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_ne!(out.status.code(), Some(101), "{argv}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{argv}: {stderr}");
+        assert!(!stderr.contains("Broken pipe"), "{argv}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -1,6 +1,8 @@
-//! JSON codec for [`SimResult`]: the journal payload format.
+//! JSON codec for [`SimResult`] and [`MulticoreResult`]: the journal
+//! payload format.
 //!
-//! [`encode_result`] / [`decode_result`] round-trip every field
+//! [`encode_result`] / [`decode_result`] (and [`encode_mix`] /
+//! [`decode_mix`]) round-trip every field
 //! bit-exactly (integer counters stay integers; energies are f64 pJ,
 //! which Rust prints with shortest-round-trip formatting), so a result
 //! restored from a journal is indistinguishable from a fresh run. The
@@ -8,6 +10,7 @@
 //! encoded form.
 
 use crate::config::PolicyKind;
+use crate::multicore::MulticoreResult;
 use crate::result::SimResult;
 use cache_sim::CacheStats;
 use energy_model::{Energy, EnergyAccount, EnergyCategory};
@@ -198,6 +201,48 @@ pub fn result_metrics(r: &SimResult, wall: std::time::Duration) -> Value {
         )
 }
 
+/// Encodes a two-core result as a JSON object; only this payload has
+/// a `mix` field.
+pub fn encode_mix(m: &MulticoreResult) -> Value {
+    Value::object()
+        .with(
+            "mix",
+            Value::Array(vec![Value::str(&*m.mix.0), Value::str(&*m.mix.1)]),
+        )
+        .with("policy", Value::str(m.policy.label()))
+        .with("cycles", u64_array(&m.cycles))
+        .with("accesses", u64_array(&m.accesses))
+        .with("l2_energy_pj", Value::f64(m.l2_energy.as_pj()))
+        .with("l3_energy_pj", Value::f64(m.l3_energy.as_pj()))
+        .with("l3_stats", encode_stats(&m.l3_stats))
+        .with("l2_stats", encode_stats(&m.l2_stats))
+        .with("dram_demand_traffic", Value::u64(m.dram_demand_traffic))
+        .with("dram_total_traffic", Value::u64(m.dram_total_traffic))
+        .with("dram_energy", encode_account(&m.dram_energy))
+}
+
+/// Decodes a result encoded by [`encode_mix`]; `None` on any missing
+/// or ill-typed field.
+pub fn decode_mix(v: &Value) -> Option<MulticoreResult> {
+    let pair = |k: &str| -> Option<[u64; 2]> { decode_u64_array(v.get(k)?)?.try_into().ok() };
+    let [a, b] = v.get("mix")?.as_array()? else {
+        return None;
+    };
+    Some(MulticoreResult {
+        mix: (a.as_str()?.to_owned(), b.as_str()?.to_owned()),
+        policy: PolicyKind::parse(v.get("policy")?.as_str()?)?,
+        cycles: pair("cycles")?,
+        accesses: pair("accesses")?,
+        l2_energy: Energy::from_pj(v.get("l2_energy_pj")?.as_f64()?),
+        l3_energy: Energy::from_pj(v.get("l3_energy_pj")?.as_f64()?),
+        l3_stats: decode_stats(v.get("l3_stats")?)?,
+        l2_stats: decode_stats(v.get("l2_stats")?)?,
+        dram_demand_traffic: v.get("dram_demand_traffic")?.as_u64()?,
+        dram_total_traffic: v.get("dram_total_traffic")?.as_u64()?,
+        dram_energy: decode_account(v.get("dram_energy")?)?,
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -285,5 +330,26 @@ mod tests {
         let l2 = m.get("l2_hit_rate").unwrap().as_f64().unwrap();
         assert!((0.0..=1.0).contains(&l2));
         assert!(m.get("full_system_energy_pj").unwrap().as_f64().unwrap() > 0.0);
+    }
+
+    #[test]
+    fn mix_results_round_trip_bit_exactly() {
+        let spec = |n| workloads::workload(n).unwrap();
+        let mut config = SystemConfig::paper_45nm(PolicyKind::SlipAbp);
+        config.partitioned_l3 = true;
+        let m = crate::multicore::run_mix(config, &spec("gcc"), &spec("lbm"), 5_000);
+        let encoded = encode_mix(&m).to_json();
+        let decoded = decode_mix(&Value::parse(&encoded).unwrap()).expect("decodes");
+        assert_eq!(encode_mix(&decoded).to_json(), encoded);
+        assert_eq!(decoded.mix, m.mix);
+        assert_eq!(decoded.l3_stats, m.l3_stats);
+        // A single-core payload is not a mix, and vice versa.
+        let r = run_workload(
+            SystemConfig::paper_45nm(PolicyKind::Baseline),
+            &spec("gcc"),
+            1_000,
+        );
+        assert!(decode_mix(&encode_result(&r)).is_none());
+        assert!(decode_result(&encode_mix(&m)).is_none());
     }
 }

@@ -7,9 +7,9 @@
 //! | variable              | meaning                              | default |
 //! |-----------------------|--------------------------------------|---------|
 //! | `SLIP_ACCESSES`       | measured accesses per benchmark      | 2,000,000 |
-//! | `SLIP_WARMUP`         | unmeasured warmup accesses (`slip run`, `compare`, `sweep`) | 0 |
+//! | `SLIP_WARMUP`         | unmeasured warmup accesses (`slip run`, `compare`, `sweep`, `all_figures`) | 0 |
 //! | `SLIP_JOBS`           | sweep worker count (at least 1)      | available parallelism |
-//! | `SLIP_JOURNAL`        | run-journal path (enables resume; `slip sweep`) | unset (off) |
+//! | `SLIP_JOURNAL`        | run-journal path (enables resume; `slip sweep`, `all_figures`) | unset (off) |
 //! | `SLIP_FUZZ_ITERS`     | `slip check` differential-fuzz iteration budget | unset (mode default) |
 //! | `SLIP_TOPOLOGY`       | hierarchy spec: built-in node name or file path | unset (built-in 45 nm) |
 //!

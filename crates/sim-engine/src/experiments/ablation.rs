@@ -1,27 +1,18 @@
 //! Design-space ablations beyond the paper's figures, exercising the
 //! extension knobs DESIGN.md calls out: sublevel partitioning, the EOU
 //! objective, rd-block granularity (paper §7), sampling probabilities
-//! (§4.2), and LLC inclusion (§4.3).
+//! (§4.2), and LLC inclusion (§4.3). Each reads its cells from the
+//! suite grid ([`SuiteResults::run_read`]).
 
-use crate::config::{PolicyKind, SystemConfig};
+use crate::config::PolicyKind;
+use crate::experiments::suite::{Cell, SuiteResults};
 use crate::report::{mean, pct, Table};
-use crate::system::run_workload;
 use slip_core::{EouObjective, SamplingConfig};
 
-fn mean_savings<F>(benchmarks: &[&str], accesses: u64, make: F) -> (f64, f64)
-where
-    F: Fn(PolicyKind) -> SystemConfig,
-{
-    let mut l2 = Vec::new();
-    let mut l3 = Vec::new();
-    for &b in benchmarks {
-        let spec = workloads::workload(b).expect("known benchmark");
-        let base = run_workload(make(PolicyKind::Baseline), &spec, accesses);
-        let slip = run_workload(make(PolicyKind::SlipAbp), &spec, accesses);
-        l2.push(1.0 - slip.l2_total_energy() / base.l2_total_energy());
-        l3.push(1.0 - slip.l3_total_energy() / base.l3_total_energy());
-    }
-    (mean(&l2), mean(&l3))
+/// The default-configuration baseline cell of a benchmark, in `suite`'s
+/// grid.
+fn baseline(suite: &SuiteResults) -> impl Fn(&'static str) -> Cell + '_ {
+    |b| suite.options.cell(b, PolicyKind::Baseline)
 }
 
 /// One sublevel-partitioning row.
@@ -40,22 +31,30 @@ pub struct SublevelRow {
 /// Sweeps the number/shape of sublevels. The paper fixes S = 3
 /// (4/4/8 ways); this ablation quantifies what coarser and finer
 /// partitions cost, with energies re-derived from the calibrated bank
-/// grids.
-pub fn sublevel_sweep(accesses: u64, benchmarks: &[&str]) -> Vec<SublevelRow> {
-    let splits: [(&str, Vec<usize>); 4] = [
-        ("2 sublevels (8/8)", vec![8, 8]),
-        ("3 sublevels (4/4/8, paper)", vec![4, 4, 8]),
-        ("4 sublevels (4/4/4/4)", vec![4, 4, 4, 4]),
-        ("8 sublevels (2x8)", vec![2, 2, 2, 2, 2, 2, 2, 2]),
+/// grids, against a baseline on the same geometry.
+pub fn sublevel_sweep(suite: &SuiteResults, benchmarks: &[&'static str]) -> Vec<SublevelRow> {
+    let splits: [(&str, &[usize]); 4] = [
+        ("2 sublevels (8/8)", &[8, 8]),
+        ("3 sublevels (4/4/8, paper)", &[4, 4, 8]),
+        ("4 sublevels (4/4/4/4)", &[4, 4, 4, 4]),
+        ("8 sublevels (2x8)", &[2, 2, 2, 2, 2, 2, 2, 2]),
     ];
     splits
         .iter()
-        .map(|(label, split)| {
-            let (l2, l3) = mean_savings(benchmarks, accesses, |p| {
-                SystemConfig::paper_45nm(p).with_sublevel_ways(split.clone(), split.clone())
-            });
+        .map(|&(label, split)| {
+            let cell = |p| {
+                move |b| {
+                    let c = suite.options.cell(b, p);
+                    c.with(|v| v.sublevel_ways = Some(split.to_vec()))
+                }
+            };
+            let (l2, l3) = suite.mean_savings(
+                benchmarks,
+                cell(PolicyKind::Baseline),
+                cell(PolicyKind::SlipAbp),
+            );
             SublevelRow {
-                label: (*label).to_owned(),
+                label: label.to_owned(),
                 sublevels: split.len(),
                 l2_saving: l2,
                 l3_saving: l3,
@@ -97,30 +96,23 @@ pub struct ObjectiveRow {
 
 /// Compares the insertion-aware EOU objective against the paper's
 /// literal Eq. 1–4 (see DESIGN.md §3 for why the difference matters).
-pub fn eou_objective_ablation(accesses: u64, benchmarks: &[&str]) -> Vec<ObjectiveRow> {
+pub fn eou_objective_ablation(
+    suite: &SuiteResults,
+    benchmarks: &[&'static str],
+) -> Vec<ObjectiveRow> {
     let mut rows = Vec::new();
     for objective in [EouObjective::InsertionAware, EouObjective::PaperLiteral] {
         for policy in [PolicyKind::Slip, PolicyKind::SlipAbp] {
-            let mut l2 = Vec::new();
-            let mut l3 = Vec::new();
-            for &b in benchmarks {
-                let spec = workloads::workload(b).expect("known benchmark");
-                let base = run_workload(
-                    SystemConfig::paper_45nm(PolicyKind::Baseline),
-                    &spec,
-                    accesses,
-                );
-                let mut cfg = SystemConfig::paper_45nm(policy);
-                cfg.eou_objective = objective;
-                let r = run_workload(cfg, &spec, accesses);
-                l2.push(1.0 - r.l2_total_energy() / base.l2_total_energy());
-                l3.push(1.0 - r.l3_total_energy() / base.l3_total_energy());
-            }
+            let cell = |b| {
+                let c = suite.options.cell(b, policy);
+                c.with(|v| v.eou_objective = objective)
+            };
+            let (l2, l3) = suite.mean_savings(benchmarks, baseline(suite), cell);
             rows.push(ObjectiveRow {
                 objective,
                 policy,
-                l2_saving: mean(&l2),
-                l3_saving: mean(&l3),
+                l2_saving: l2,
+                l3_saving: l3,
             });
         }
     }
@@ -161,32 +153,30 @@ pub struct RdBlockRow {
 /// Sweeps the rd-block (profiling granularity) size — paper §7's
 /// extension for large pages. Finer blocks adapt policies to
 /// heterogeneous pages; coarser blocks cut metadata traffic.
-pub fn rd_block_sweep(accesses: u64, benchmarks: &[&str], shifts: &[u32]) -> Vec<RdBlockRow> {
+pub fn rd_block_sweep(
+    suite: &SuiteResults,
+    benchmarks: &[&'static str],
+    shifts: &[u32],
+) -> Vec<RdBlockRow> {
     shifts
         .iter()
         .map(|&shift| {
-            let mut l2 = Vec::new();
-            let mut l3 = Vec::new();
-            let mut fetches = Vec::new();
-            for &b in benchmarks {
-                let spec = workloads::workload(b).expect("known benchmark");
-                let base = run_workload(
-                    SystemConfig::paper_45nm(PolicyKind::Baseline),
-                    &spec,
-                    accesses,
-                );
-                let mut cfg = SystemConfig::paper_45nm(PolicyKind::SlipAbp);
-                cfg.rd_block_shift = shift;
-                let r = run_workload(cfg, &spec, accesses);
-                l2.push(1.0 - r.l2_total_energy() / base.l2_total_energy());
-                l3.push(1.0 - r.l3_total_energy() / base.l3_total_energy());
-                let m = r.mmu_stats.expect("slip run");
-                fetches.push(m.metadata_fetches as f64 * 1000.0 / accesses as f64);
-            }
+            let cell = |b| {
+                let c = suite.options.cell(b, PolicyKind::SlipAbp);
+                c.with(|v| v.rd_block_shift = shift)
+            };
+            let (l2, l3) = suite.mean_savings(benchmarks, baseline(suite), cell);
+            let fetches: Vec<f64> = benchmarks
+                .iter()
+                .map(|&b| {
+                    let m = suite.result(&cell(b)).mmu_stats.expect("slip run");
+                    m.metadata_fetches as f64 * 1000.0 / suite.options.accesses as f64
+                })
+                .collect();
             RdBlockRow {
                 block_bytes: 1 << shift,
-                l2_saving: mean(&l2),
-                l3_saving: mean(&l3),
+                l2_saving: l2,
+                l3_saving: l3,
                 metadata_fetches_per_kilo_access: mean(&fetches),
             }
         })
@@ -225,54 +215,28 @@ pub struct SamplingRow {
 
 /// Sweeps the time-based-sampling probabilities around the paper's
 /// N_samp = 16 / N_stab = 256.
-pub fn sampling_sweep(accesses: u64, benchmarks: &[&str]) -> Vec<SamplingRow> {
-    let configs = [
-        SamplingConfig {
-            n_samp: 4,
-            n_stab: 64,
-        },
-        SamplingConfig {
-            n_samp: 16,
-            n_stab: 64,
-        },
-        SamplingConfig {
-            n_samp: 16,
-            n_stab: 256,
-        },
-        SamplingConfig {
-            n_samp: 64,
-            n_stab: 1024,
-        },
-        SamplingConfig {
-            n_samp: 4,
-            n_stab: 1024,
-        },
-    ];
+pub fn sampling_sweep(suite: &SuiteResults, benchmarks: &[&'static str]) -> Vec<SamplingRow> {
+    let configs = [(4, 64), (16, 64), (16, 256), (64, 1024), (4, 1024)];
     configs
         .iter()
-        .map(|&sc| {
-            let mut l2 = Vec::new();
-            let mut l3 = Vec::new();
-            let mut frac = Vec::new();
-            for &b in benchmarks {
-                let spec = workloads::workload(b).expect("known benchmark");
-                let base = run_workload(
-                    SystemConfig::paper_45nm(PolicyKind::Baseline),
-                    &spec,
-                    accesses,
-                );
-                let mut cfg = SystemConfig::paper_45nm(PolicyKind::SlipAbp);
-                cfg.sampling = sc;
-                let r = run_workload(cfg, &spec, accesses);
-                l2.push(1.0 - r.l2_total_energy() / base.l2_total_energy());
-                l3.push(1.0 - r.l3_total_energy() / base.l3_total_energy());
-                let m = r.mmu_stats.expect("slip run");
-                frac.push(m.metadata_fetches as f64 / m.tlb_misses.max(1) as f64);
-            }
+        .map(|&(n_samp, n_stab)| {
+            let sc = SamplingConfig { n_samp, n_stab };
+            let cell = |b| {
+                let c = suite.options.cell(b, PolicyKind::SlipAbp);
+                c.with(|v| v.sampling = sc)
+            };
+            let (l2, l3) = suite.mean_savings(benchmarks, baseline(suite), cell);
+            let frac: Vec<f64> = benchmarks
+                .iter()
+                .map(|&b| {
+                    let m = suite.result(&cell(b)).mmu_stats.expect("slip run");
+                    m.metadata_fetches as f64 / m.tlb_misses.max(1) as f64
+                })
+                .collect();
             SamplingRow {
                 config: sc,
-                l2_saving: mean(&l2),
-                l3_saving: mean(&l3),
+                l2_saving: l2,
+                l3_saving: l3,
                 fetch_fraction: mean(&frac),
             }
         })
@@ -322,24 +286,18 @@ pub struct InclusionRow {
 /// Demonstrates paper §4.3's warning: the All-Bypass Policy is
 /// undesirable with an inclusive LLC, because bypassed lines may not be
 /// cached in any upper level either.
-pub fn inclusion_ablation(accesses: u64, benchmarks: &[&str]) -> Vec<InclusionRow> {
+pub fn inclusion_ablation(suite: &SuiteResults, benchmarks: &[&'static str]) -> Vec<InclusionRow> {
     let mut rows = Vec::new();
     for &b in benchmarks {
-        let spec = workloads::workload(b).expect("known benchmark");
-        let base = run_workload(
-            SystemConfig::paper_45nm(PolicyKind::Baseline),
-            &spec,
-            accesses,
-        );
+        let base = suite.result(&baseline(suite)(b));
         for inclusive in [false, true] {
-            let mut cfg = SystemConfig::paper_45nm(PolicyKind::SlipAbp);
-            cfg.inclusive_llc = inclusive;
-            let r = run_workload(cfg, &spec, accesses);
+            let cell = suite.options.cell(b, PolicyKind::SlipAbp);
+            let r = suite.result(&cell.with(|v| v.inclusive_llc = inclusive));
             rows.push(InclusionRow {
                 bench: b.to_owned(),
                 inclusive,
                 l2_hit_rate: r.l2_stats.demand_hit_rate(),
-                speedup: r.speedup_vs(&base) - 1.0,
+                speedup: r.speedup_vs(base) - 1.0,
                 dram_traffic: r.dram_total_traffic() as f64 / base.dram_demand_traffic() as f64,
             });
         }
@@ -374,13 +332,14 @@ pub fn inclusion_table(rows: &[InclusionRow]) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::suite::tests::read_study;
 
     const BENCH: &[&str] = &["gcc"];
     const N: u64 = 150_000;
 
     #[test]
     fn sublevel_sweep_covers_partitions() {
-        let rows = sublevel_sweep(N, BENCH);
+        let rows = read_study(N, |s| sublevel_sweep(s, BENCH));
         assert_eq!(rows.len(), 4);
         assert_eq!(rows[1].sublevels, 3);
         for r in &rows {
@@ -391,14 +350,16 @@ mod tests {
 
     #[test]
     fn objective_ablation_runs_both_objectives() {
-        let rows = eou_objective_ablation(N, BENCH);
+        let rows = read_study(N, |s| eou_objective_ablation(s, BENCH));
         assert_eq!(rows.len(), 4);
         assert!(!objective_table(&rows).render().is_empty());
     }
 
     #[test]
     fn finer_rd_blocks_cost_more_metadata_traffic() {
-        let rows = rd_block_sweep(300_000, &["xalancbmk"], &[11, 12, 13]);
+        let rows = read_study(300_000, |s| {
+            rd_block_sweep(s, &["xalancbmk"], &[11, 12, 13])
+        });
         assert_eq!(rows.len(), 3);
         assert!(
             rows[0].metadata_fetches_per_kilo_access > rows[2].metadata_fetches_per_kilo_access,
@@ -409,7 +370,7 @@ mod tests {
 
     #[test]
     fn heavier_sampling_fetches_more_metadata() {
-        let rows = sampling_sweep(200_000, &["xalancbmk"]);
+        let rows = read_study(200_000, |s| sampling_sweep(s, &["xalancbmk"]));
         let heavy = rows
             .iter()
             .find(|r| r.config.n_samp == 16 && r.config.n_stab == 64)
@@ -427,7 +388,7 @@ mod tests {
 
     #[test]
     fn inclusive_llc_hurts_with_abp() {
-        let rows = inclusion_ablation(300_000, &["lbm"]);
+        let rows = read_study(300_000, |s| inclusion_ablation(s, &["lbm"]));
         let non = rows.iter().find(|r| !r.inclusive).unwrap();
         let inc = rows.iter().find(|r| r.inclusive).unwrap();
         // Bypassed lines uncached above: the inclusive run cannot be

@@ -1,11 +1,11 @@
 //! Energy experiments: Figure 9 (L2/L3 savings), Figure 10 (full
 //! system), Figure 11 (access/movement breakdown), the Section 2.1
-//! H-tree comparison, and the Section 6 22 nm node study.
+//! H-tree comparison, and the Section 6 node study.
 
 use crate::config::PolicyKind;
-use crate::experiments::suite::{SuiteOptions, SuiteResults};
+use crate::experiments::suite::{SuiteResults, Variant};
 use crate::report::{mean, pct, pct2, Table};
-use energy_model::{Energy, HierarchySpec, Topology};
+use energy_model::{HierarchySpec, Topology};
 
 /// One Figure 9 row.
 #[derive(Debug, Clone, PartialEq)]
@@ -223,23 +223,22 @@ pub struct HtreeRow {
     pub l3_increase: f64,
 }
 
-/// Applies a Figure 4 topology to a suite option set by editing its
-/// hierarchy spec (the built-in 45 nm node when it has none): set
-/// interleaving makes every sublevel's read energy the capacity-weighted
-/// mean, the H-tree the worst case. The edited node is renamed
-/// `{node}-set` / `{node}-htree`; like any explicit topology its
-/// fingerprint enters the cell keys, so a journaled sweep never restores
-/// the unedited node's cells for it.
-pub fn apply_topology(options: SuiteOptions, topology: Topology) -> SuiteOptions {
+/// Applies a Figure 4 topology to a variant by editing its hierarchy
+/// spec (the built-in 45 nm node when it has none): set interleaving
+/// makes every sublevel's read energy the capacity-weighted mean, the
+/// H-tree the worst case. The edited node is renamed `{node}-set` /
+/// `{node}-htree`; like any explicit topology its fingerprint enters
+/// the cell keys, so a journaled sweep never restores the unedited
+/// node's cells for it.
+pub fn apply_topology(variant: &mut Variant, topology: Topology) {
     let suffix = match topology {
-        Topology::HierarchicalBusWayInterleaved => return options,
+        Topology::HierarchicalBusWayInterleaved => return,
         Topology::HierarchicalBusSetInterleaved => "set",
         Topology::HTree => "htree",
     };
-    let mut spec = options
+    let spec = variant
         .topology
-        .clone()
-        .unwrap_or_else(|| HierarchySpec::builtin("45nm").expect("built-in 45nm node"));
+        .get_or_insert_with(|| HierarchySpec::builtin("45nm").expect("built-in 45nm node"));
     for level in [&mut spec.l2, &mut spec.l3] {
         let read_pj = match topology {
             Topology::HTree => {
@@ -256,24 +255,19 @@ pub fn apply_topology(options: SuiteOptions, topology: Topology) -> SuiteOptions
         }
     }
     spec.name = format!("{}-{suffix}", spec.name);
-    options.with_topology(spec)
 }
 
-/// Runs the Section 2.1 claim: baseline policy on the way-interleaved
-/// bus versus the H-tree (paper: +37% L2, +32% L3).
-pub fn htree_comparison(accesses: u64, benchmarks: &[&'static str]) -> Vec<HtreeRow> {
-    let base_opts = SuiteOptions::paper_full()
-        .with_benchmarks(benchmarks)
-        .with_policies(&[PolicyKind::Baseline])
-        .with_accesses(accesses);
-    let htree_opts = apply_topology(base_opts.clone(), Topology::HTree);
-    let base = SuiteResults::run(base_opts);
-    let htree = SuiteResults::run(htree_opts);
+/// The Section 2.1 claim: baseline policy on the way-interleaved bus
+/// versus the H-tree (paper: +37% L2, +32% L3).
+pub fn htree_comparison(suite: &SuiteResults, benchmarks: &[&'static str]) -> Vec<HtreeRow> {
     let mut rows: Vec<HtreeRow> = benchmarks
         .iter()
         .map(|&b| {
-            let l2 = htree.baseline(b).l2_energy.total() / base.baseline(b).l2_energy.total();
-            let l3 = htree.baseline(b).l3_energy.total() / base.baseline(b).l3_energy.total();
+            let cell = suite.options.cell(b, PolicyKind::Baseline);
+            let base = suite.result(&cell);
+            let htree = suite.result(&cell.with(|v| apply_topology(v, Topology::HTree)));
+            let l2 = htree.l2_energy.total() / base.l2_energy.total();
+            let l3 = htree.l3_energy.total() / base.l3_energy.total();
             HtreeRow {
                 bench: b.to_owned(),
                 l2_increase: l2 - 1.0,
@@ -306,18 +300,21 @@ pub fn htree_table(rows: &[HtreeRow]) -> Table {
     t
 }
 
-/// Section 6 node study: SLIP+ABP savings at 22 nm (paper: 36% L2,
-/// 25% L3). Returns (mean L2 saving, mean L3 saving).
-pub fn node22(accesses: u64, benchmarks: &[&'static str]) -> (f64, f64) {
-    let opts = SuiteOptions::paper_full()
-        .with_benchmarks(benchmarks)
-        .with_policies(&[PolicyKind::SlipAbp])
-        .with_accesses(accesses)
-        .with_topology(HierarchySpec::builtin("22nm").expect("built-in 22nm node"));
-    let suite = SuiteResults::run(opts);
-    (
-        suite.mean_l2_saving(PolicyKind::SlipAbp),
-        suite.mean_l3_saving(PolicyKind::SlipAbp),
+/// Section 6 node study: mean SLIP+ABP `(L2, L3)` savings on the
+/// built-in `node`, against the baseline on that node (paper, 22 nm:
+/// 36% L2, 25% L3).
+pub fn node_savings(suite: &SuiteResults, node: &str, benchmarks: &[&'static str]) -> (f64, f64) {
+    let node = &HierarchySpec::builtin(node).expect("built-in node");
+    let cell = |p| {
+        move |b| {
+            let cell = suite.options.cell(b, p);
+            cell.with(|v| v.topology = Some(node.clone()))
+        }
+    };
+    suite.mean_savings(
+        benchmarks,
+        cell(PolicyKind::Baseline),
+        cell(PolicyKind::SlipAbp),
     )
 }
 
@@ -337,25 +334,23 @@ pub fn mean_dram_traffic_change(suite: &SuiteResults, policy: PolicyKind) -> f64
     )
 }
 
-/// An `Energy` pretty-printer shim for tables.
-pub fn fmt_energy(e: Energy) -> String {
-    e.to_string()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::suite::SweepConfig;
+    use crate::experiments::suite::tests::read_study;
+    use crate::experiments::suite::{SuiteOptions, SweepConfig};
 
     fn small_suite() -> SuiteResults {
         // Long enough for stream pages to stabilize into their SLIPs
         // (~16 TLB misses per page); shorter traces are dominated by
         // the sampling warmup and show no savings.
-        SuiteResults::run(
+        SuiteResults::run_with(
             SuiteOptions::paper_full()
                 .with_benchmarks(&["gcc", "lbm"])
                 .with_accesses(600_000),
+            &SweepConfig::with_jobs(2),
         )
+        .unwrap()
     }
 
     #[test]
@@ -403,7 +398,7 @@ mod tests {
 
     #[test]
     fn htree_costs_more_energy() {
-        let rows = htree_comparison(80_000, &["gcc"]);
+        let rows = read_study(80_000, |s| htree_comparison(s, &["gcc"]));
         let avg = rows.last().unwrap();
         assert!(avg.l2_increase > 0.15 && avg.l2_increase < 0.6, "{avg:?}");
         assert!(avg.l3_increase > 0.15 && avg.l3_increase < 0.6, "{avg:?}");
@@ -415,11 +410,8 @@ mod tests {
         // Under set interleaving every way costs the same, so the
         // baseline's energy equals the mean-energy model by
         // construction.
-        let opts = SuiteOptions::paper_full()
-            .with_benchmarks(&["gcc"])
-            .with_policies(&[PolicyKind::Baseline])
-            .with_accesses(50_000);
-        let uniform = apply_topology(opts, Topology::HierarchicalBusSetInterleaved);
+        let mut uniform = Variant::default();
+        apply_topology(&mut uniform, Topology::HierarchicalBusSetInterleaved);
         let spec = uniform.topology.expect("edited spec");
         assert_eq!(spec.name, "45nm-set");
         for level in [&spec.l2, &spec.l3] {
@@ -439,7 +431,8 @@ mod tests {
             .with_benchmarks(&["gcc"])
             .with_policies(&[PolicyKind::Baseline])
             .with_accesses(20_000);
-        let htree = apply_topology(base.clone(), Topology::HTree);
+        let mut htree = base.clone();
+        apply_topology(&mut htree.variant, Topology::HTree);
         for policy in PolicyKind::ALL {
             assert_ne!(base.cell_key("gcc", policy), htree.cell_key("gcc", policy));
         }

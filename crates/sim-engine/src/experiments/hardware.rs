@@ -3,7 +3,7 @@
 
 use crate::report::Table;
 use energy_model::{BankGrid, HierarchySpec, TechnologyParams, Topology};
-use slip_core::{EouCost, LevelModelParams, RdDistribution, Slip};
+use slip_core::{EouCost, LevelModelParams};
 
 /// One Table 2 validation row.
 #[derive(Debug, Clone, PartialEq)]
@@ -167,35 +167,6 @@ pub fn eou_table(s: &EouSummary) -> Table {
     t
 }
 
-/// A deterministic micro-workload for EOU benchmarking: a spread of
-/// distributions covering the corner cases.
-pub fn eou_bench_distributions() -> Vec<RdDistribution> {
-    let mut out = Vec::new();
-    for counts in [
-        [15u16, 0, 0, 0],
-        [0, 0, 0, 15],
-        [8, 4, 2, 1],
-        [1, 2, 4, 8],
-        [4, 4, 4, 4],
-        [10, 0, 0, 5],
-        [0, 8, 8, 0],
-    ] {
-        let mut d = RdDistribution::paper_default();
-        for (bin, &c) in counts.iter().enumerate() {
-            for _ in 0..c {
-                d.observe(bin);
-            }
-        }
-        out.push(d);
-    }
-    out
-}
-
-/// Verifies the self-delimiting SLIP code space used by the EOU table.
-pub fn slip_code_space(sublevels: usize) -> usize {
-    Slip::enumerate(sublevels).len()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -220,18 +191,5 @@ mod tests {
         // <0.5% of LLC access energy.
         assert!(s.energy_vs_llc_access < 0.005 * 2.0);
         assert!(eou_table(&s).render().contains("1.270 pJ"));
-    }
-
-    #[test]
-    fn bench_distributions_cover_corners() {
-        let d = eou_bench_distributions();
-        assert_eq!(d.len(), 7);
-        assert!(d.iter().all(|x| !x.is_empty()));
-    }
-
-    #[test]
-    fn slip_code_space_is_exponential() {
-        assert_eq!(slip_code_space(3), 8);
-        assert_eq!(slip_code_space(4), 16);
     }
 }

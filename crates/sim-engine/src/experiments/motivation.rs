@@ -1,9 +1,9 @@
 //! Motivation experiments: Figure 1 (reuses before eviction) and
 //! Figure 3 (reuse-distance classes within soplex).
 
-use crate::config::{PolicyKind, SystemConfig};
+use crate::config::PolicyKind;
+use crate::experiments::suite::SuiteResults;
 use crate::report::Table;
-use crate::system::run_workload;
 use std::collections::HashMap;
 
 /// The benchmarks Figure 1 shows.
@@ -28,17 +28,14 @@ pub struct Fig01Row {
 
 /// Runs Figure 1: baseline hierarchy, measure each line's hits between
 /// fill and eviction at the 2 MB LLC.
-pub fn fig01(accesses: u64) -> Vec<Fig01Row> {
+pub fn fig01(suite: &SuiteResults) -> Vec<Fig01Row> {
     let mut rows = Vec::new();
     let mut sums = [0.0f64; 4];
     for bench in FIG01_BENCHMARKS {
-        let spec = workloads::workload(bench).expect("known benchmark");
-        let r = run_workload(
-            SystemConfig::paper_45nm(PolicyKind::Baseline),
-            &spec,
-            accesses,
-        );
-        let f = r.l3_stats.nr_fractions();
+        let f = suite
+            .get(bench, PolicyKind::Baseline)
+            .l3_stats
+            .nr_fractions();
         for (s, x) in sums.iter_mut().zip(&f) {
             *s += x;
         }
@@ -258,10 +255,11 @@ pub fn fig03_table(rows: &[Fig03Row]) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::suite::tests::read_study;
 
     #[test]
     fn fig01_most_lines_never_reuse() {
-        let rows = fig01(150_000);
+        let rows = read_study(150_000, fig01);
         assert_eq!(rows.len(), 8);
         let avg = rows.last().unwrap();
         assert_eq!(avg.bench, "average");
@@ -306,7 +304,7 @@ mod tests {
 
     #[test]
     fn tables_render() {
-        let rows = fig01(40_000);
+        let rows = read_study(40_000, fig01);
         assert!(fig01_table(&rows).render().contains("average"));
         let rows = fig03(40_000);
         assert!(fig03_table(&rows).render().contains("rperm"));

@@ -1,13 +1,8 @@
-//! Figure 16: two-core multiprogrammed mixes with a shared L3.
-//!
-//! Both drivers fan their (mix, configuration) cells out over the
-//! `sweep-runner` worker pool (`SLIP_JOBS` workers); each cell seeds
-//! its own [`SystemConfig`], so results are identical at any worker
-//! count.
+//! Figure 16: two-core multiprogrammed mixes with a shared L3, and the
+//! paper §7 way-partitioned L3. Both are mix cells of the suite grid.
 
-use crate::config::{PolicyKind, SystemConfig};
-use crate::env;
-use crate::multicore::{run_mix, MulticoreResult};
+use crate::config::PolicyKind;
+use crate::experiments::suite::SuiteResults;
 use crate::report::{mean, pct, Table};
 
 /// One Figure 16 row.
@@ -27,39 +22,19 @@ pub struct Fig16Row {
     pub l3_lru_pea: f64,
 }
 
-/// Runs Figure 16 over the paper's 8 mixes.
-pub fn fig16(accesses_per_core: u64) -> Vec<Fig16Row> {
-    fig16_with_mixes(accesses_per_core, &workloads::MULTICORE_MIXES)
-}
-
-/// Runs Figure 16 over a custom mix list.
-pub fn fig16_with_mixes(accesses_per_core: u64, mixes: &[(&str, &str)]) -> Vec<Fig16Row> {
-    const POLICIES: [PolicyKind; 4] = [
+/// Figure 16 over `mixes` (the paper's are
+/// [`workloads::MULTICORE_MIXES`]), plus an average row.
+pub fn fig16(suite: &SuiteResults, mixes: &[(&'static str, &'static str)]) -> Vec<Fig16Row> {
+    let policies = [
         PolicyKind::Baseline,
         PolicyKind::SlipAbp,
         PolicyKind::NuRapid,
         PolicyKind::LruPea,
     ];
-    let results = sweep_runner::run_indexed(
-        mixes.len() * POLICIES.len(),
-        env::jobs(),
-        |i| -> MulticoreResult {
-            let (a, b) = mixes[i / POLICIES.len()];
-            let spec_a = workloads::workload(a).expect("known benchmark");
-            let spec_b = workloads::workload(b).expect("known benchmark");
-            run_mix(
-                SystemConfig::paper_45nm(POLICIES[i % POLICIES.len()]),
-                &spec_a,
-                &spec_b,
-                accesses_per_core,
-            )
-        },
-    );
     let mut rows = Vec::new();
-    for (&(a, b), cell) in mixes.iter().zip(results.chunks_exact(POLICIES.len())) {
-        let [base, slip, nurapid, lru_pea] = cell else {
-            unreachable!("chunks_exact yields POLICIES.len() results")
-        };
+    for &(a, b) in mixes {
+        let [base, slip, nurapid, lru_pea] =
+            policies.map(|p| suite.mix(&suite.options.cell((a, b), p)));
         rows.push(Fig16Row {
             mix: format!("{a}+{b}"),
             l3_saving: 1.0 - slip.l3_energy / base.l3_energy,
@@ -126,30 +101,16 @@ pub struct PartitionRow {
 /// Compares shared vs way-partitioned L3 under SLIP+ABP (paper §7:
 /// "given a partitioning of the cache among the various cores, one can
 /// apply SLIP to minimize the access energy within each partition").
-pub fn partition_comparison(accesses_per_core: u64, mixes: &[(&str, &str)]) -> Vec<PartitionRow> {
-    const CONFIGS: [(PolicyKind, bool); 3] = [
-        (PolicyKind::Baseline, false),
-        (PolicyKind::SlipAbp, false),
-        (PolicyKind::SlipAbp, true),
-    ];
-    let results = sweep_runner::run_indexed(
-        mixes.len() * CONFIGS.len(),
-        env::jobs(),
-        |i| -> MulticoreResult {
-            let (a, b) = mixes[i / CONFIGS.len()];
-            let spec_a = workloads::workload(a).expect("known benchmark");
-            let spec_b = workloads::workload(b).expect("known benchmark");
-            let (policy, partitioned) = CONFIGS[i % CONFIGS.len()];
-            let mut cfg = SystemConfig::paper_45nm(policy);
-            cfg.partitioned_l3 = partitioned;
-            run_mix(cfg, &spec_a, &spec_b, accesses_per_core)
-        },
-    );
+pub fn partition_comparison(
+    suite: &SuiteResults,
+    mixes: &[(&'static str, &'static str)],
+) -> Vec<PartitionRow> {
     let mut rows = Vec::new();
-    for (&(a, b), cell) in mixes.iter().zip(results.chunks_exact(CONFIGS.len())) {
-        let [base, shared, part] = cell else {
-            unreachable!("chunks_exact yields CONFIGS.len() results")
-        };
+    for &(a, b) in mixes {
+        let cell = |p| suite.options.cell((a, b), p);
+        let base = suite.mix(&cell(PolicyKind::Baseline));
+        let shared = suite.mix(&cell(PolicyKind::SlipAbp));
+        let part = suite.mix(&cell(PolicyKind::SlipAbp).with(|v| v.partitioned_l3 = true));
         rows.push(PartitionRow {
             mix: format!("{a}+{b}"),
             shared_saving: 1.0 - shared.l3_energy / base.l3_energy,
@@ -201,10 +162,11 @@ pub fn partition_table(rows: &[PartitionRow]) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::suite::tests::read_study;
 
     #[test]
     fn partition_comparison_produces_sane_rows() {
-        let rows = partition_comparison(60_000, &[("gcc", "lbm")]);
+        let rows = read_study(60_000, |s| partition_comparison(s, &[("gcc", "lbm")]));
         assert_eq!(rows.len(), 2);
         for r in &rows {
             assert!(r.shared_saving.is_finite());
@@ -215,7 +177,8 @@ mod tests {
 
     #[test]
     fn two_mixes_show_l3_savings_and_nuca_costs() {
-        let rows = fig16_with_mixes(100_000, &[("soplex", "mcf"), ("lbm", "gcc")]);
+        let mixes = [("soplex", "mcf"), ("lbm", "gcc")];
+        let rows = read_study(100_000, |s| fig16(s, &mixes));
         assert_eq!(rows.len(), 3);
         let avg = rows.last().unwrap();
         assert!(avg.l3_saving > 0.0, "{avg:?}");

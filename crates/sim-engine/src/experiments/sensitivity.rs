@@ -1,10 +1,9 @@
 //! Sensitivity studies: distribution bin width (§6) and the Section 7
 //! replacement-policy adaptation (DRRIP/SHiP under SLIP).
 
-use crate::config::{PolicyKind, ReplacementKind, SystemConfig};
-use crate::experiments::suite::{SuiteOptions, SuiteResults};
-use crate::report::{pct, Table};
-use crate::system::run_workload;
+use crate::config::{PolicyKind, ReplacementKind};
+use crate::experiments::suite::{SuiteResults, Workload};
+use crate::report::{mean, pct, Table};
 use workloads::{PatternKind, PatternSpec, PhaseSpec, WorkloadSpec};
 
 /// One bin-width study row.
@@ -22,38 +21,32 @@ pub struct BinWidthRow {
     pub dram_traffic: f64,
 }
 
-/// Runs the §6 bin-width sweep (paper: 4 bits within 1% of wider;
-/// sharp drop at 2 bits).
+/// The §6 bin-width sweep (paper: 4 bits within 1% of wider; sharp
+/// drop at 2 bits). The baseline has no distribution counters, so every
+/// width compares against the default baseline.
 pub fn bin_width_sweep(
-    accesses: u64,
+    suite: &SuiteResults,
     benchmarks: &[&'static str],
     widths: &[u32],
 ) -> Vec<BinWidthRow> {
+    let opts = &suite.options;
     widths
         .iter()
         .map(|&bits| {
-            let suite = SuiteResults::run(
-                SuiteOptions::paper_full()
-                    .with_benchmarks(benchmarks)
-                    .with_policies(&[PolicyKind::SlipAbp])
-                    .with_accesses(accesses)
-                    .with_bin_bits(bits),
-            );
-            let dram = crate::report::mean(
-                &suite
-                    .benchmarks()
-                    .iter()
-                    .map(|&b| {
-                        suite.get(b, PolicyKind::SlipAbp).dram_total_traffic() as f64
-                            / suite.baseline(b).dram_demand_traffic().max(1) as f64
-                    })
-                    .collect::<Vec<_>>(),
-            );
+            let (mut l2, mut l3, mut dram) = (Vec::new(), Vec::new(), Vec::new());
+            for &b in benchmarks {
+                let base = suite.result(&opts.cell(b, PolicyKind::Baseline));
+                let cell = opts.cell(b, PolicyKind::SlipAbp);
+                let r = suite.result(&cell.with(|v| v.rd_bin_bits = bits));
+                l2.push(1.0 - r.l2_total_energy() / base.l2_total_energy());
+                l3.push(1.0 - r.l3_total_energy() / base.l3_total_energy());
+                dram.push(r.dram_total_traffic() as f64 / base.dram_demand_traffic().max(1) as f64);
+            }
             BinWidthRow {
                 bits,
-                l2_saving: suite.mean_l2_saving(PolicyKind::SlipAbp),
-                l3_saving: suite.mean_l3_saving(PolicyKind::SlipAbp),
-                dram_traffic: dram,
+                l2_saving: mean(&l2),
+                l3_saving: mean(&l3),
+                dram_traffic: mean(&dram),
             }
         })
         .collect()
@@ -131,9 +124,9 @@ pub struct ReplacementRow {
     pub l2_saving: f64,
 }
 
-/// Runs the Section 7 study: does SLIP's chunk-restricted,
+/// The Section 7 study: does SLIP's chunk-restricted,
 /// sublevel-randomized victim selection preserve DRRIP/SHiP behavior?
-pub fn replacement_ablation(accesses: u64) -> Vec<ReplacementRow> {
+pub fn replacement_ablation(suite: &SuiteResults) -> Vec<ReplacementRow> {
     let mut rows = Vec::new();
     for spec in [scan_stressor(), thrash_stressor()] {
         for replacement in [
@@ -141,12 +134,11 @@ pub fn replacement_ablation(accesses: u64) -> Vec<ReplacementRow> {
             ReplacementKind::Drrip,
             ReplacementKind::Ship,
         ] {
-            let mut base_cfg = SystemConfig::paper_45nm(PolicyKind::Baseline);
-            base_cfg.replacement = replacement;
-            let mut slip_cfg = SystemConfig::paper_45nm(PolicyKind::SlipAbp);
-            slip_cfg.replacement = replacement;
-            let base = run_workload(base_cfg, &spec, accesses);
-            let slip = run_workload(slip_cfg, &spec, accesses);
+            let run = |p| {
+                let cell = suite.options.cell(Workload::Custom(spec.clone()), p);
+                suite.result(&cell.with(|v| v.replacement = replacement))
+            };
+            let (base, slip) = (run(PolicyKind::Baseline), run(PolicyKind::SlipAbp));
             rows.push(ReplacementRow {
                 workload: spec.name().to_owned(),
                 replacement,
@@ -187,10 +179,11 @@ pub fn replacement_table(rows: &[ReplacementRow]) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::suite::tests::read_study;
 
     #[test]
     fn wider_bins_do_not_hurt() {
-        let rows = bin_width_sweep(150_000, &["soplex"], &[2, 4, 8]);
+        let rows = read_study(150_000, |s| bin_width_sweep(s, &["soplex"], &[2, 4, 8]));
         assert_eq!(rows.len(), 3);
         let by_bits = |b: u32| rows.iter().find(|r| r.bits == b).unwrap();
         // 4 bits lands close to 8 bits (paper: within 1%; allow some
@@ -201,7 +194,7 @@ mod tests {
 
     #[test]
     fn drrip_scan_resistance_survives_slip() {
-        let rows = replacement_ablation(200_000);
+        let rows = read_study(200_000, replacement_ablation);
         assert_eq!(rows.len(), 6);
         let scan_drrip = rows
             .iter()

@@ -73,15 +73,17 @@ pub fn fig13_table(rows: &[Fig13Row]) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::suite::SuiteOptions;
+    use crate::experiments::suite::{SuiteOptions, SweepConfig};
 
     #[test]
     fn speedups_are_small_and_slip_abp_not_worst() {
-        let suite = SuiteResults::run(
+        let suite = SuiteResults::run_with(
             SuiteOptions::paper_full()
                 .with_benchmarks(&["gcc", "sphinx3"])
                 .with_accesses(150_000),
-        );
+            &SweepConfig::with_jobs(2),
+        )
+        .unwrap();
         let rows = fig13(&suite);
         let avg = rows.last().unwrap();
         for s in avg.speedups {

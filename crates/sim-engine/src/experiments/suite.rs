@@ -1,30 +1,225 @@
-//! Shared experiment driver: runs a set of benchmarks under a set of
-//! policies once and exposes the results to the per-figure formatters.
+//! The one experiment grid. A cell is (workload or two-core mix,
+//! policy, seed, [`Variant`]), run at the grid-wide length and warmup
+//! of [`SuiteOptions`]; every simulated table of the reproduction is a
+//! function that reads cells ([`SuiteResults::run_read`]).
 //!
-//! Cells execute on the [`sweep_runner`] engine as fused groups: the
-//! pending policy cells of one benchmark step in lockstep through one
-//! pass over its access stream ([`crate::fused`]), one pool job per
-//! group ([`SweepConfig::jobs`] workers), optionally journaled for
-//! checkpoint/resume ([`SweepConfig::journal`]). Each cell builds its
-//! own seeded [`SystemConfig`], so results are independent of grouping
-//! and execution order, and a parallel sweep is bit-identical to a
-//! serial one.
+//! Cells execute on the [`sweep_runner`] engine: the pending
+//! single-core cells of one trace step in lockstep through one pass
+//! over it ([`crate::fused`]), one pool job per group
+//! ([`SweepConfig::jobs`] workers), optionally journaled for
+//! checkpoint/resume ([`SweepConfig::journal`]). A cell that tables
+//! read twice runs once. Each cell builds its own seeded
+//! [`SystemConfig`], so results are independent of grouping and
+//! execution order, and a parallel sweep is bit-identical to a serial
+//! one.
 
 use crate::codec;
-use crate::config::{PolicyKind, SystemConfig, DEFAULT_SEED};
+use crate::config::{PolicyKind, ReplacementKind, SystemConfig, DEFAULT_SEED};
 use crate::env;
 use crate::fused::run_group;
+use crate::multicore::{run_mix, MulticoreResult};
 use crate::result::SimResult;
+use crate::system::run_workload;
 use energy_model::HierarchySpec;
+use slip_core::{EouObjective, SamplingConfig};
 use std::collections::HashMap;
-use std::path::PathBuf;
+use std::sync::Mutex;
 use sweep_runner::json::Value;
 use sweep_runner::SweepOptions;
+use workloads::WorkloadSpec;
 
-/// Options for a suite run.
+/// The [`SystemConfig`] fields a cell may move off the paper defaults
+/// ([`Variant::default`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct Variant {
+    /// The hierarchy spec; `None` is the built-in 45 nm node.
+    pub topology: Option<HierarchySpec>,
+    /// Reuse-distance bin counter width.
+    pub rd_bin_bits: u32,
+    /// Victim selection within candidate ways.
+    pub replacement: ReplacementKind,
+    /// Inclusive LLC.
+    pub inclusive_llc: bool,
+    /// Way-partitioned shared L3 (two-core mixes).
+    pub partitioned_l3: bool,
+    /// The EOU's analytical objective.
+    pub eou_objective: EouObjective,
+    /// log2 of the rd-block size in bytes.
+    pub rd_block_shift: u32,
+    /// Time-based sampling probabilities.
+    pub sampling: SamplingConfig,
+    /// Ways per sublevel, nearest first, at both L2 and L3
+    /// ([`SystemConfig::with_sublevel_ways`]); `None` keeps the spec's.
+    pub sublevel_ways: Option<Vec<usize>>,
+}
+
+impl Default for Variant {
+    fn default() -> Self {
+        Variant {
+            topology: None,
+            rd_bin_bits: 4,
+            replacement: ReplacementKind::Lru,
+            inclusive_llc: false,
+            partitioned_l3: false,
+            eou_objective: EouObjective::InsertionAware,
+            rd_block_shift: 12,
+            sampling: SamplingConfig::paper_default(),
+            sublevel_ways: None,
+        }
+    }
+}
+
+impl Variant {
+    /// The configuration of one `policy` cell under this variant.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a semantically invalid topology spec; `HierarchySpec::load`
+    /// already validated anything that came from a file or built-in
+    /// name, so this only trips on hand-built specs.
+    pub fn config(&self, policy: PolicyKind, seed: u64) -> SystemConfig {
+        let mut c = match &self.topology {
+            Some(spec) => SystemConfig::from_topology(spec, policy)
+                .unwrap_or_else(|e| panic!("invalid topology spec: {e}")),
+            None => SystemConfig::paper_45nm(policy),
+        };
+        if let Some(ways) = &self.sublevel_ways {
+            c = c.with_sublevel_ways(ways.clone(), ways.clone());
+        }
+        c.rd_bin_bits = self.rd_bin_bits;
+        c.replacement = self.replacement;
+        c.inclusive_llc = self.inclusive_llc;
+        c.partitioned_l3 = self.partitioned_l3;
+        c.eou_objective = self.eou_objective;
+        c.rd_block_shift = self.rd_block_shift;
+        c.sampling = self.sampling;
+        c.seed = seed;
+        c
+    }
+
+    /// The key clauses after the seed: `topo=name#fingerprint` (the
+    /// fingerprint hashes the canonical spec text, so editing a spec
+    /// file in place invalidates old journal entries), then one clause
+    /// per other axis off its default. The default variant adds
+    /// nothing, so existing journals stay restorable.
+    fn key_clauses(&self) -> String {
+        let d = Variant::default();
+        let mut k = String::new();
+        if let Some(spec) = &self.topology {
+            k += &format!(",topo={}#{:016x}", spec.name, spec.fingerprint());
+        }
+        if self.replacement != d.replacement {
+            k += &format!(",repl={}", self.replacement.label());
+        }
+        if self.inclusive_llc {
+            k += ",inclusive";
+        }
+        if self.partitioned_l3 {
+            k += ",partitioned";
+        }
+        if self.eou_objective != d.eou_objective {
+            k += &format!(",eou={:?}", self.eou_objective);
+        }
+        if self.rd_block_shift != d.rd_block_shift {
+            k += &format!(",rdblock={}", self.rd_block_shift);
+        }
+        if self.sampling != d.sampling {
+            k += &format!(",samp={}/{}", self.sampling.n_samp, self.sampling.n_stab);
+        }
+        if let Some(ways) = &self.sublevel_ways {
+            let ways: Vec<String> = ways.iter().map(usize::to_string).collect();
+            k += &format!(",ways={}", ways.join("/"));
+        }
+        k
+    }
+}
+
+/// What a cell runs.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Workload {
+    /// A built-in benchmark on the single-core system.
+    Bench(&'static str),
+    /// Two built-in benchmarks on the two-core, shared-L3 system, each
+    /// for the grid's access count, with no warmup.
+    Mix(&'static str, &'static str),
+    /// Another single-core workload (the §7 stressors), keyed by name.
+    Custom(WorkloadSpec),
+}
+
+impl Workload {
+    /// The name a cell key starts with: `bench` or `a+b`.
+    pub fn name(&self) -> String {
+        match self {
+            Workload::Bench(b) => (*b).to_owned(),
+            Workload::Mix(a, b) => format!("{a}+{b}"),
+            Workload::Custom(spec) => spec.name().to_owned(),
+        }
+    }
+}
+
+impl From<&'static str> for Workload {
+    fn from(bench: &'static str) -> Self {
+        Workload::Bench(bench)
+    }
+}
+
+impl From<(&'static str, &'static str)> for Workload {
+    fn from((a, b): (&'static str, &'static str)) -> Self {
+        Workload::Mix(a, b)
+    }
+}
+
+/// One cell of the grid.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Cell {
+    /// What runs.
+    pub workload: Workload,
+    /// The placement policy.
+    pub policy: PolicyKind,
+    /// Master seed of the cell's [`SystemConfig`] and trace.
+    pub seed: u64,
+    /// The rest of the configuration.
+    pub variant: Variant,
+}
+
+impl Cell {
+    /// The cell with its variant edited by `edit`.
+    pub fn with(mut self, edit: impl FnOnce(&mut Variant)) -> Cell {
+        edit(&mut self.variant);
+        self
+    }
+
+    /// The journal key of this cell at the given length:
+    /// `name/policy@acc=..,warm=..,tech=..,bits=..,seed=..`, then the
+    /// variant's clauses. It encodes every input the result depends on,
+    /// so stale journal entries can never be mistaken for current ones.
+    /// A mix runs no warmup, so its key says `warm=0`.
+    pub fn key(&self, accesses: u64, warmup: u64) -> String {
+        let warmup = match self.workload {
+            Workload::Mix(..) => 0,
+            _ => warmup,
+        };
+        let v = &self.variant;
+        let tech = v
+            .topology
+            .as_ref()
+            .map_or("45nm", |spec| spec.name.as_str());
+        format!(
+            "{}/{}@acc={accesses},warm={warmup},tech={tech},bits={},seed={:#x}{}",
+            self.workload.name(),
+            self.policy.label(),
+            v.rd_bin_bits,
+            self.seed,
+            v.key_clauses(),
+        )
+    }
+}
+
+/// Options for a suite run: the grid-wide trace length and warmup, and
+/// the default grid of `benchmarks × policies` at one seed and variant.
 #[derive(Debug, Clone)]
 pub struct SuiteOptions {
-    /// Accesses per benchmark.
+    /// Accesses per benchmark (per core for a two-core mix).
     pub accesses: u64,
     /// Unmeasured warmup accesses before measurement begins
     /// (overridable with `SLIP_WARMUP`; default 0).
@@ -33,18 +228,10 @@ pub struct SuiteOptions {
     pub benchmarks: Vec<&'static str>,
     /// Policies to run.
     pub policies: Vec<PolicyKind>,
-    /// Reuse-distance bin counter width.
-    pub rd_bin_bits: u32,
-    /// Master seed of every cell's [`SystemConfig`] and trace (default
-    /// [`DEFAULT_SEED`]). Set via [`with_seed`].
-    ///
-    /// [`with_seed`]: SuiteOptions::with_seed
+    /// Master seed of every cell (default [`DEFAULT_SEED`]).
     pub seed: u64,
-    /// The hierarchy every cell runs on — geometry *and* energy; `None`
-    /// is the built-in 45 nm node. Set via [`with_topology`].
-    ///
-    /// [`with_topology`]: SuiteOptions::with_topology
-    pub topology: Option<HierarchySpec>,
+    /// The configuration of every cell of the default grid.
+    pub variant: Variant,
 }
 
 impl SuiteOptions {
@@ -56,9 +243,8 @@ impl SuiteOptions {
             warmup: env::warmup(),
             benchmarks: workloads::BENCHMARK_NAMES.to_vec(),
             policies: PolicyKind::ALL.to_vec(),
-            rd_bin_bits: 4,
             seed: DEFAULT_SEED,
-            topology: None,
+            variant: Variant::default(),
         }
     }
 
@@ -96,143 +282,112 @@ impl SuiteOptions {
         self
     }
 
-    /// Overrides the distribution counter width.
-    pub fn with_bin_bits(mut self, bits: u32) -> Self {
-        self.rd_bin_bits = bits;
-        self
+    /// The `policy` cell of `workload` at this grid's seed and variant.
+    pub fn cell(&self, workload: impl Into<Workload>, policy: PolicyKind) -> Cell {
+        Cell {
+            workload: workload.into(),
+            policy,
+            seed: self.seed,
+            variant: self.variant.clone(),
+        }
     }
 
-    /// Runs the sweep on a hierarchy spec instead of the built-in 45 nm
-    /// node.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a semantically invalid spec; `HierarchySpec::load`
-    /// already validated anything that came from a file or built-in
-    /// name, so this only trips on hand-built specs.
-    pub fn with_topology(mut self, spec: HierarchySpec) -> Self {
-        spec.validate()
-            .unwrap_or_else(|e| panic!("invalid topology spec: {e}"));
-        self.topology = Some(spec);
-        self
+    /// The default grid, `benchmarks × policies`, in that order.
+    pub fn cells(&self) -> Vec<Cell> {
+        self.benchmarks
+            .iter()
+            .flat_map(|&b| self.policies.iter().map(move |&p| self.cell(b, p)))
+            .collect()
     }
 
-    /// Builds the system configuration for one cell of this sweep.
+    /// Builds the system configuration for one cell of the default
+    /// grid.
     pub fn cell_config(&self, policy: PolicyKind) -> SystemConfig {
-        let mut config = match &self.topology {
-            Some(spec) => SystemConfig::from_topology(spec, policy)
-                .unwrap_or_else(|e| panic!("invalid topology spec: {e}")),
-            None => SystemConfig::paper_45nm(policy),
-        };
-        config.rd_bin_bits = self.rd_bin_bits;
-        config.seed = self.seed;
-        config
+        self.variant.config(policy, self.seed)
     }
 
-    /// The journal key of one `(benchmark, policy)` cell. Encodes every
-    /// input the result depends on, so stale journal entries can never
-    /// be mistaken for current ones. Runs under an explicit topology
-    /// append a `topo=name#fingerprint` clause — the fingerprint hashes
-    /// the canonical spec text, so editing a spec file in place
-    /// invalidates old journal entries — while default runs keep the
-    /// historical key shape, so existing journals stay restorable.
-    pub fn cell_key(&self, bench: &str, policy: PolicyKind) -> String {
-        let config = self.cell_config(policy);
-        let topo = match &self.topology {
-            Some(spec) => format!(",topo={}#{:016x}", spec.name, spec.fingerprint()),
-            None => String::new(),
-        };
-        format!(
-            "{bench}/{}@acc={},warm={},tech={},bits={},seed={:#x}{topo}",
-            policy.label(),
-            self.accesses,
-            self.warmup,
-            config.tech.name,
-            self.rd_bin_bits,
-            config.seed,
-        )
+    /// The journal key of one `(benchmark, policy)` cell of the default
+    /// grid ([`Cell::key`]).
+    pub fn cell_key(&self, bench: &'static str, policy: PolicyKind) -> String {
+        self.cell(bench, policy).key(self.accesses, self.warmup)
     }
 }
 
-/// How the suite executes (worker count, journaling) — orthogonal to
-/// *what* it runs ([`SuiteOptions`]) and, by construction, to what it
-/// produces.
-#[derive(Debug, Clone)]
-pub struct SweepConfig {
-    /// Worker count; 1 is fully serial. Benchmark groups split until
-    /// every worker has one ([`sweep_runner::group_cells`]).
-    pub jobs: usize,
-    /// JSONL run-journal path; completed cells found there are restored
-    /// instead of re-run.
-    pub journal: Option<PathBuf>,
-    /// Suppress stderr progress lines.
-    pub quiet: bool,
-    /// Cooperative cancellation flag (e.g. the process SIGINT flag from
-    /// `sweep_runner::interrupt::install()`); when it trips, the sweep
-    /// stops dispatching groups, seals the journal, and errors with
-    /// [`std::io::ErrorKind::Interrupted`].
-    pub cancel: Option<&'static std::sync::atomic::AtomicBool>,
-}
+/// How a grid executes — worker count, journal, progress lines,
+/// cancellation — orthogonal to *what* it runs ([`SuiteOptions`]) and,
+/// by construction, to what it produces. Its progress lines are
+/// labeled `suite`.
+pub type SweepConfig = SweepOptions;
 
-impl SweepConfig {
-    /// Reads `SLIP_JOBS` / `SLIP_JOURNAL`; progress lines on.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a knob [`env::check`] rejects (retired or unparseable)
-    /// — ignoring it would mislabel what ran. The CLI surfaces the same
-    /// error politely.
-    pub fn from_env() -> Self {
-        env::check().unwrap_or_else(|e| panic!("{e}"));
-        SweepConfig {
-            journal: env::journal(),
-            quiet: false,
-            ..Self::with_jobs(env::jobs())
-        }
-    }
-
-    /// Serial, journal-less, quiet.
-    pub fn serial() -> Self {
-        Self::with_jobs(1)
-    }
-
-    /// `jobs` workers, journal-less, quiet.
-    pub fn with_jobs(jobs: usize) -> Self {
-        SweepConfig {
-            jobs,
-            journal: None,
-            quiet: true,
-            cancel: None,
-        }
-    }
-}
-
-/// Runs the `policies` cells of one benchmark as a single fused group
-/// ([`crate::fused::run_group`]): one pass over the benchmark's
-/// generated access stream steps every cell in lockstep, so memory
-/// stays O(chunk) at any trace length. Returns one result per policy,
-/// in order, each with [`SimResult::exec_mode`] `fused`. Shared between
-/// the offline sweep and the `slip serve` daemon, so both execution
-/// paths are one code path.
+/// Runs the `policies` cells of one benchmark of the default grid as a
+/// single fused group. Shared between the offline sweep and the `slip
+/// serve` daemon, so both execution paths are one code path.
 pub fn run_fused_group(
     options: &SuiteOptions,
     bench: &str,
     policies: &[PolicyKind],
 ) -> Vec<SimResult> {
     let spec = workloads::workload(bench).expect("known benchmark");
-    let configs: Vec<SystemConfig> = policies.iter().map(|&p| options.cell_config(p)).collect();
+    let configs = policies.iter().map(|&p| options.cell_config(p)).collect();
+    fuse(&spec, configs, options.accesses, options.warmup)
+}
+
+/// Runs `configs` on one trace of `spec` as one fused group
+/// ([`crate::fused::run_group`]): one pass over the generated access
+/// stream steps every cell in lockstep, so memory stays O(chunk) at any
+/// trace length. Each result has [`SimResult::exec_mode`] `fused`.
+fn fuse(
+    spec: &WorkloadSpec,
+    configs: Vec<SystemConfig>,
+    accesses: u64,
+    warmup: u64,
+) -> Vec<SimResult> {
     let seed = configs[0].seed;
-    let total = options.warmup + options.accesses;
-    let mut results = run_group(
-        configs,
-        spec.name(),
-        spec.trace(total, seed),
-        options.warmup,
-    );
+    let trace = spec.trace(warmup + accesses, seed);
+    let mut results = run_group(configs, spec.name(), trace, warmup);
     for r in &mut results {
         r.exec_mode = Some("fused");
     }
     results
+}
+
+/// The result of one cell.
+#[derive(Debug, Clone)]
+enum Outcome {
+    /// A single-core cell.
+    Single(Box<SimResult>),
+    /// A two-core mix.
+    Mix(Box<MulticoreResult>),
+}
+
+impl Outcome {
+    /// The journal record, `(metrics, payload)`; a single-core record is
+    /// the historical one.
+    fn encode(&self, wall: std::time::Duration) -> (Value, Value) {
+        match self {
+            Outcome::Single(r) => {
+                let mut metrics = codec::result_metrics(r, wall);
+                if let Some(mode) = r.exec_mode {
+                    metrics = metrics.with("exec_mode", Value::str(mode));
+                }
+                (metrics, codec::encode_result(r))
+            }
+            Outcome::Mix(m) => {
+                let metrics = Value::object()
+                    .with("accesses", Value::u64(m.accesses[0] + m.accesses[1]))
+                    .with("exec_mode", Value::str("two-core"));
+                (metrics, codec::encode_mix(m))
+            }
+        }
+    }
+
+    /// Rebuilds a journaled outcome; only a mix payload has `mix`.
+    fn decode(payload: &Value) -> Option<Outcome> {
+        match payload.get("mix") {
+            Some(_) => codec::decode_mix(payload).map(|m| Outcome::Mix(Box::new(m))),
+            None => codec::decode_result(payload).map(|r| Outcome::Single(Box::new(r))),
+        }
+    }
 }
 
 /// The type of [`SuiteResults::trace_cache_stats`]. It has no values:
@@ -248,100 +403,199 @@ impl TraceCacheStats {
     }
 }
 
-/// Results of a suite run, keyed by `(benchmark, policy)`.
+/// The cells a planning grid's lookups asked for, and the zero-length
+/// runs they read ([`SuiteResults::run_read`]).
+#[derive(Debug)]
+struct Plan {
+    cells: Mutex<Vec<Cell>>,
+    single: Outcome,
+    mix: Outcome,
+}
+
+/// Results of a grid run, keyed by cell.
 #[derive(Debug)]
 pub struct SuiteResults {
-    /// The options the suite ran with.
+    /// The options the grid ran with.
     pub options: SuiteOptions,
     /// Always `None`: sweeps keep no trace cache. Kept only for the
     /// repo benchmark, which reads it.
     pub trace_cache_stats: Option<TraceCacheStats>,
-    results: HashMap<(String, PolicyKind), SimResult>,
+    /// Outcomes by [`Cell::key`].
+    results: HashMap<String, Outcome>,
+    /// Set on the grid that runs nothing ([`SuiteResults::run_read`]).
+    plan: Option<Plan>,
 }
 
 impl SuiteResults {
-    /// Runs the suite with execution parameters from the environment
-    /// (`SLIP_JOBS`, `SLIP_JOURNAL`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the journal cannot be read or written.
-    pub fn run(options: SuiteOptions) -> Self {
-        Self::run_with(options, &SweepConfig::from_env()).expect("run journal I/O failed")
-    }
-
-    /// Runs the suite on the given execution configuration.
+    /// Runs the default grid on the given execution configuration.
     ///
     /// # Errors
     ///
-    /// Fails only on journal I/O errors; simulation itself is
-    /// infallible.
+    /// Fails only on journal I/O errors or an interrupt; simulation
+    /// itself is infallible.
     pub fn run_with(options: SuiteOptions, sweep: &SweepConfig) -> std::io::Result<Self> {
-        let cells: Vec<(&'static str, PolicyKind)> = options
-            .benchmarks
+        let cells = options.cells();
+        Self::run_cells(options, &cells, sweep)
+    }
+
+    /// Runs every cell `read` looks up, as one sweep at the length and
+    /// warmup of `options`, and returns what `read` makes of the
+    /// results. `read` runs twice: first on a grid that runs nothing,
+    /// where each lookup records its cell and reads a zero-length run,
+    /// then on the results. So a table lists its cells once, by reading
+    /// them.
+    ///
+    /// # Errors
+    ///
+    /// Fails only on journal I/O errors or an interrupt.
+    pub fn run_read<T>(
+        options: SuiteOptions,
+        sweep: &SweepConfig,
+        read: impl Fn(&SuiteResults) -> T,
+    ) -> std::io::Result<T> {
+        let config = SystemConfig::paper_45nm(PolicyKind::SlipAbp);
+        let gcc = workloads::workload("gcc").expect("known benchmark");
+        let planning = SuiteResults {
+            options: options.clone(),
+            trace_cache_stats: None,
+            results: HashMap::new(),
+            plan: Some(Plan {
+                cells: Mutex::default(),
+                single: Outcome::Single(Box::new(run_workload(config.clone(), &gcc, 0))),
+                mix: Outcome::Mix(Box::new(run_mix(config, &gcc, &gcc, 0))),
+            }),
+        };
+        read(&planning);
+        let plan = planning.plan.expect("a planning grid");
+        let cells = plan.cells.into_inner().expect("plan lock");
+        Ok(read(&Self::run_cells(options, &cells, sweep)?))
+    }
+
+    /// Runs `cells` at the length and warmup of `options`.
+    fn run_cells(
+        options: SuiteOptions,
+        cells: &[Cell],
+        sweep: &SweepConfig,
+    ) -> std::io::Result<Self> {
+        let (accesses, warmup) = (options.accesses, options.warmup);
+        let keys: Vec<String> = cells.iter().map(|c| c.key(accesses, warmup)).collect();
+        let configs: Vec<SystemConfig> = cells
             .iter()
-            .flat_map(|&b| options.policies.iter().map(move |&p| (b, p)))
+            .map(|c| c.variant.config(c.policy, c.seed))
             .collect();
-        let keys: Vec<String> = cells.iter().map(|&(b, p)| options.cell_key(b, p)).collect();
         let sweep_options = SweepOptions {
-            jobs: sweep.jobs,
-            journal: sweep.journal.clone(),
-            quiet: sweep.quiet,
             label: "suite".to_owned(),
-            cancel: sweep.cancel,
+            ..sweep.clone()
         };
-        let encode = |r: &SimResult, wall: std::time::Duration| {
-            let mut metrics = codec::result_metrics(r, wall);
-            if let Some(mode) = r.exec_mode {
-                metrics = metrics.with("exec_mode", Value::str(mode));
-            }
-            (metrics, codec::encode_result(r))
-        };
-        let decode = codec::decode_result;
-        // The pending policy cells of each benchmark form one fused
-        // group. Groups re-form from whatever cells the journal did
-        // *not* restore, so a resumed sweep fuses only the survivors.
+        // Groups re-form from whatever cells the journal did *not*
+        // restore, so a resumed sweep fuses only the survivors.
         let ran = sweep_runner::run_sweep_grouped(
             &keys,
             &sweep_options,
-            |pending| sweep_runner::group_cells(pending, |i| cells[i].0, sweep.jobs),
-            |members| {
-                let bench = cells[members[0]].0;
-                let policies: Vec<PolicyKind> = members.iter().map(|&i| cells[i].1).collect();
-                run_fused_group(&options, bench, &policies)
+            |pending| {
+                // A mix runs alone; single-core cells of one trace fuse
+                // ([`crate::fused`]), except that cells with an inclusive
+                // LLC group apart: they would make their whole group step
+                // private L1s, about 20% slower.
+                let key = |i: usize| {
+                    let c = &cells[i];
+                    let mix = matches!(c.workload, Workload::Mix(..)).then_some(i);
+                    (c.workload.name(), c.seed, c.variant.inclusive_llc, mix)
+                };
+                sweep_runner::group_cells(pending, key, sweep.jobs)
             },
-            encode,
-            decode,
+            |members| {
+                let config = |i: usize| configs[i].clone();
+                let spec = match &cells[members[0]].workload {
+                    Workload::Mix(a, b) => {
+                        let spec = |n| workloads::workload(n).expect("known benchmark");
+                        let m = run_mix(config(members[0]), &spec(a), &spec(b), accesses);
+                        return vec![Outcome::Mix(Box::new(m))];
+                    }
+                    Workload::Bench(b) => workloads::workload(b).expect("known benchmark"),
+                    Workload::Custom(spec) => spec.clone(),
+                };
+                let group = members.iter().map(|&i| config(i)).collect();
+                let results = fuse(&spec, group, accesses, warmup);
+                let single = |r| Outcome::Single(Box::new(r));
+                results.into_iter().map(single).collect()
+            },
+            Outcome::encode,
+            Outcome::decode,
         )?;
-        let results = cells
-            .into_iter()
-            .zip(ran)
-            .map(|((b, p), r)| ((b.to_owned(), p), r))
-            .collect();
         Ok(SuiteResults {
             options,
             trace_cache_stats: None,
-            results,
+            results: keys.into_iter().zip(ran).collect(),
+            plan: None,
         })
     }
 
-    /// The result of one (benchmark, policy) cell, if it was part of
-    /// the sweep.
-    pub fn try_get(&self, bench: &str, policy: PolicyKind) -> Option<&SimResult> {
-        self.results.get(&(bench.to_owned(), policy))
-    }
-
-    /// The result of one (benchmark, policy) cell.
+    /// The outcome of one cell; on a planning grid, records the cell.
     ///
     /// # Panics
     ///
-    /// Panics if that cell was not part of the sweep; use [`try_get`]
-    /// to probe.
+    /// Panics if the cell was not part of the run.
+    fn outcome(&self, cell: &Cell) -> &Outcome {
+        if let Some(plan) = &self.plan {
+            let mut cells = plan.cells.lock().expect("plan lock");
+            if !cells.contains(cell) {
+                cells.push(cell.clone());
+            }
+            return match cell.workload {
+                Workload::Mix(..) => &plan.mix,
+                _ => &plan.single,
+            };
+        }
+        let key = cell.key(self.options.accesses, self.options.warmup);
+        (self.results.get(&key)).unwrap_or_else(|| panic!("no result for cell {key}"))
+    }
+
+    /// The result of one single-core cell.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cell was not part of the run, or is a mix.
+    pub fn result(&self, cell: &Cell) -> &SimResult {
+        match self.outcome(cell) {
+            Outcome::Single(r) => r,
+            Outcome::Mix(_) => panic!("{cell:?} is a two-core mix"),
+        }
+    }
+
+    /// The result of one two-core cell.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cell was not part of the run, or is single-core.
+    pub fn mix(&self, cell: &Cell) -> &MulticoreResult {
+        match self.outcome(cell) {
+            Outcome::Mix(m) => m,
+            Outcome::Single(_) => panic!("{cell:?} is a single-core cell"),
+        }
+    }
+
+    /// The result of one (benchmark, policy) cell of the default grid,
+    /// if it was part of the run.
+    pub fn try_get(&self, bench: &'static str, policy: PolicyKind) -> Option<&SimResult> {
+        match self.results.get(&self.options.cell_key(bench, policy))? {
+            Outcome::Single(r) => Some(r),
+            Outcome::Mix(_) => None,
+        }
+    }
+
+    /// The result of one (benchmark, policy) cell of the default grid.
+    ///
+    /// # Panics
+    ///
+    /// Panics if that cell was not part of the run; use [`try_get`] to
+    /// probe.
     ///
     /// [`try_get`]: SuiteResults::try_get
     pub fn get(&self, bench: &str, policy: PolicyKind) -> &SimResult {
-        self.try_get(bench, policy)
-            .unwrap_or_else(|| panic!("no result for ({bench}, {policy})"))
+        let known = workloads::BENCHMARK_NAMES.iter().find(|&&b| b == bench);
+        let bench = *known.unwrap_or_else(|| panic!("no benchmark {bench:?}"));
+        self.result(&self.options.cell(bench, policy))
     }
 
     /// The baseline result for a benchmark.
@@ -364,33 +618,54 @@ impl SuiteResults {
         1.0 - self.get(bench, policy).l3_total_energy() / self.baseline(bench).l3_total_energy()
     }
 
-    /// Mean L2 saving over all benchmarks.
-    pub fn mean_l2_saving(&self, policy: PolicyKind) -> f64 {
-        crate::report::mean(
-            &self
-                .benchmarks()
-                .iter()
-                .map(|b| self.l2_saving(b, policy))
-                .collect::<Vec<_>>(),
-        )
+    /// Mean `(L2, L3)` energy savings of `cell(b)` over `base(b)` across
+    /// `benchmarks`.
+    pub fn mean_savings(
+        &self,
+        benchmarks: &[&'static str],
+        base: impl Fn(&'static str) -> Cell,
+        cell: impl Fn(&'static str) -> Cell,
+    ) -> (f64, f64) {
+        let (l2, l3): (Vec<f64>, Vec<f64>) = benchmarks
+            .iter()
+            .map(|&b| {
+                let (base, r) = (self.result(&base(b)), self.result(&cell(b)));
+                (
+                    1.0 - r.l2_total_energy() / base.l2_total_energy(),
+                    1.0 - r.l3_total_energy() / base.l3_total_energy(),
+                )
+            })
+            .unzip();
+        (crate::report::mean(&l2), crate::report::mean(&l3))
     }
 
-    /// Mean L3 saving over all benchmarks.
-    pub fn mean_l3_saving(&self, policy: PolicyKind) -> f64 {
-        crate::report::mean(
-            &self
-                .benchmarks()
-                .iter()
-                .map(|b| self.l3_saving(b, policy))
-                .collect::<Vec<_>>(),
-        )
+    /// Mean `(L2, L3)` savings of `policy` over the baseline across the
+    /// default grid's benchmarks.
+    pub fn mean_saving(&self, policy: PolicyKind) -> (f64, f64) {
+        let cell = |p| move |b| self.options.cell(b, p);
+        self.mean_savings(self.benchmarks(), cell(PolicyKind::Baseline), cell(policy))
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::system::run_workload_with_warmup;
+
+    /// Runs the cells `read` looks up at `accesses`, no warmup, serially —
+    /// the tables' unit tests.
+    pub(crate) fn read_study<T>(accesses: u64, read: impl Fn(&SuiteResults) -> T) -> T {
+        let options = SuiteOptions::paper_full()
+            .with_accesses(accesses)
+            .with_warmup(0);
+        SuiteResults::run_read(options, &SweepConfig::serial(), read).expect("no journal")
+    }
+
+    /// `opts` on a built-in node.
+    fn on(mut opts: SuiteOptions, node: &str) -> SuiteOptions {
+        opts.variant.topology = Some(HierarchySpec::builtin(node).unwrap());
+        opts
+    }
 
     /// Every cell's encoded result, in grid order.
     fn fingerprint(suite: &SuiteResults) -> Vec<String> {
@@ -602,9 +877,7 @@ mod tests {
             .with_policies(&[PolicyKind::Slip, PolicyKind::SlipAbp])
             .with_accesses(8_000)
             .with_warmup(2_000);
-        let topo = opts
-            .clone()
-            .with_topology(HierarchySpec::builtin("45nm").unwrap());
+        let topo = on(opts.clone(), "45nm");
         let reference = reference(&opts);
         for jobs in [1, 4] {
             let suite =
@@ -618,9 +891,7 @@ mod tests {
         let plain = SuiteOptions::paper_full()
             .with_accesses(1000)
             .with_warmup(0);
-        let topo = plain
-            .clone()
-            .with_topology(HierarchySpec::builtin("stt-llc").unwrap());
+        let topo = on(plain.clone(), "stt-llc");
         let plain_key = plain.cell_key("gcc", PolicyKind::Slip);
         let topo_key = topo.cell_key("gcc", PolicyKind::Slip);
         // Default keys keep their historical shape (journal back-compat),
@@ -634,9 +905,7 @@ mod tests {
         assert!(topo_key.contains(",topo=stt-llc#"), "{topo_key}");
         assert_ne!(plain_key, topo_key);
         // Different nodes never share a key.
-        let other = plain
-            .clone()
-            .with_topology(HierarchySpec::builtin("22nm").unwrap());
+        let other = on(plain.clone(), "22nm");
         let other_key = other.cell_key("gcc", PolicyKind::Slip);
         assert_ne!(topo_key, other_key);
         // Explicit-topology keys are pinned too: the fingerprint hashes
@@ -645,15 +914,24 @@ mod tests {
             other_key,
             "gcc/SLIP@acc=1000,warm=0,tech=22nm,bits=4,seed=0x511b,topo=22nm#e821814fb9d775ba"
         );
+        // A grid cell of the default variant keys exactly as the
+        // default grid does, with or without a topology; the other
+        // axes append after the topology clause.
+        assert_eq!(plain.cell("gcc", PolicyKind::Slip).key(1000, 0), plain_key);
+        assert_eq!(other.cell("gcc", PolicyKind::Slip).key(1000, 0), other_key);
+        let edited = other
+            .cell("gcc", PolicyKind::Slip)
+            .with(|v| v.replacement = ReplacementKind::Ship)
+            .key(1000, 0);
+        assert_eq!(edited, format!("{other_key},repl=SHiP"));
     }
 
     #[test]
     fn cell_keys_fingerprint_all_inputs() {
         let a = SuiteOptions::paper_full().with_accesses(1000);
         let b = SuiteOptions::paper_full().with_accesses(2000);
-        let c = SuiteOptions::paper_full()
-            .with_accesses(1000)
-            .with_bin_bits(6);
+        let mut c = SuiteOptions::paper_full().with_accesses(1000);
+        c.variant.rd_bin_bits = 6;
         let k = |o: &SuiteOptions| o.cell_key("gcc", PolicyKind::Slip);
         assert_ne!(k(&a), k(&b));
         assert_ne!(k(&a), k(&c));
@@ -665,6 +943,100 @@ mod tests {
             a.cell_key("gcc", PolicyKind::Slip),
             a.cell_key("mcf", PolicyKind::Slip)
         );
+
+        // The variant axes: the default leaves the pinned key alone,
+        // each non-default value changes it, and no two collide.
+        let base = a.cell("gcc", PolicyKind::Slip);
+        let pinned = "gcc/SLIP@acc=1000,warm=0,tech=45nm,bits=4,seed=0x511b";
+        assert_eq!(base.key(1000, 0), pinned);
+        assert_eq!(base.clone().with(|_| ()).key(1000, 0), pinned);
+        let edits: [fn(&mut Variant); 9] = [
+            |v| v.topology = Some(HierarchySpec::builtin("22nm").unwrap()),
+            |v| v.rd_bin_bits = 6,
+            |v| v.replacement = ReplacementKind::Drrip,
+            |v| v.inclusive_llc = true,
+            |v| v.partitioned_l3 = true,
+            |v| v.eou_objective = EouObjective::PaperLiteral,
+            |v| v.rd_block_shift = 13,
+            |v| {
+                v.sampling = SamplingConfig {
+                    n_samp: 4,
+                    n_stab: 64,
+                }
+            },
+            |v| v.sublevel_ways = Some(vec![8, 8]),
+        ];
+        let mut keys: Vec<String> = edits
+            .iter()
+            .map(|&edit| base.clone().with(edit).key(1000, 0))
+            .collect();
+        for k in &keys {
+            assert!(k.starts_with("gcc/SLIP@acc=1000,warm=0,tech="), "{k}");
+            assert_ne!(k, pinned);
+        }
+        keys.push(pinned.to_owned());
+        keys.sort();
+        keys.dedup();
+        assert_eq!(keys.len(), edits.len() + 1, "{keys:?}");
+        // Setting an axis to its default value is the default cell.
+        let same = base.clone().with(|v| v.rd_block_shift = 12);
+        assert_eq!(same.key(1000, 0), pinned);
+        // A mix runs no warmup, so its key says so; its workload name
+        // cannot collide with a benchmark's.
+        let mix = a.cell(("gcc", "lbm"), PolicyKind::Slip);
+        assert_eq!(
+            mix.key(1000, 500),
+            "gcc+lbm/SLIP@acc=1000,warm=0,tech=45nm,bits=4,seed=0x511b"
+        );
+    }
+
+    #[test]
+    fn default_variant_is_the_paper_configuration() {
+        let paper = SystemConfig::paper_45nm(PolicyKind::SlipAbp);
+        let c = Variant::default().config(PolicyKind::SlipAbp, DEFAULT_SEED);
+        assert_eq!(format!("{c:?}"), format!("{paper:?}"));
+    }
+
+    #[test]
+    fn duplicate_cells_run_once_and_mix_cells_resume_from_the_journal() {
+        let mut path = std::env::temp_dir();
+        path.push(format!("slip-suite-dedup-{}", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let opts = SuiteOptions::paper_full()
+            .with_accesses(4_000)
+            .with_warmup(0);
+        let base = opts.cell("gcc", PolicyKind::Baseline);
+        let inclusive = opts
+            .cell("gcc", PolicyKind::SlipAbp)
+            .with(|v| v.inclusive_llc = true);
+        let mix = opts.cell(("gcc", "lbm"), PolicyKind::SlipAbp);
+        let sweep = SweepConfig {
+            journal: Some(path.clone()),
+            ..SweepConfig::with_jobs(2)
+        };
+        // The baseline is read twice; every payload comes back encoded.
+        let read = |s: &SuiteResults| {
+            let single = |c: &Cell| codec::encode_result(s.result(c)).to_json();
+            [
+                single(&base),
+                single(&inclusive),
+                single(&base),
+                codec::encode_mix(s.mix(&mix)).to_json(),
+            ]
+        };
+        let fresh = SuiteResults::run_read(opts.clone(), &sweep, read).unwrap();
+        let journal = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(journal.lines().count(), 3, "{journal}");
+        let restored = SuiteResults::run_read(opts, &sweep, read).unwrap();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), journal);
+        assert_eq!(restored, fresh);
+        // The inclusive cell ran in its own fused group, bit-exact with
+        // its standalone run.
+        let spec = workloads::workload("gcc").unwrap();
+        let config = inclusive.variant.config(PolicyKind::SlipAbp, DEFAULT_SEED);
+        let alone = run_workload_with_warmup(config, &spec, 4_000, 0);
+        assert_eq!(fresh[1], codec::encode_result(&alone).to_json());
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

@@ -254,14 +254,16 @@ pub fn fig15_table(rows: &[Fig15Row]) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::suite::SuiteOptions;
+    use crate::experiments::suite::{SuiteOptions, SweepConfig};
 
     fn small_suite() -> SuiteResults {
-        SuiteResults::run(
+        SuiteResults::run_with(
             SuiteOptions::paper_full()
                 .with_benchmarks(&["soplex", "lbm"])
                 .with_accesses(150_000),
+            &SweepConfig::with_jobs(2),
         )
+        .unwrap()
     }
 
     #[test]

@@ -47,12 +47,6 @@ impl MulticoreResult {
     pub fn l2_plus_l3_energy(&self) -> Energy {
         self.l2_energy + self.l3_energy
     }
-
-    /// Total cycles (max over cores — the mix finishes when the slower
-    /// core does).
-    pub fn total_cycles(&self) -> u64 {
-        self.cycles[0].max(self.cycles[1])
-    }
 }
 
 /// The two-core system.

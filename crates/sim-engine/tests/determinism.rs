@@ -4,8 +4,10 @@
 
 use sim_engine::codec;
 use sim_engine::config::PolicyKind;
-use sim_engine::experiments::{SuiteOptions, SuiteResults};
+use sim_engine::experiments::{paper, SuiteOptions, SuiteResults};
 use sim_engine::SweepConfig;
+use std::collections::BTreeSet;
+use sweep_runner::json::Value;
 
 fn reduced_options() -> SuiteOptions {
     SuiteOptions::paper_full()
@@ -92,4 +94,47 @@ fn journaled_suite_resumes_from_completed_cells() {
     assert_eq!(third.get("gcc", PolicyKind::SlipAbp).accesses, 50_000);
 
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The whole reproduction grid, journaled: the first run records each
+/// distinct cell once; a second run into the same journal restores
+/// every cell, runs none (appends nothing), and renders the identical
+/// tables.
+#[test]
+fn paper_grid_reruns_from_its_journal_without_running_a_cell() {
+    let mut path = std::env::temp_dir();
+    path.push(format!("slip-paper-grid-{}", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let options = SuiteOptions::paper_full()
+        .with_accesses(3_000)
+        .with_warmup(0);
+    let sweep = SweepConfig {
+        journal: Some(path.clone()),
+        ..SweepConfig::with_jobs(2)
+    };
+    let first = paper::run(options.clone(), &sweep).unwrap();
+    let journal = std::fs::read_to_string(&path).unwrap();
+    let keys: Vec<String> = journal
+        .lines()
+        .map(|l| {
+            let record = Value::parse(l).unwrap();
+            record.get("key").unwrap().as_str().unwrap().to_owned()
+        })
+        .collect();
+    let distinct: BTreeSet<&String> = keys.iter().collect();
+    assert_eq!(keys.len(), distinct.len(), "a cell ran twice");
+    // The main grid, every study's variants and the two-core mixes.
+    assert!(keys.len() > 250, "{} cells", keys.len());
+    assert!(distinct.contains(&options.cell_key("gcc", PolicyKind::SlipAbp)));
+    assert!(keys.iter().any(|k| k.contains(",inclusive")));
+    assert!(keys.iter().any(|k| k.starts_with("lbm+gcc/")));
+
+    let second = paper::run(options, &sweep).unwrap();
+    assert_eq!(
+        std::fs::read_to_string(&path).unwrap(),
+        journal,
+        "the re-run appended to the journal"
+    );
+    assert_eq!(second, first);
+    std::fs::remove_file(&path).unwrap();
 }

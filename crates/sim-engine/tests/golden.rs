@@ -11,7 +11,7 @@
 use sim_engine::codec;
 use sim_engine::config::{PolicyKind, SystemConfig};
 use sim_engine::system::run_workload_with_warmup;
-use sweep_runner::pool::run_indexed;
+use sweep_runner::pool::run_indexed_cancellable;
 
 const BENCHMARKS: [&str; 3] = ["gcc", "soplex", "mcf"];
 const POLICIES: [PolicyKind; 3] = [PolicyKind::Baseline, PolicyKind::Slip, PolicyKind::SlipAbp];
@@ -27,6 +27,12 @@ fn cell(index: usize, reference: bool) -> String {
     let spec = workloads::workload(bench).expect("known benchmark");
     let result = run_workload_with_warmup(config, &spec, ACCESSES, WARMUP);
     codec::encode_result(&result).to_json()
+}
+
+/// Every cell's payload, in cell order, on `jobs` workers.
+fn run_indexed(cells: usize, jobs: usize, f: impl Fn(usize) -> String + Sync) -> Vec<String> {
+    let ran = run_indexed_cancellable(cells, jobs, None, f);
+    ran.into_iter().map(|(_, payload)| payload).collect()
 }
 
 #[test]

@@ -36,8 +36,13 @@ fn run_cell(cell: ((&str, &str), PolicyKind)) -> MulticoreResult {
 #[test]
 fn mixes_are_bit_identical_across_worker_counts() {
     let cells = cells();
-    let serial = sweep_runner::run_indexed(cells.len(), 1, |i| fingerprint(&run_cell(cells[i])));
-    let parallel = sweep_runner::run_indexed(cells.len(), 4, |i| fingerprint(&run_cell(cells[i])));
+    let run = |jobs| {
+        let ran = sweep_runner::run_indexed_cancellable(cells.len(), jobs, None, |i| {
+            fingerprint(&run_cell(cells[i]))
+        });
+        ran.into_iter().map(|(_, f)| f).collect::<Vec<_>>()
+    };
+    let (serial, parallel) = (run(1), run(4));
     for (i, (s, p)) in serial.iter().zip(&parallel).enumerate() {
         assert_eq!(
             s, p,

@@ -18,9 +18,8 @@
 
 use energy_model::{EnergyCategory, HierarchySpec};
 use sim_engine::config::PolicyKind;
+use sim_engine::experiments::energy;
 use sim_engine::experiments::suite::{SuiteOptions, SuiteResults, SweepConfig};
-use sim_engine::multicore::run_mix;
-use sim_engine::SystemConfig;
 
 /// One checked claim.
 #[derive(Debug, Clone)]
@@ -108,16 +107,6 @@ fn mean_speedup(suite: &SuiteResults, policy: PolicyKind) -> f64 {
     )
 }
 
-/// Mean relative DRAM traffic change of `policy` (total traffic,
-/// metadata included, vs the baseline's demand traffic).
-fn mean_dram_change(suite: &SuiteResults, policy: PolicyKind) -> f64 {
-    mean(suite.benchmarks().iter().map(|b| {
-        suite.get(b, policy).dram_total_traffic() as f64
-            / suite.baseline(b).dram_demand_traffic() as f64
-            - 1.0
-    }))
-}
-
 /// Mean metadata share of DRAM traffic under `policy`.
 fn mean_metadata_overhead(suite: &SuiteResults, policy: PolicyKind) -> f64 {
     mean(suite.benchmarks().iter().map(|b| {
@@ -134,21 +123,64 @@ pub fn run_oracle(accesses: u64, sweep: &SweepConfig) -> std::io::Result<OracleR
     let options = SuiteOptions::paper_full()
         .with_accesses(accesses)
         .with_warmup(accesses / 10);
-    let suite = SuiteResults::run_with(options, sweep)?;
+    let (mut rows, node_rows) = SuiteResults::run_read(options, sweep, single_core_rows)?;
+    // Two-core shared-L3 spot check (Figure 16 headline: 49.0% L3
+    // saving, -4.9% DRAM at 4M/core over the 8 mixes; the oracle runs
+    // two mixes to stay inside the --oracle time budget).
+    let per_core = SuiteOptions::paper_full()
+        .with_accesses(accesses / 2)
+        .with_warmup(0);
+    let (l3_savings, dram_changes): (Vec<f64>, Vec<f64>) =
+        SuiteResults::run_read(per_core, sweep, |suite| {
+            let mixes = &workloads::MULTICORE_MIXES[..2];
+            let run = |&m, p| suite.mix(&suite.options.cell(m, p));
+            mixes
+                .iter()
+                .map(|m| {
+                    let (base, slip) = (run(m, PolicyKind::Baseline), run(m, PolicyKind::SlipAbp));
+                    (
+                        1.0 - slip.l3_energy / base.l3_energy,
+                        slip.dram_total_traffic as f64 / base.dram_demand_traffic as f64 - 1.0,
+                    )
+                })
+                .unzip()
+        })?;
+    rows.push(row(
+        "multicore shared-L3 saving, SLIP+ABP",
+        mean(l3_savings.into_iter()),
+        0.25,
+        0.65,
+    ));
+    rows.push(row(
+        "multicore DRAM traffic change, SLIP+ABP",
+        mean(dram_changes.into_iter()),
+        -0.20,
+        0.02,
+    ));
+    rows.extend(node_rows);
+    Ok(OracleReport { accesses, rows })
+}
 
-    let l2 = |p| suite.mean_l2_saving(p);
-    let l3 = |p| suite.mean_l3_saving(p);
-    let speedup = |p| mean_speedup(&suite, p);
-    let row = |label: &str, value: f64, lo: f64, hi: f64| OracleRow {
+/// One claim with its band.
+fn row(label: &str, value: f64, lo: f64, hi: f64) -> OracleRow {
+    OracleRow {
         label: label.to_string(),
         value,
         lo,
         hi,
-    };
+    }
+}
 
-    let mut rows = vec![
-        // Headline savings bands (EXPERIMENTS.md: L2 10.6% / 43.0%,
-        // L3 11.5% / 41.1% at 4M; 1M runs land within these bands).
+/// The single-core claims: the 45 nm headline figures, and the node
+/// studies.
+fn single_core_rows(suite: &SuiteResults) -> (Vec<OracleRow>, Vec<OracleRow>) {
+    let l2 = |p| suite.mean_saving(p).0;
+    let l3 = |p| suite.mean_saving(p).1;
+    let speedup = |p| mean_speedup(suite, p);
+
+    let headline = vec![
+        // Headline savings bands (EXPERIMENTS.md: L2 9.8% / 42.6%,
+        // L3 12.2% / 41.0% at 4M; 1M runs land within these bands).
         row("mean L2 saving, SLIP", l2(PolicyKind::Slip), 0.02, 0.30),
         row(
             "mean L2 saving, SLIP+ABP",
@@ -203,7 +235,7 @@ pub fn run_oracle(accesses: u64, sweep: &SweepConfig) -> std::io::Result<OracleR
             1.0,
         ),
         // Speedup ordering NuRAPID < LRU-PEA < SLIP < SLIP+ABP
-        // (measured -7.2% / -3.8% / +2.0% / +4.7% at 4M).
+        // (measured -25.3% / -4.9% / +4.9% / +16.8% at 4M).
         row(
             "ordering: speedup LRU-PEA over NuRAPID",
             speedup(PolicyKind::LruPea) - speedup(PolicyKind::NuRapid),
@@ -217,7 +249,7 @@ pub fn run_oracle(accesses: u64, sweep: &SweepConfig) -> std::io::Result<OracleR
             1.0,
         ),
         // ABP's edge over plain SLIP and its net speedup only fully
-        // develop with trace length (+4.7% at 4M, -0.5% at the oracle's
+        // develop with trace length (+16.8% at 4M, -0.5% at the oracle's
         // 1M default): the bands tolerate the short-run shortfall while
         // still catching a real regression.
         row(
@@ -238,60 +270,22 @@ pub fn run_oracle(accesses: u64, sweep: &SweepConfig) -> std::io::Result<OracleR
             0.70,
             1.0,
         ),
-        // SLIP+ABP reduces DRAM traffic on net at paper length (-3.7%
+        // SLIP+ABP reduces DRAM traffic on net at paper length (-4.2%
         // at 4M; +2.7% at 1M, where warmup is a larger share), and
         // metadata stays under the paper's 1.5%.
         row(
             "mean DRAM traffic change, SLIP+ABP",
-            mean_dram_change(&suite, PolicyKind::SlipAbp),
+            energy::mean_dram_traffic_change(suite, PolicyKind::SlipAbp),
             -0.20,
             0.06,
         ),
         row(
             "mean metadata DRAM overhead, SLIP+ABP",
-            mean_metadata_overhead(&suite, PolicyKind::SlipAbp),
+            mean_metadata_overhead(suite, PolicyKind::SlipAbp),
             0.0,
             0.015,
         ),
     ];
-
-    // Two-core shared-L3 spot check (Figure 16 headline: 49.6% L3
-    // saving, -4.1% DRAM at 4M/core over the 8 mixes; the oracle runs
-    // two mixes to stay inside the --oracle time budget).
-    let mixes = &workloads::MULTICORE_MIXES[..2];
-    let mut l3_savings = Vec::new();
-    let mut dram_changes = Vec::new();
-    for &(a, b) in mixes {
-        let spec_a = workloads::workload(a).expect("known benchmark");
-        let spec_b = workloads::workload(b).expect("known benchmark");
-        let per_core = accesses / 2;
-        let base = run_mix(
-            SystemConfig::paper_45nm(PolicyKind::Baseline),
-            &spec_a,
-            &spec_b,
-            per_core,
-        );
-        let slip = run_mix(
-            SystemConfig::paper_45nm(PolicyKind::SlipAbp),
-            &spec_a,
-            &spec_b,
-            per_core,
-        );
-        l3_savings.push(1.0 - slip.l3_energy / base.l3_energy);
-        dram_changes.push(slip.dram_total_traffic as f64 / base.dram_demand_traffic as f64 - 1.0);
-    }
-    rows.push(row(
-        "multicore shared-L3 saving, SLIP+ABP",
-        mean(l3_savings.into_iter()),
-        0.25,
-        0.65,
-    ));
-    rows.push(row(
-        "multicore DRAM traffic change, SLIP+ABP",
-        mean(dram_changes.into_iter()),
-        -0.20,
-        0.02,
-    ));
 
     // §6 node study at 22 nm, through the topology path: the node is a
     // parsed hierarchy spec, not a compiled-in constant, so the oracle
@@ -301,36 +295,20 @@ pub fn run_oracle(accesses: u64, sweep: &SweepConfig) -> std::io::Result<OracleR
     // the fractional saving at 22 nm tracks 45 nm to within half a
     // point (measured −0.004 L2 / −0.002 L3 at 1M) — the gap rows pin
     // that carry-over, not a growth that the model does not exhibit.
-    let node_suite = |name: &str| -> std::io::Result<SuiteResults> {
-        let options = SuiteOptions::paper_full()
-            .with_accesses(accesses)
-            .with_warmup(accesses / 10)
-            .with_policies(&[PolicyKind::SlipAbp])
-            .with_topology(HierarchySpec::builtin(name).expect("built-in node"));
-        SuiteResults::run_with(options, sweep)
-    };
-    let suite22 = node_suite("22nm")?;
-    rows.push(row(
-        "mean L2 saving at 22nm, SLIP+ABP",
-        suite22.mean_l2_saving(PolicyKind::SlipAbp),
-        0.22,
-        0.55,
-    ));
-    rows.push(row(
-        "mean L3 saving at 22nm, SLIP+ABP",
-        suite22.mean_l3_saving(PolicyKind::SlipAbp),
-        0.18,
-        0.52,
-    ));
+    let benchmarks = suite.benchmarks();
+    let mut rows = Vec::new();
+    let (l2_22, l3_22) = energy::node_savings(suite, "22nm", benchmarks);
+    rows.push(row("mean L2 saving at 22nm, SLIP+ABP", l2_22, 0.22, 0.55));
+    rows.push(row("mean L3 saving at 22nm, SLIP+ABP", l3_22, 0.18, 0.52));
     rows.push(row(
         "22nm L2 saving gap vs 45nm",
-        suite22.mean_l2_saving(PolicyKind::SlipAbp) - l2(PolicyKind::SlipAbp),
+        l2_22 - l2(PolicyKind::SlipAbp),
         -0.06,
         0.10,
     ));
     rows.push(row(
         "22nm L3 saving gap vs 45nm",
-        suite22.mean_l3_saving(PolicyKind::SlipAbp) - l3(PolicyKind::SlipAbp),
+        l3_22 - l3(PolicyKind::SlipAbp),
         -0.06,
         0.10,
     ));
@@ -340,9 +318,11 @@ pub fn run_oracle(accesses: u64, sweep: &SweepConfig) -> std::io::Result<OracleR
     // every miss fill pays the expensive write — and ABP's insertion
     // bypass saves more at L3 than the SRAM node's. Both claims are
     // orderings, robust to run length.
-    let stt = node_suite("stt-llc")?;
-    let stt_insertion_share = mean(stt.benchmarks().iter().map(|b| {
-        let acct = &stt.baseline(b).l3_energy;
+    let stt = HierarchySpec::builtin("stt-llc").expect("built-in node");
+    let stt_insertion_share = mean(benchmarks.iter().map(|&b| {
+        let cell = suite.options.cell(b, PolicyKind::Baseline);
+        let cell = cell.with(|v| v.topology = Some(stt.clone()));
+        let acct = &suite.result(&cell).l3_energy;
         let insertion = acct.get(EnergyCategory::Insertion).as_pj();
         let access = acct.get(EnergyCategory::Access).as_pj();
         insertion / (insertion + access)
@@ -355,12 +335,11 @@ pub fn run_oracle(accesses: u64, sweep: &SweepConfig) -> std::io::Result<OracleR
     ));
     rows.push(row(
         "ordering: stt-llc L3 saving over 45nm, SLIP+ABP",
-        stt.mean_l3_saving(PolicyKind::SlipAbp) - l3(PolicyKind::SlipAbp),
+        energy::node_savings(suite, "stt-llc", benchmarks).1 - l3(PolicyKind::SlipAbp),
         0.0,
         0.3,
     ));
-
-    Ok(OracleReport { accesses, rows })
+    (headline, rows)
 }
 
 #[cfg(test)]

@@ -99,12 +99,12 @@ pub fn check_spec_determinism(
 
     // 2. Run-mode matrix: every execution strategy must produce the
     //    reference hot path's cells bit for bit.
-    let options = SuiteOptions::paper_full()
+    let mut options = SuiteOptions::paper_full()
         .with_benchmarks(&["gcc"])
         .with_policies(&[PolicyKind::Slip, PolicyKind::SlipAbp])
         .with_accesses(trace_len)
-        .with_warmup(trace_len / 8)
-        .with_topology(spec.clone());
+        .with_warmup(trace_len / 8);
+    options.variant.topology = Some(spec.clone());
     let reference = fingerprint_cells(&options, true);
     let mode_matrix: [(&str, Option<SweepConfig>); 3] = [
         ("inline", None),

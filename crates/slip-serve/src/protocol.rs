@@ -109,9 +109,7 @@ impl SweepSpec {
             .with_benchmarks(&benchmarks)
             .with_accesses(self.accesses)
             .with_warmup(self.warmup);
-        if let Some(spec) = self.topology_spec()? {
-            options = options.with_topology(spec);
-        }
+        options.variant.topology = self.topology_spec()?;
         if !self.policies.is_empty() {
             let policies: Vec<PolicyKind> = self
                 .policies
@@ -728,7 +726,7 @@ mod tests {
         assert_eq!(options.cell_config(PolicyKind::Slip).tech.name, "stt-llc");
         assert_eq!(
             HierarchySpec::builtin("stt-llc").unwrap().fingerprint(),
-            options.topology.as_ref().unwrap().fingerprint()
+            options.variant.topology.as_ref().unwrap().fingerprint()
         );
     }
 }

@@ -25,7 +25,10 @@ static INSTALLED: AtomicBool = AtomicBool::new(false);
 #[cfg(unix)]
 mod sys {
     pub const SIGINT: i32 = 2;
+    pub const SIGPIPE: i32 = 13;
     pub const SIGTERM: i32 = 15;
+    /// `signal(2)`'s default action.
+    pub const SIG_DFL: usize = 0;
     extern "C" {
         /// C `signal(2)`; `std` links the platform C runtime already.
         pub fn signal(signum: i32, handler: usize) -> usize;
@@ -52,6 +55,18 @@ pub fn install() -> &'static AtomicBool {
     #[cfg(not(unix))]
     INSTALLED.store(true, Ordering::SeqCst);
     &INTERRUPTED
+}
+
+/// Restores the default SIGPIPE action, which the Rust runtime sets to
+/// "ignore": a write to a closed stdout then ends the process quietly,
+/// as it ends any Unix filter, instead of failing the write (and making
+/// `println!` panic). Sockets are unaffected: `std` sends with
+/// `MSG_NOSIGNAL`.
+pub fn end_on_closed_stdout() {
+    #[cfg(unix)]
+    unsafe {
+        sys::signal(sys::SIGPIPE, sys::SIG_DFL);
+    }
 }
 
 /// Whether an interrupt has been delivered (or [`trip`]ed) since the

@@ -42,9 +42,7 @@ pub mod pool;
 pub mod progress;
 
 pub use journal::Journal;
-pub use pool::{
-    available_jobs, run_indexed, run_indexed_cancellable, PoolBusy, QueueHandle, SharedPool,
-};
+pub use pool::{available_jobs, run_indexed_cancellable, PoolBusy, QueueHandle, SharedPool};
 
 use json::Value;
 use progress::Progress;
@@ -73,40 +71,20 @@ pub struct SweepOptions {
 }
 
 impl SweepOptions {
-    /// Serial, journal-less, quiet — the drop-in replacement for a
-    /// plain `for` loop.
+    /// Serial, journal-less, quiet.
     pub fn serial() -> SweepOptions {
+        SweepOptions::with_jobs(1)
+    }
+
+    /// `jobs` workers, journal-less, quiet.
+    pub fn with_jobs(jobs: usize) -> SweepOptions {
         SweepOptions {
-            jobs: 1,
+            jobs,
             journal: None,
             quiet: true,
             label: "sweep".to_owned(),
             cancel: None,
         }
-    }
-
-    /// `jobs` workers, no journal, progress on.
-    pub fn with_jobs(jobs: usize) -> SweepOptions {
-        SweepOptions {
-            jobs,
-            journal: None,
-            quiet: false,
-            label: "sweep".to_owned(),
-            cancel: None,
-        }
-    }
-
-    /// Attaches a cancellation flag.
-    pub fn with_cancel(mut self, cancel: &'static AtomicBool) -> SweepOptions {
-        self.cancel = Some(cancel);
-        self
-    }
-}
-
-impl Default for SweepOptions {
-    /// All available cores, no journal, progress on.
-    fn default() -> SweepOptions {
-        SweepOptions::with_jobs(available_jobs())
     }
 }
 

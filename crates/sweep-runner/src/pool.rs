@@ -1,7 +1,7 @@
 //! Worker pools: the scoped per-sweep pool and the long-lived shared
 //! pool used by the serve daemon.
 //!
-//! * [`run_indexed`] / [`run_indexed_cancellable`] — a
+//! * [`run_indexed_cancellable`] — a
 //!   `std::thread::scope` pool over an indexed job list. Workers drain
 //!   a shared atomic counter, so scheduling is dynamic (long cells
 //!   don't block short ones behind a static partition), but results
@@ -29,26 +29,14 @@ pub fn available_jobs() -> usize {
         .unwrap_or(1)
 }
 
-/// Runs `f(0..count)` on `jobs` workers and returns the results in
-/// index order.
+/// Runs `f(0..count)` on `jobs` workers, stopping dispatch of new
+/// jobs once `cancel` reads true (jobs already in flight run to
+/// completion). Returns the completed `(index, result)` pairs in index
+/// order — a prefix-free subset when cancelled, everything otherwise.
 ///
 /// `jobs <= 1` runs inline on the calling thread with no pool at all,
 /// so the serial path has zero threading overhead. A panic in any job
 /// propagates to the caller once the scope joins.
-pub fn run_indexed<T, F>(count: usize, jobs: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let ran = run_indexed_cancellable(count, jobs, None, f);
-    debug_assert_eq!(ran.len(), count);
-    ran.into_iter().map(|(_, r)| r).collect()
-}
-
-/// Like [`run_indexed`], but stops dispatching new jobs once `cancel`
-/// reads true (jobs already in flight run to completion). Returns the
-/// completed `(index, result)` pairs in index order — a prefix-free
-/// subset when cancelled, everything otherwise.
 pub fn run_indexed_cancellable<T, F>(
     count: usize,
     jobs: usize,
@@ -328,6 +316,13 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
     use std::time::Duration;
+
+    /// Every result of an uncancelled run, in index order.
+    fn run_indexed<T: Send>(count: usize, jobs: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+        let ran = run_indexed_cancellable(count, jobs, None, f);
+        assert_eq!(ran.len(), count);
+        ran.into_iter().map(|(_, r)| r).collect()
+    }
 
     #[test]
     fn results_come_back_in_index_order() {

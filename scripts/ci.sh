@@ -26,6 +26,36 @@ cargo test -q
 # Build both so an API change cannot break either one silently.
 echo "==> cargo build --release -p slip-bench --benches"
 cargo build --release -p slip-bench --benches
+
+# The paper's one entry point runs every table's cells as one journaled
+# sweep. A second run into the same journal must restore every cell,
+# append nothing and print identical tables. (`cargo bench` runs the
+# target from its crate directory, so the journal path is absolute.)
+echo "==> all_figures twice into one journal (20k accesses)"
+FIGURES="$PWD/target/ci-figures"
+rm -f "$FIGURES.jsonl" "$FIGURES".*.out "$FIGURES".*.err "$FIGURES.first.jsonl"
+for run in 1 2; do
+    if ! SLIP_ACCESSES=20000 SLIP_WARMUP=0 SLIP_JOURNAL="$FIGURES.jsonl" \
+        cargo bench -q -p slip-bench --bench all_figures \
+        >"$FIGURES.$run.out" 2>"$FIGURES.$run.err"; then
+        echo "all_figures run $run failed:" >&2
+        cat "$FIGURES.$run.err" >&2
+        exit 1
+    fi
+    if [ "$run" = 1 ]; then
+        cp "$FIGURES.jsonl" "$FIGURES.first.jsonl"
+    fi
+done
+cmp -s "$FIGURES.1.out" "$FIGURES.2.out" || {
+    echo "all_figures printed different tables when resumed from its journal" >&2
+    diff "$FIGURES.1.out" "$FIGURES.2.out" >&2 || true
+    exit 1
+}
+cmp -s "$FIGURES.first.jsonl" "$FIGURES.jsonl" || {
+    echo "all_figures re-ran journaled cells (the journal grew)" >&2
+    exit 1
+}
+rm -f "$FIGURES".*.out "$FIGURES".*.err "$FIGURES.first.jsonl"
 echo "==> cargo build --release --offline --manifest-path benchmark/Cargo.toml"
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
 
