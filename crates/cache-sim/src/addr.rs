@@ -67,12 +67,6 @@ impl PageId {
     pub fn byte_addr(self) -> u64 {
         self.0 << PAGE_SHIFT
     }
-
-    /// First line of this page.
-    #[inline]
-    pub fn first_line(self) -> LineAddr {
-        LineAddr(self.0 << (PAGE_SHIFT - LINE_SHIFT))
-    }
 }
 
 impl fmt::Display for PageId {
@@ -169,8 +163,8 @@ mod tests {
         // 64 lines per page.
         assert_eq!(LINES_PER_PAGE, 64);
         let p = PageId(7);
-        assert_eq!(p.first_line(), LineAddr(7 * 64));
-        assert_eq!(p.first_line().page(), p);
+        assert_eq!(LineAddr(7 * 64).page(), p);
+        assert_eq!(LineAddr(7 * 64 + 63).page(), p);
     }
 
     #[test]

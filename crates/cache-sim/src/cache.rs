@@ -59,141 +59,15 @@ impl AccessResult {
     }
 }
 
-/// A small reusable buffer of evicted lines.
-///
-/// A fill cascade produces at most one departing line today, so entries
-/// live in a fixed inline array and the heap is touched only if a
-/// future policy ever evicts more than [`EvictionBuf::INLINE`] lines
-/// from one operation. Combined with [`CacheLevel::fill_into`], this
-/// keeps the steady-state access loop allocation-free: callers clear
-/// and refill the same buffers instead of receiving fresh `Vec`s.
-///
-/// Dereferences to `&[EvictedLine]`, so indexing, `len()`, `iter()`,
-/// and slice patterns all work as they did on the former `Vec` fields.
-#[derive(Debug, Clone)]
-pub struct EvictionBuf {
-    inline: [EvictedLine; Self::INLINE],
-    /// Entries in `inline` (unused once spilled).
-    len: usize,
-    /// Overflow storage; when non-empty it holds *all* entries.
-    spill: Vec<EvictedLine>,
-}
-
-impl EvictionBuf {
-    /// Inline capacity. The demotion cascade stops at the first line
-    /// that leaves the level, so 2 covers every current policy with
-    /// headroom.
-    pub const INLINE: usize = 2;
-
-    const EMPTY: EvictedLine = EvictedLine {
-        addr: LineAddr(0),
-        dirty: false,
-        slip_codes: [0; 2],
-        sampling: false,
-        hits_since_fill: 0,
-    };
-
-    /// Creates an empty buffer.
-    pub fn new() -> Self {
-        EvictionBuf {
-            inline: [Self::EMPTY; Self::INLINE],
-            len: 0,
-            spill: Vec::new(),
-        }
-    }
-
-    /// Appends an evicted line.
-    pub fn push(&mut self, line: EvictedLine) {
-        if self.spill.is_empty() {
-            if self.len < Self::INLINE {
-                self.inline[self.len] = line;
-                self.len += 1;
-                return;
-            }
-            self.spill.extend_from_slice(&self.inline[..self.len]);
-            self.len = 0;
-        }
-        self.spill.push(line);
-    }
-
-    /// Empties the buffer, keeping any spill capacity for reuse.
-    pub fn clear(&mut self) {
-        self.len = 0;
-        self.spill.clear();
-    }
-
-    /// The entries as a contiguous slice.
-    pub fn as_slice(&self) -> &[EvictedLine] {
-        if self.spill.is_empty() {
-            &self.inline[..self.len]
-        } else {
-            &self.spill
-        }
-    }
-}
-
-impl Default for EvictionBuf {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl core::ops::Deref for EvictionBuf {
-    type Target = [EvictedLine];
-    fn deref(&self) -> &[EvictedLine] {
-        self.as_slice()
-    }
-}
-
-impl PartialEq for EvictionBuf {
-    fn eq(&self, other: &Self) -> bool {
-        self.as_slice() == other.as_slice()
-    }
-}
-
-impl Eq for EvictionBuf {}
-
-/// By-value iterator over an [`EvictionBuf`] (entries are `Copy`).
-#[derive(Debug)]
-pub struct EvictionBufIter {
-    buf: EvictionBuf,
-    pos: usize,
-}
-
-impl Iterator for EvictionBufIter {
-    type Item = EvictedLine;
-    fn next(&mut self) -> Option<EvictedLine> {
-        let item = self.buf.as_slice().get(self.pos).copied();
-        self.pos += item.is_some() as usize;
-        item
-    }
-}
-
-impl IntoIterator for EvictionBuf {
-    type Item = EvictedLine;
-    type IntoIter = EvictionBufIter;
-    fn into_iter(self) -> EvictionBufIter {
-        EvictionBufIter { buf: self, pos: 0 }
-    }
-}
-
-impl<'a> IntoIterator for &'a EvictionBuf {
-    type Item = &'a EvictedLine;
-    type IntoIter = core::slice::Iter<'a, EvictedLine>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.as_slice().iter()
-    }
-}
-
 /// Result of a fill (insertion of a line arriving from the level below).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FillOutcome {
     /// The policy bypassed the level; nothing was written.
     pub bypassed: bool,
     /// Dirty lines that left the level and must be written back below.
-    pub writebacks: EvictionBuf,
+    pub writebacks: Vec<EvictedLine>,
     /// Clean lines that left the level.
-    pub clean_evictions: EvictionBuf,
+    pub clean_evictions: Vec<EvictedLine>,
 }
 
 impl FillOutcome {
@@ -272,12 +146,11 @@ pub struct CacheLevel {
     /// evicted, invalidated, or swapped.
     hit_memo: Vec<u16>,
     /// Monotone touch sequence for LRU stamps. Only the *relative* order
-    /// of two stamps within one set is ever compared, so the absolute
-    /// value is free to differ between a sharded and a serial run.
+    /// of two stamps within one set is ever compared.
     seq: u64,
     /// Per-set access counters: the level access counter T of paper §4.1,
-    /// kept per set so a set-shard of the level evolves identically to
-    /// the serial level's restriction to those sets.
+    /// kept per set so a set's timestamps depend only on that set's own
+    /// history.
     set_counters: Vec<u64>,
     /// Set-local accesses per 6-bit timestamp step: 4·ways / 64, so the
     /// 64-stamp wrap window still spans ≈4C level accesses.
@@ -490,17 +363,6 @@ impl CacheLevel {
     /// Set-local accesses per timestamp step.
     pub fn set_stamp_granule(&self) -> u64 {
         self.set_stamp_granule
-    }
-
-    /// Level accesses represented by one set-local timestamp step (the
-    /// multiplier applied to stamp deltas to report reuse distances).
-    pub fn reuse_scale(&self) -> u64 {
-        self.rd_scale
-    }
-
-    /// The access counter T of `set`.
-    pub fn set_counter(&self, set: usize) -> u64 {
-        self.set_counters[set]
     }
 
     /// The level's energy account, rebuilt from the integer event ledger
@@ -970,8 +832,8 @@ impl CacheLevel {
     }
 
     /// Allocation-free form of [`fill`](Self::fill): writes the result
-    /// into a caller-owned, reusable `outcome` (cleared on entry)
-    /// instead of returning a fresh one.
+    /// into a caller-owned, reusable `outcome` (cleared on entry, so its
+    /// buffers keep their capacity) instead of returning a fresh one.
     pub fn fill_into<P: PlacementPolicy + ?Sized, R: ReplacementPolicy + ?Sized>(
         &mut self,
         req: FillRequest,
@@ -1292,7 +1154,7 @@ mod tests {
         // and each step scales back up by the 4 sets.
         let mut c = small_level();
         assert_eq!(c.set_stamp_granule(), 1);
-        assert_eq!(c.reuse_scale(), 4);
+        assert_eq!(c.rd_scale, 4);
         let mut p = BaselinePolicy::new();
         let mut r = Lru::new();
         c.fill(FillRequest::new(LineAddr(5)), 0, &mut p, &mut r);
@@ -1373,26 +1235,6 @@ mod tests {
         // A new fill into the set re-arms its backlog.
         c.fill(FillRequest::new(LineAddr(4)), 0, &mut p, &mut r);
         assert!(read(&mut c, 0, &mut p, &mut r).latency() > 7);
-    }
-
-    #[test]
-    fn eviction_buf_spills_past_inline_capacity() {
-        let mut buf = EvictionBuf::new();
-        assert!(buf.is_empty());
-        for i in 0..5u64 {
-            let mut e = EvictionBuf::EMPTY;
-            e.addr = LineAddr(i);
-            buf.push(e);
-        }
-        assert_eq!(buf.len(), 5);
-        assert_eq!(buf[4].addr, LineAddr(4));
-        let addrs: Vec<u64> = buf.clone().into_iter().map(|e| e.addr.0).collect();
-        assert_eq!(addrs, [0, 1, 2, 3, 4]);
-        buf.clear();
-        assert!(buf.as_slice().is_empty());
-        // Inline-only buffers and spilled-then-cleared buffers compare
-        // equal by contents.
-        assert_eq!(buf, EvictionBuf::new());
     }
 
     #[test]

@@ -303,15 +303,6 @@ impl CacheGeometry {
         m
     }
 
-    /// Mask of the ways of sublevels `lo..=hi`.
-    pub fn sublevel_range_ways(&self, lo: usize, hi: usize) -> WayMask {
-        let mut m = WayMask::EMPTY;
-        for s in lo..=hi {
-            m = m.union(self.sublevel_ways(s));
-        }
-        m
-    }
-
     /// The set index a line maps to. Power-of-two set counts (every
     /// paper configuration) index with a mask instead of a division;
     /// the two forms are exactly equivalent.
@@ -433,7 +424,10 @@ mod tests {
         assert_eq!(g.cumulative_sublevel_lines(), vec![1024, 2048, 4096]);
         assert_eq!(g.sublevel_ways(0), WayMask::from_range(0..4));
         assert_eq!(g.sublevel_ways(2), WayMask::from_range(8..16));
-        assert_eq!(g.sublevel_range_ways(1, 2), WayMask::from_range(4..16));
+        assert_eq!(
+            g.sublevel_ways(1).union(g.sublevel_ways(2)),
+            WayMask::from_range(4..16)
+        );
         assert_eq!(g.sublevel(5), 1);
         assert_eq!(g.energy(10).as_pj(), 50.0);
         assert_eq!(g.latency(0), 4);

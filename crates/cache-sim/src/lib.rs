@@ -53,7 +53,7 @@ pub mod soa;
 pub mod stats;
 
 pub use addr::{Access, AccessClass, AccessKind, LineAddr, PageId};
-pub use cache::{AccessResult, CacheLevel, EvictionBuf, FillOutcome, HitInfo};
+pub use cache::{AccessResult, CacheLevel, FillOutcome, HitInfo};
 pub use geometry::{CacheGeometry, SublevelEnergies, WayMask};
 pub use line::{EvictedLine, LineState};
 pub use movement::MovementQueue;

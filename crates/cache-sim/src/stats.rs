@@ -59,17 +59,6 @@ impl CacheStats {
         }
     }
 
-    /// All accesses (demand + metadata).
-    pub fn total_accesses(&self) -> u64 {
-        self.demand_accesses + self.metadata_accesses
-    }
-
-    /// All misses (demand + metadata), the level's outbound miss traffic
-    /// (paper Figure 12).
-    pub fn total_misses(&self) -> u64 {
-        self.demand_misses + self.metadata_misses
-    }
-
     /// Demand hit rate in [0, 1]; 0 if there were no demand accesses.
     pub fn demand_hit_rate(&self) -> f64 {
         if self.demand_accesses == 0 {
@@ -182,8 +171,6 @@ mod tests {
         s.hits_per_sublevel = vec![2, 1, 1];
         assert_eq!(s.demand_hit_rate(), 0.4);
         assert_eq!(s.sublevel_hit_fractions(), vec![0.5, 0.25, 0.25]);
-        assert_eq!(s.total_accesses(), 10);
-        assert_eq!(s.total_misses(), 6);
     }
 
     #[test]

@@ -80,12 +80,6 @@ impl Energy {
         Energy(pj)
     }
 
-    /// Creates an energy from a nanojoule value.
-    #[inline]
-    pub fn from_nj(nj: f64) -> Self {
-        Energy::from_pj(nj * 1e3)
-    }
-
     /// Returns the value in picojoules.
     #[inline]
     pub fn as_pj(self) -> f64 {
@@ -228,7 +222,7 @@ mod tests {
 
     #[test]
     fn unit_conversions() {
-        let e = Energy::from_nj(1.5);
+        let e = Energy::from_pj(1500.0);
         assert_eq!(e.as_pj(), 1500.0);
         assert!((e.as_nj() - 1.5).abs() < 1e-12);
         assert!((Energy::from_pj(2e6).as_uj() - 2.0).abs() < 1e-12);

@@ -139,13 +139,6 @@ impl LevelSpec {
         self.sublevels.iter().map(|s| s.ways).sum()
     }
 
-    /// `true` if any sublevel has an explicit write or insert energy.
-    pub fn is_asymmetric(&self) -> bool {
-        self.sublevels
-            .iter()
-            .any(|s| s.write_pj.is_some() || s.insert_pj.is_some())
-    }
-
     /// Builds the [`LevelEnergyParams`] for this level.
     pub fn energy_params(&self) -> LevelEnergyParams {
         let read: Vec<Energy> = self
@@ -1187,8 +1180,6 @@ mod tests {
     #[test]
     fn stt_llc_has_asymmetric_l3_and_symmetric_l2() {
         let spec = HierarchySpec::builtin("stt-llc").unwrap();
-        assert!(!spec.l2.is_asymmetric());
-        assert!(spec.l3.is_asymmetric());
         let tech = spec.technology();
         assert!(tech.l2.is_symmetric());
         assert!(!tech.l3.is_symmetric());

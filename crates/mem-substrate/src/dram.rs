@@ -102,11 +102,6 @@ impl Dram {
         self.reads + self.writes
     }
 
-    /// All transfers including metadata.
-    pub fn total_transfers(&self) -> u64 {
-        self.demand_transfers() + self.metadata_reads + self.metadata_writes
-    }
-
     /// Energy account (Dram and Metadata categories), rebuilt from the
     /// transfer counters.
     pub fn energy(&self) -> EnergyAccount {
@@ -164,7 +159,6 @@ mod tests {
         assert_eq!(d.metadata_writes, 1);
         // Metadata does not count as demand traffic.
         assert_eq!(d.demand_transfers(), 0);
-        assert_eq!(d.total_transfers(), 2);
     }
 
     #[test]

@@ -223,7 +223,7 @@ impl SlipMmu {
     /// page-table or sampler transition — so an access that also hits
     /// the L1 never reads the rest of the `Translation`
     /// (`slip_codes`/`sampling` matter below the L1 only). This is the
-    /// pure residency probe of the L1 hit-run scanner; once the L1 hit
+    /// pure residency probe of the L1 fast path; once the L1 hit
     /// is confirmed, [`Self::commit_resident_hit`] performs the real
     /// translation state change.
     #[inline]
@@ -400,11 +400,6 @@ impl SlipMmu {
         self.eou_l2.energy_consumed() + self.eou_l3.energy_consumed()
     }
 
-    /// Number of EOU optimizations performed (both levels).
-    pub fn eou_operations(&self) -> u64 {
-        self.eou_l2.operations() + self.eou_l3.operations()
-    }
-
     /// Clears MMU statistics while keeping the TLB, page table, and
     /// sampler state (for post-warmup measurement). EOU operation
     /// counts are preserved — their energy is charged where consumed.
@@ -423,6 +418,11 @@ impl SlipMmu {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// EOU optimizations performed by both levels.
+    fn eou_operations(m: &SlipMmu) -> u64 {
+        m.eou_l2.operations() + m.eou_l3.operations()
+    }
     use energy_model::HierarchySpec;
 
     /// The L2/L3 model parameters of the built-in 45 nm node.
@@ -487,7 +487,7 @@ mod tests {
         assert!(stable_seen, "page never stabilized");
         assert!(m.stats.slip_recomputes > 0);
         assert_eq!(m.stats.tlb_block_cycles, m.stats.slip_recomputes);
-        assert!(m.eou_operations() >= 2 * m.stats.slip_recomputes);
+        assert!(eou_operations(&m) >= 2 * m.stats.slip_recomputes);
         assert!(m.eou_energy() > Energy::ZERO);
     }
 
@@ -596,8 +596,8 @@ mod tests {
                 m.translate(PageId(p));
             }
         }
-        assert!(m.eou_operations() > 0);
-        assert_eq!(m.eou_energy(), op * m.eou_operations() as f64);
+        assert!(eou_operations(&m) > 0);
+        assert_eq!(m.eou_energy(), op * eou_operations(&m) as f64);
     }
 
     #[test]

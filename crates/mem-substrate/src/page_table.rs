@@ -135,14 +135,6 @@ impl PageTable {
     pub fn iter(&self) -> impl Iterator<Item = (&PageId, &PageEntry)> {
         self.pages.iter()
     }
-
-    /// Total metadata overhead in DRAM bits for the touched pages.
-    pub fn total_dram_metadata_bits(&self) -> u64 {
-        self.pages
-            .values()
-            .map(|e| u64::from(e.dram_metadata_bits()))
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -191,6 +183,10 @@ mod tests {
         pt.entry_mut(PageId(2));
         pt.entry_mut(PageId(1));
         assert_eq!(pt.len(), 2);
-        assert_eq!(pt.total_dram_metadata_bits(), 64);
+        let bits: u64 = pt
+            .iter()
+            .map(|(_, e)| u64::from(e.dram_metadata_bits()))
+            .sum();
+        assert_eq!(bits, 64);
     }
 }

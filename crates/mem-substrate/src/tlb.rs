@@ -192,16 +192,6 @@ impl Tlb {
     pub fn contains(&self, page: PageId) -> bool {
         self.map.contains_key(&page)
     }
-
-    /// TLB miss rate in [0, 1]; 0 before any lookups.
-    pub fn miss_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.misses as f64 / total as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -216,7 +206,6 @@ mod tests {
         assert!(t.lookup(PageId(1)));
         assert_eq!(t.hits, 1);
         assert_eq!(t.misses, 1);
-        assert!((t.miss_rate() - 0.5).abs() < 1e-12);
     }
 
     #[test]

@@ -131,7 +131,7 @@ fn system_benches(quick: bool) -> Vec<SystemResult> {
         ("gcc", PolicyKind::SlipAbp),
         ("soplex", PolicyKind::SlipAbp),
         // TLB-pressure pointer chase: translation-path wins and
-        // regressions (the hit-run scanner's TLB-residency gating,
+        // regressions (the L1 fast path's TLB-residency gating,
         // TLB and page-table costs) show up here first.
         ("mcf", PolicyKind::SlipAbp),
     ];

@@ -177,9 +177,22 @@ pub fn decode_result(v: &Value) -> Option<SimResult> {
     })
 }
 
-/// The observability metrics object journaled (and shown in progress
-/// lines) for one suite cell.
-pub fn result_metrics(r: &SimResult, wall: std::time::Duration) -> Value {
+/// The journal record of one single-core cell, `(metrics, payload)`:
+/// the observability metrics (shown in progress lines, labeled with the
+/// result's `exec_mode` when it has one) and the bit-exact
+/// [`encode_result`] payload. Offline sweeps and `slip serve` both
+/// journal through here.
+pub fn encode_record(r: &SimResult, wall: std::time::Duration) -> (Value, Value) {
+    let mut metrics = result_metrics(r, wall);
+    if let Some(mode) = r.exec_mode {
+        metrics = metrics.with("exec_mode", Value::str(mode));
+    }
+    (metrics, encode_result(r))
+}
+
+/// The observability metrics of one cell, without the `exec_mode`
+/// label.
+fn result_metrics(r: &SimResult, wall: std::time::Duration) -> Value {
     let secs = wall.as_secs_f64();
     let rate = if secs > 0.0 {
         r.accesses as f64 / secs
@@ -316,9 +329,11 @@ mod tests {
         assert_eq!(encode_result(&decoded).to_json(), payload);
         // The timing fields live in the metrics object instead, where
         // a zero-wall cell reports rate 0 rather than dividing by zero.
-        let m = result_metrics(&r, std::time::Duration::ZERO);
+        let (m, record_payload) = encode_record(&r, std::time::Duration::ZERO);
+        assert_eq!(record_payload.to_json(), payload);
         assert_eq!(m.get("accesses_per_sec").unwrap().as_f64().unwrap(), 0.0);
         assert_eq!(m.get("sim_wall_secs").unwrap().as_f64().unwrap(), 1.234);
+        assert_eq!(m.get("exec_mode").and_then(Value::as_str), Some("fused"));
     }
 
     #[test]

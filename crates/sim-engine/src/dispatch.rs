@@ -1,7 +1,7 @@
 //! Static dispatch over the closed set of placement/replacement
 //! policies.
 //!
-//! The systems pick a policy at run time from [`PolicyKind`] /
+//! The systems pick a policy at run time from [`PolicyKind`](crate::config::PolicyKind) /
 //! [`ReplacementKind`](crate::config::ReplacementKind) — a closed set —
 //! so boxing trait objects would pay an indirect call for each of the
 //! ~10 policy consultations per simulated access and wall off inlining

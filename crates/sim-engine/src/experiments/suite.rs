@@ -365,13 +365,7 @@ impl Outcome {
     /// the historical one.
     fn encode(&self, wall: std::time::Duration) -> (Value, Value) {
         match self {
-            Outcome::Single(r) => {
-                let mut metrics = codec::result_metrics(r, wall);
-                if let Some(mode) = r.exec_mode {
-                    metrics = metrics.with("exec_mode", Value::str(mode));
-                }
-                (metrics, codec::encode_result(r))
-            }
+            Outcome::Single(r) => codec::encode_record(r, wall),
             Outcome::Mix(m) => {
                 let metrics = Value::object()
                     .with("accesses", Value::u64(m.accesses[0] + m.accesses[1]))

@@ -46,10 +46,9 @@ use cache_sim::{
 };
 use energy_model::EnergyAccount;
 use std::time::Instant;
-use workloads::buffer::DEFAULT_CHUNK_ACCESSES;
 
 /// Accesses per lockstep chunk (the reused scratch holds one chunk).
-pub const CHUNK_ACCESSES: usize = DEFAULT_CHUNK_ACCESSES;
+pub const CHUNK_ACCESSES: usize = 32 * 1024;
 
 /// Whether a group of configurations can share one L1 instance: all
 /// non-inclusive (nothing below the L1 reaches back into it) with

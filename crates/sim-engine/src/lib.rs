@@ -15,7 +15,7 @@
 //!   pool with an optional JSONL run journal for checkpoint/resume.
 //! * [`codec`] — JSON round-trip codec for [`SimResult`] (the journal
 //!   payload format).
-//! * [`env`] — typed parsing of the `SLIP_*` environment variables.
+//! * [`env`](mod@env) — typed parsing of the `SLIP_*` environment variables.
 //! * [`report`] — plain-text table formatting.
 //!
 //! # Example

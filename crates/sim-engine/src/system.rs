@@ -20,8 +20,8 @@
 //! [`SingleCoreSystem::step_fast`] puts an L1 fast path in front of the
 //! walk: an L1 hit on a TLB-resident line retires through the cache's
 //! structure-of-arrays probe and way memo (`CacheLevel::try_demand_hit`)
-//! and defers its access/cycle credit into a pending batch; anything
-//! else falls into the walk. The scanner and the memo are there for
+//! and is credited its access and cycles on the spot; anything else
+//! falls into the walk. The fast probe and the memo are there for
 //! L1-hit-heavy replays (the repo benchmark's `cell_l1`, a 98.6%-L1-hit
 //! `.trc` replay); the probe backoff keeps their failed probes off runs
 //! that almost never hit the L1 (`cell_llc`, the built-in profiles).
@@ -44,7 +44,7 @@ use workloads::WorkloadSpec;
 const METADATA_BASE_LINE: u64 = 1 << 50;
 
 /// Ceiling on the fast-path probe backoff: with near-zero L1 hit
-/// rates the scanner settles into one probe per 64 accesses (~1.5%
+/// rates the fast path settles into one probe per 64 accesses (~1.5%
 /// residual overhead), while a single fast hit re-arms it instantly.
 const FAST_BACKOFF_MAX: u32 = 64;
 
@@ -448,15 +448,9 @@ pub struct SingleCoreSystem {
     config: SystemConfig,
     core: Core,
     llc: Llc,
-    /// Whether the L1 hit-run scanner is armed (`!reference_hot_path`):
-    /// [`Self::step_fast`] retires consecutive L1 hits through the SoA
-    /// fast path and defers their accounting into the pending
-    /// accumulators below, flushed before anything can observe them.
+    /// Whether the L1 fast path is armed (`!reference_hot_path`):
+    /// [`Self::step_fast`] retires L1 hits through the SoA probe.
     fast_path: bool,
-    /// Batched L1 hits not yet folded into `accesses`/`cycles`.
-    pending_hits: u64,
-    /// Summed L1 hit latencies of the pending batch.
-    pending_hit_latency: u64,
     /// Accesses left to route straight to [`Self::step`] before the
     /// fast path is probed again. The workload generator models reuse
     /// at L2/L3 scale, so many benchmarks have near-zero L1 hit rates;
@@ -488,24 +482,21 @@ impl SingleCoreSystem {
             core: Core::new(&config, l2_seeds, seed ^ 0x1, 0),
             llc: Llc::new(&config, l3_seeds, 1),
             fast_path: !config.reference_hot_path,
-            pending_hits: 0,
-            pending_hit_latency: 0,
             fast_backoff: 0,
             fast_penalty: 1,
             config,
         }
     }
 
-    /// Simulates one access, retiring L1 hit runs through the batched
-    /// fast path when armed. Bit-exact to [`Self::step`]: an access
-    /// takes the shortcut only when its whole effect is an L1 SoA hit
-    /// plus (for SLIP systems) a TLB hit on a resident block. The TLB
-    /// hit is committed eagerly — the same recency splice and credit
+    /// Simulates one access, retiring L1 hits through the fast path
+    /// when armed. Bit-exact to [`Self::step`]: an access takes the
+    /// shortcut only when its whole effect is an L1 SoA hit plus (for
+    /// SLIP systems) a TLB hit on a resident block. The TLB hit is
+    /// committed directly — the same recency splice and credit
     /// `translate_line` performs, whose `Translation` an L1 hit never
-    /// reads — while the access/cycle counters defer into the pending
-    /// batch (pure sums that commute with every intervening fast hit).
-    /// Anything else flushes the pending batch first and falls into
-    /// [`Self::step`].
+    /// reads — and the hit is credited one access and
+    /// `cycles_per_access + latency` cycles, as [`Self::step`] would.
+    /// Anything else falls into [`Self::step`].
     #[inline]
     pub fn step_fast(&mut self, access: Access) {
         if self.fast_path && self.fast_backoff == 0 {
@@ -519,8 +510,8 @@ impl SingleCoreSystem {
                     if let Some(mmu) = self.core.mmu.as_mut() {
                         mmu.commit_resident_hit(line);
                     }
-                    self.pending_hits += 1;
-                    self.pending_hit_latency += u64::from(latency);
+                    self.core.accesses += 1;
+                    self.core.cycles += u64::from(self.core.cycles_per_access + latency);
                     self.fast_penalty = 1;
                     return;
                 }
@@ -530,22 +521,7 @@ impl SingleCoreSystem {
         } else if self.fast_backoff > 0 {
             self.fast_backoff -= 1;
         }
-        self.flush_hit_run();
         self.step(access);
-    }
-
-    /// Folds the pending L1 hit batch into the architectural counters:
-    /// each hit is `core_cycles_per_access + its hit latency` cycles
-    /// and one access (its TLB hit, if any, was committed when the hit
-    /// was absorbed).
-    fn flush_hit_run(&mut self) {
-        if self.pending_hits == 0 {
-            return;
-        }
-        let n = core::mem::take(&mut self.pending_hits);
-        let latency = core::mem::take(&mut self.pending_hit_latency);
-        self.core.accesses += n;
-        self.core.cycles += n * u64::from(self.config.core_cycles_per_access) + latency;
     }
 
     /// Simulates one access; advances the cycle clock.
@@ -580,13 +556,11 @@ impl SingleCoreSystem {
         }
     }
 
-    /// Runs a whole trace through [`Self::step_fast`], then retires the
-    /// pending hit batch.
+    /// Runs a whole trace through [`Self::step_fast`].
     pub fn run<I: IntoIterator<Item = Access>>(&mut self, trace: I) {
         for access in trace {
             self.step_fast(access);
         }
-        self.flush_hit_run();
     }
 
     /// Clears all statistics and energy accounting while keeping the
@@ -594,10 +568,6 @@ impl SingleCoreSystem {
     /// states). Call after a warmup run so measurements reflect steady
     /// state, as the paper's simpoint methodology does.
     pub fn reset_measurements(&mut self) {
-        // Warmup hits must be fully retired (the TLB hit counter they
-        // credit is architectural bookkeeping the reference run also
-        // performs before its counters are zeroed).
-        self.flush_hit_run();
         self.core.l1.reset_measurements();
         self.core.l2.reset_measurements();
         self.llc.l3.reset_measurements();
@@ -611,7 +581,6 @@ impl SingleCoreSystem {
 
     /// Finalizes statistics and extracts the result.
     pub fn finish(mut self, workload: impl Into<String>) -> SimResult {
-        self.flush_hit_run();
         let (core, llc) = (&mut self.core, &mut self.llc);
         core.l1.finalize();
         core.l2.finalize();
@@ -647,14 +616,7 @@ impl SingleCoreSystem {
     /// at every level — so the first step where two probes differ
     /// localizes a divergence without a full result comparison.
     pub fn probe(&self) -> (u64, u64) {
-        // Fold the pending hit batch in on the fly so probes are
-        // meaningful mid-run without forcing a flush.
-        (
-            self.core.accesses + self.pending_hits,
-            self.core.cycles
-                + self.pending_hits * u64::from(self.config.core_cycles_per_access)
-                + self.pending_hit_latency,
-        )
+        (self.core.accesses, self.core.cycles)
     }
 
     /// Read access to the L2 (for tests).

@@ -1,5 +1,5 @@
-//! Golden equivalence: the allocation-free hot path (flat EOU kernel,
-//! tag-filtered probes, reusable eviction buffers) produces results
+//! Golden equivalence: the allocation-free hot path (flat EOU argmin,
+//! tag-filtered probes, reusable fill outcomes) produces results
 //! bit-identical to the seed reference implementations, serially and
 //! under a parallel worker pool.
 //!

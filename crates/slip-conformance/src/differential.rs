@@ -7,7 +7,7 @@
 //! The scenario is replayed through the *reference* hot path
 //! (`SystemConfig::reference_hot_path = true`: line-array probes and
 //! the allocating f64 EOU loop) and through the *optimized* paths (SWAR
-//! tag filter, fused q16-distribution EOU kernel) through every
+//! tag filter, scratch-buffer EOU argmin) through every
 //! execution path that ships — inline stepping (`slip run`), and a
 //! singleton fused group streaming the trace (sweeps and `slip
 //! serve`). The full

@@ -1,20 +1,21 @@
 //! Fast-path determinism check: the L1 fast path (SoA set layout,
-//! hit-run scanner, way memo, TLB-residency gate) must be bit-identical
+//! probe backoff, way memo, TLB-residency gate) must be bit-identical
 //! to the verbatim reference path.
 //!
 //! This is the conformance-side guarantee backing the default
 //! execution path: `reference_hot_path = false` is purely an execution
 //! strategy, never a modeling change. The check replays adversarial
 //! trace families — the repeat-heavy ones that exercise the way memo
-//! and the scanner's deferred hit batch hardest, plus tag aliases,
-//! address edges, and TLB thrash that stress its invalidation and
-//! residency gating — through the reference path
-//! (`reference_hot_path = true`) and every optimized execution that
-//! ships:
+//! and the per-hit credit hardest, plus tag aliases, address edges,
+//! and TLB thrash that stress its invalidation and residency gating —
+//! through the reference path (`reference_hot_path = true`) and every
+//! optimized execution that ships:
 //!
 //! 1. inline `step_fast`, one access at a time (`SingleCoreSystem::run`,
 //!    the `slip run` path; the repo benchmark's `cell_l1` keeps the
-//!    scanner and memo, `cell_llc` the probe backoff),
+//!    fast path and memo, `cell_llc` the probe backoff), stepped in
+//!    lockstep with the reference system so their `probe()` counters
+//!    must agree after every access,
 //! 2. a singleton fused group streaming the trace (the sweep and `slip
 //!    serve` path, which steps the group's shared L1 instead),
 //!
@@ -48,18 +49,47 @@ fn first_difference(a: &str, b: &str) -> String {
     )
 }
 
-/// Inline replay: `warmup` accesses through `step_fast`, a measurement
-/// reset, then the rest through `run` (the `run_workload_with_warmup`
-/// structure).
-fn run_inline(config: SystemConfig, name: &str, trace: &[Access], warmup: u64) -> SimResult {
-    let mut system = SingleCoreSystem::new(config);
-    let (head, tail) = trace.split_at(warmup as usize);
-    for &access in head {
-        system.step_fast(access);
+/// A `SingleCoreSystem::probe()` reading: `(accesses, cycles)`.
+type Probe = (u64, u64);
+
+/// Inline replay of `config` and of its reference-path twin in
+/// lockstep: `warmup` accesses, a measurement reset, then the rest,
+/// each access through `step_fast` (the `run_workload_with_warmup`
+/// structure). Every access must leave both systems with the same
+/// `probe()` counters, so a hit credited wrongly is caught at the
+/// access that took it. Returns `(reference, fast)` results, or the
+/// index of the first access whose probes differ and both probes.
+fn run_inline_lockstep(
+    config: &SystemConfig,
+    name: &str,
+    trace: &[Access],
+    warmup: u64,
+) -> Result<(SimResult, SimResult), (u64, Probe, Probe)> {
+    let mut reference = config.clone();
+    reference.reference_hot_path = true;
+    let mut systems = [
+        SingleCoreSystem::new(reference),
+        SingleCoreSystem::new(config.clone()),
+    ];
+    for (i, &access) in trace.iter().enumerate() {
+        if i as u64 == warmup {
+            systems
+                .iter_mut()
+                .for_each(SingleCoreSystem::reset_measurements);
+        }
+        for system in &mut systems {
+            system.step_fast(access);
+        }
+        let (want, got) = (systems[0].probe(), systems[1].probe());
+        if want != got {
+            return Err((i as u64, want, got));
+        }
     }
-    system.reset_measurements();
-    system.run(tail.iter().copied());
-    system.finish(name.to_owned())
+    let [reference, fast] = systems;
+    Ok((
+        reference.finish(name.to_owned()),
+        fast.finish(name.to_owned()),
+    ))
 }
 
 /// One cell as a singleton fused group over `accesses`.
@@ -75,10 +105,10 @@ fn run_fused(
 }
 
 /// Replays one adversarial trace per (pattern, policy) case through the
-/// reference path and every fast-path execution, requiring bit-identical
-/// encoded results. A slice of the trace is treated as warmup so
-/// flushing the pending hit run at the measurement boundary is
-/// exercised as well.
+/// reference path and every fast-path execution, requiring per-access
+/// probe agreement inline and bit-identical encoded results. A slice of
+/// the trace is treated as warmup so the measurement reset is exercised
+/// as well.
 pub fn check_fastpath_determinism(seed: u64, trace_len: u64, quiet: bool) -> Result<(), Violation> {
     let cases: [(Pattern, PolicyKind, Option<sim_engine::ReplacementKind>); 7] = [
         (Pattern::SingleLineLoop, PolicyKind::Baseline, None),
@@ -105,21 +135,24 @@ pub fn check_fastpath_determinism(seed: u64, trace_len: u64, quiet: bool) -> Res
         }
         let warmup = trace_len / 8;
 
-        let mut reference = config.clone();
-        reference.reference_hot_path = true;
-        let want =
-            codec::encode_result(&run_inline(reference, &scenario, &trace, warmup)).to_json();
-
         debug_assert!(!config.reference_hot_path);
-        let c = || config.clone();
+        let (reference, inline) = run_inline_lockstep(&config, &scenario, &trace, warmup).map_err(
+            |(step, want, got)| Violation {
+                invariant: "fastpath-determinism",
+                scenario: scenario.clone(),
+                step: Some(step),
+                detail: format!(
+                    "inline step_fast probe (accesses, cycles) {got:?} != reference {want:?} \
+                     (seed {seed:#x}, {trace_len} accesses, warmup {warmup})"
+                ),
+            },
+        )?;
+        let want = codec::encode_result(&reference).to_json();
         for (mode, result) in [
-            (
-                "inline step_fast",
-                run_inline(c(), &scenario, &trace, warmup),
-            ),
+            ("inline step_fast", inline),
             (
                 "fused streamed",
-                run_fused(c(), &scenario, trace.iter().copied(), warmup),
+                run_fused(config, &scenario, trace.iter().copied(), warmup),
             ),
         ] {
             let got = codec::encode_result(&result).to_json();

@@ -8,11 +8,11 @@
 //! conformance run wires them in, which is the "zero-cost unless
 //! enabled" contract.
 //!
-//! Three invariants are standalone functions rather than trait
+//! Two invariants are standalone functions rather than trait
 //! implementations because they drive their own hardware: the
-//! exhaustive-EOU check (the fused kernel's pick equals the brute-force
-//! argmin over all 2^S SLIPs), the q16 distribution quantization bound,
-//! and the Default-SLIP ≡ plain-cache lockstep equivalence of paper
+//! exhaustive-EOU check (the EOU's pick equals the brute-force argmin
+//! over all 2^S SLIPs) and the Default-SLIP ≡ plain-cache lockstep
+//! equivalence of paper
 //! §3 ("the Default SLIP makes the cache behave exactly like a regular
 //! cache").
 
@@ -336,8 +336,8 @@ fn exhaustive_best(eou: &EnergyOptimizerUnit, probs: &[f64]) -> (Slip, f64) {
 }
 
 /// Checks, over `iters` random reuse-distance distributions per
-/// configuration, that the fused EOU kernel, the allocating reference
-/// path, and an exhaustive enumeration over all 2^S SLIPs agree
+/// configuration, that the EOU's scratch-buffer argmin, the allocating
+/// reference path, and an exhaustive enumeration over all 2^S SLIPs agree
 /// bit-for-bit — for both cache levels, both objectives, and with the
 /// All-Bypass Policy allowed and forbidden.
 pub fn check_eou_exhaustive(seed: u64, iters: u64) -> Result<(), Violation> {

@@ -92,8 +92,8 @@ pub struct EnergyOptimizerUnit {
     /// Candidate SLIPs in code order (code 0 = All-Bypass Policy).
     slips: Vec<Slip>,
     /// Flattened coefficient matrix, `matrix[code * bins + bin]` — one
-    /// contiguous Eq. 5 `α` row per candidate so the argmin kernel
-    /// streams the whole table in a single pass.
+    /// contiguous Eq. 5 `α` row per candidate so the argmin streams
+    /// the whole table in a single pass.
     matrix: Vec<Energy>,
     /// Reusable probability scratch so `optimize` never allocates.
     probs: Vec<f64>,
@@ -204,10 +204,10 @@ impl EnergyOptimizerUnit {
     /// code.
     ///
     /// Allocation-free: the bin probabilities land in an internal
-    /// scratch buffer and the argmin runs as one fused pass over the
-    /// flat coefficient matrix ([`best_slip`](Self::best_slip)). The
-    /// result is bit-identical to the pre-kernel implementation, kept
-    /// as [`optimize_reference`](Self::optimize_reference).
+    /// scratch buffer and the argmin runs as one pass over the flat
+    /// coefficient matrix ([`best_slip`](Self::best_slip)). The result
+    /// is bit-identical to the allocating implementation, kept as
+    /// [`optimize_reference`](Self::optimize_reference).
     pub fn optimize(&mut self, dist: &RdDistribution) -> EouDecision {
         self.ops += 1;
         dist.write_probabilities(&mut self.probs);
@@ -220,11 +220,11 @@ impl EnergyOptimizerUnit {
         self.best_slip(&self.probs)
     }
 
-    /// The seed (pre-kernel) implementation of
-    /// [`optimize`](Self::optimize): allocates a fresh probability
-    /// vector and folds each candidate's dot product through iterator
-    /// `Sum`. Kept verbatim so golden-equivalence tests can prove the
-    /// fused kernel is bit-identical.
+    /// The allocating implementation of [`optimize`](Self::optimize):
+    /// allocates a fresh probability vector and folds each candidate's
+    /// dot product through iterator `Sum`. Kept verbatim so
+    /// golden-equivalence tests can prove the scratch-buffer path is
+    /// bit-identical.
     pub fn optimize_reference(&mut self, dist: &RdDistribution) -> EouDecision {
         self.ops += 1;
         if dist.is_empty() {
@@ -255,19 +255,9 @@ impl EnergyOptimizerUnit {
         }
     }
 
-    /// The fused dot-product/argmin kernel: one pass over the flat
-    /// coefficient matrix, no allocation. Ties favor the Default SLIP,
-    /// then the lower code, exactly as [`optimize`](Self::optimize).
-    ///
-    /// Vectorized with the same explicit-lane discipline as the cache
-    /// probe's SWAR path: four candidate rows are evaluated per
-    /// iteration into independent `[Energy; 4]` lane accumulators.
-    /// Each lane folds its own row front-to-back — the exact add/mul
-    /// sequence of [`dot`](Self::dot) — and the four results are
-    /// compared in code order with strict `<`, so the decision and its
-    /// energy are bit-identical to the scalar kernel
-    /// ([`best_slip_scalar`](Self::best_slip_scalar)), including NaN,
-    /// denormal, and tied-cost rows.
+    /// The argmin over the flat coefficient matrix: one dot product
+    /// per candidate in code order, strict `<`, no allocation. Ties favor the Default SLIP, then the lower code,
+    /// exactly as [`optimize`](Self::optimize).
     ///
     /// # Panics
     ///
@@ -279,78 +269,6 @@ impl EnergyOptimizerUnit {
         let mut best = self.default_slip;
         let mut best_e = self.dot(best.code() as usize, probs);
         // Code 0 is the All-Bypass Policy; skip it when forbidden.
-        let start = usize::from(!self.allow_abp);
-        let n = self.slips.len();
-        let bins = self.bins;
-        let mut code = start;
-        if bins == 4 {
-            // Every paper configuration has 3 sublevels, so bins is 4
-            // in practice; with the trip count fixed, each 4-row block
-            // becomes a straight-line 4x4 multiply-accumulate — no
-            // loop, no bounds checks. `Energy::ZERO +` leads each lane
-            // so the fold order is exactly `dot`'s.
-            let (p0, p1, p2, p3) = (probs[0], probs[1], probs[2], probs[3]);
-            while code + 4 <= n {
-                let r = &self.matrix[code * 4..code * 4 + 16];
-                let acc = [
-                    Energy::ZERO + r[0] * p0 + r[1] * p1 + r[2] * p2 + r[3] * p3,
-                    Energy::ZERO + r[4] * p0 + r[5] * p1 + r[6] * p2 + r[7] * p3,
-                    Energy::ZERO + r[8] * p0 + r[9] * p1 + r[10] * p2 + r[11] * p3,
-                    Energy::ZERO + r[12] * p0 + r[13] * p1 + r[14] * p2 + r[15] * p3,
-                ];
-                for (lane, &e) in acc.iter().enumerate() {
-                    if e < best_e {
-                        best = self.slips[code + lane];
-                        best_e = e;
-                    }
-                }
-                code += 4;
-            }
-        }
-        while code + 4 <= n {
-            let rows = &self.matrix[code * bins..(code + 4) * bins];
-            // Split into per-row slices so the zipped walk below is
-            // bounds-check free — indexed `rows[k * bins + bin]` loads
-            // cost more than the four extra dot products they replace.
-            let (r0, rest) = rows.split_at(bins);
-            let (r1, rest) = rest.split_at(bins);
-            let (r2, r3) = rest.split_at(bins);
-            let mut acc = [Energy::ZERO; 4];
-            for ((((&p, &a0), &a1), &a2), &a3) in probs.iter().zip(r0).zip(r1).zip(r2).zip(r3) {
-                acc[0] += a0 * p;
-                acc[1] += a1 * p;
-                acc[2] += a2 * p;
-                acc[3] += a3 * p;
-            }
-            for (lane, &e) in acc.iter().enumerate() {
-                if e < best_e {
-                    best = self.slips[code + lane];
-                    best_e = e;
-                }
-            }
-            code += 4;
-        }
-        for tail in code..n {
-            let e = self.dot(tail, probs);
-            if e < best_e {
-                best = self.slips[tail];
-                best_e = e;
-            }
-        }
-        EouDecision {
-            slip: best,
-            estimated_energy: best_e,
-        }
-    }
-
-    /// The scalar argmin kernel the vectorized
-    /// [`best_slip`](Self::best_slip) must match bit-for-bit: one
-    /// [`dot`](Self::dot) per candidate in code order, strict `<`.
-    /// Kept as the equivalence reference for property tests.
-    pub fn best_slip_scalar(&self, probs: &[f64]) -> EouDecision {
-        assert_eq!(probs.len(), self.bins, "one probability per bin");
-        let mut best = self.default_slip;
-        let mut best_e = self.dot(best.code() as usize, probs);
         let start = usize::from(!self.allow_abp);
         for code in start..self.slips.len() {
             let e = self.dot(code, probs);
@@ -555,64 +473,6 @@ mod tests {
             }
             // Scratch contents are not state: both units compare equal.
             assert_eq!(fast_eou, ref_eou);
-        }
-    }
-
-    #[test]
-    fn simd_argmin_matches_scalar_bit_for_bit() {
-        // Equal sublevel energies make many candidate rows tie exactly;
-        // denormal and zero probabilities stress the lane accumulators'
-        // rounding. The vectorized kernel must agree with the scalar
-        // reference on the chosen slip AND the exact energy bits.
-        let tied = LevelModelParams {
-            sublevel_energy: vec![Energy::from_pj(25.0); 3],
-            sublevel_lines: vec![1024, 1024, 1024],
-            next_level_energy: Energy::from_pj(136.0),
-        };
-        let mut state = 0x851f_42d4_c957_f2d5u64;
-        let mut next_f64 = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            (state >> 11) as f64 / (1u64 << 53) as f64
-        };
-        let mut cases: Vec<[f64; 4]> = vec![
-            [0.0; 4],
-            [0.25; 4],
-            [1.0, 0.0, 0.0, 0.0],
-            [0.0, 1.0, 0.0, 0.0],
-            [0.0, 0.0, 1.0, 0.0],
-            [0.0, 0.0, 0.0, 1.0],
-            [1e-320; 4],
-            [1e-320, 0.0, 1e-320, 0.0],
-            [f64::MIN_POSITIVE, 1e-320, 0.5, 0.5],
-        ];
-        for _ in 0..500 {
-            let raw = [next_f64(), next_f64(), next_f64(), next_f64()];
-            let sum: f64 = raw.iter().sum();
-            cases.push(if sum > 0.0 {
-                [raw[0] / sum, raw[1] / sum, raw[2] / sum, raw[3] / sum]
-            } else {
-                raw
-            });
-        }
-        for params in [l2_params(), l3_params(), tied] {
-            for forbid in [false, true] {
-                let mut eou = EnergyOptimizerUnit::new(&params);
-                if forbid {
-                    eou = eou.forbid_all_bypass();
-                }
-                for probs in &cases {
-                    let fast = eou.best_slip(probs);
-                    let slow = eou.best_slip_scalar(probs);
-                    assert_eq!(fast.slip, slow.slip, "{probs:?} forbid={forbid}");
-                    assert_eq!(
-                        fast.estimated_energy.as_pj().to_bits(),
-                        slow.estimated_energy.as_pj().to_bits(),
-                        "{probs:?} forbid={forbid}"
-                    );
-                }
-            }
         }
     }
 

@@ -139,28 +139,6 @@ impl RdDistribution {
         }
     }
 
-    /// Fixed-point (Q16) variant of
-    /// [`write_probabilities`](Self::write_probabilities) for
-    /// integer-only consumers: each slot gets
-    /// `floor(count * 2^16 / total)` (or `floor(2^16 / bins)` when
-    /// empty), so a hardware EOU can run the Eq. 5 dot products without
-    /// a floating-point unit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out.len()` differs from the bin count.
-    pub fn write_probabilities_q16(&self, out: &mut [u32]) {
-        assert_eq!(out.len(), self.counts.len(), "one slot per bin");
-        let total = self.total();
-        if total == 0 {
-            out.fill((1u32 << 16) / self.counts.len() as u32);
-            return;
-        }
-        for (o, &c) in out.iter_mut().zip(&self.counts) {
-            *o = ((u64::from(c) << 16) / u64::from(total)) as u32;
-        }
-    }
-
     /// Packs the counters into a little-endian bit string (16 bits for
     /// the paper configuration), the form stored per page in DRAM.
     ///
@@ -285,22 +263,6 @@ mod tests {
         d.write_probabilities(&mut buf);
         for (a, b) in buf.iter().zip(&d.probabilities()) {
             assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-
-    #[test]
-    fn q16_probabilities_track_the_float_form() {
-        let mut d = RdDistribution::paper_default();
-        let mut q = [0u32; 4];
-        d.write_probabilities_q16(&mut q);
-        assert_eq!(q, [16384; 4], "empty distribution is uniform");
-        for bin in [0, 0, 0, 3] {
-            d.observe(bin);
-        }
-        d.write_probabilities_q16(&mut q);
-        assert_eq!(q, [49152, 0, 0, 16384]);
-        for (qi, pi) in q.iter().zip(&d.probabilities()) {
-            assert!((f64::from(*qi) / 65536.0 - pi).abs() < 1.0 / 65536.0);
         }
     }
 

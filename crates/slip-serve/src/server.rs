@@ -12,9 +12,9 @@
 //! ## Dedup
 //!
 //! Two levels. **Run-level:** the run id is a hash of the canonical
-//! spec, so equivalent submissions attach to one [`RunState`] and one
+//! spec, so equivalent submissions attach to one `RunState` and one
 //! execution. **Cell-level:** every cell key owns a process-wide
-//! [`CellSlot`]; a run whose cell is already resident or in flight
+//! `CellSlot`; a run whose cell is already resident or in flight
 //! under another run subscribes to the slot instead of executing.
 //!
 //! ## Execution
@@ -63,6 +63,13 @@ use sweep_runner::{interrupt, Journal, SharedPool};
 /// keys always contain `/` and `@`, so collision is impossible.
 const SPEC_KEY: &str = "__spec__";
 
+/// Maximum simultaneously active runs (pool admission limit); further
+/// submissions get a `server busy` error frame.
+const MAX_RUNS: usize = 32;
+
+/// Maximum simultaneous client connections.
+const MAX_CONNS: usize = 64;
+
 /// How the server executes and what it will accept.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -70,11 +77,6 @@ pub struct ServerConfig {
     pub addr: String,
     /// Worker threads executing fused groups.
     pub jobs: usize,
-    /// Maximum simultaneously active runs (pool admission limit);
-    /// further submissions get a `server busy` error frame.
-    pub max_runs: usize,
-    /// Maximum simultaneous client connections.
-    pub max_conns: usize,
     /// Directory for per-run journals (created if missing).
     pub journal_dir: PathBuf,
     /// Suppress stderr log lines.
@@ -94,8 +96,6 @@ impl ServerConfig {
         ServerConfig {
             addr: "127.0.0.1:0".to_owned(),
             jobs: env::jobs(),
-            max_runs: 32,
-            max_conns: 64,
             journal_dir: journal_dir.into(),
             quiet: false,
         }
@@ -361,10 +361,7 @@ impl ServerState {
                 for &i in &claimed {
                     slots.remove(&run.keys[i]);
                 }
-                return Err(format!(
-                    "server busy: {} active runs, retry later",
-                    self.config.max_runs
-                ));
+                return Err(format!("server busy: {MAX_RUNS} active runs, retry later"));
             }
         }
         self.log(&format!(
@@ -393,11 +390,7 @@ impl ServerState {
         let wall = started.elapsed() / members.len() as u32;
         let wall_ms = wall.as_secs_f64() * 1e3;
         for (&(index, _, _), result) in members.iter().zip(outputs) {
-            let mut metrics = codec::result_metrics(&result, wall);
-            if let Some(mode) = result.exec_mode {
-                metrics = metrics.with("exec_mode", Value::str(mode));
-            }
-            let payload = codec::encode_result(&result);
+            let (metrics, payload) = codec::encode_record(&result, wall);
             self.counters.cells_executed.fetch_add(1, Ordering::Relaxed);
             self.publish(run, index, wall_ms, metrics, payload);
         }
@@ -650,7 +643,7 @@ impl Server {
         let addr = listener.local_addr()?;
         std::fs::create_dir_all(&config.journal_dir)?;
         let state = Arc::new(ServerState {
-            pool: Mutex::new(Some(SharedPool::new(config.jobs.max(1), config.max_runs))),
+            pool: Mutex::new(Some(SharedPool::new(config.jobs.max(1), MAX_RUNS))),
             runs: Mutex::new(HashMap::new()),
             cells: Mutex::new(HashMap::new()),
             archived: Mutex::new(HashMap::new()),
@@ -709,7 +702,7 @@ impl Server {
                 Ok(s) => s,
                 Err(_) => continue,
             };
-            if state.conns.fetch_add(1, Ordering::SeqCst) >= state.config.max_conns {
+            if state.conns.fetch_add(1, Ordering::SeqCst) >= MAX_CONNS {
                 state.conns.fetch_sub(1, Ordering::SeqCst);
                 let mut stream = stream;
                 let _ = send(

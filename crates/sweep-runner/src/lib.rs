@@ -42,7 +42,7 @@ pub mod pool;
 pub mod progress;
 
 pub use journal::Journal;
-pub use pool::{available_jobs, run_indexed_cancellable, PoolBusy, QueueHandle, SharedPool};
+pub use pool::{available_jobs, run_indexed_cancellable, PoolBusy, SharedPool};
 
 use json::Value;
 use progress::Progress;

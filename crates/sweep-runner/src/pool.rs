@@ -12,10 +12,10 @@
 //!   *requests* onto one set of workers. Each request registers its own
 //!   queue of jobs; workers pick the next job **round-robin across
 //!   queues**, so a small request is never starved behind a large one
-//!   (fairness across clients). Every queue carries a cancellation
-//!   token, and the number of simultaneously active queues is bounded
-//!   (admission backpressure): [`SharedPool::try_submit`] refuses new
-//!   queues beyond the limit instead of queueing unboundedly.
+//!   (fairness across clients). The number of simultaneously active
+//!   queues is bounded (admission backpressure):
+//!   [`SharedPool::try_submit`] refuses new queues beyond the limit
+//!   instead of queueing unboundedly.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -86,16 +86,11 @@ where
 /// A job owned by a [`SharedPool`] queue.
 pub type Job = Box<dyn FnOnce() + Send + 'static>;
 
-/// One request-scoped queue of pending jobs.
-struct Queue {
-    jobs: VecDeque<Job>,
-    cancel: Arc<AtomicBool>,
-}
-
 struct Sched {
-    /// Active queues; a queue leaves the list when its last pending
-    /// job is taken (jobs already dispatched keep running).
-    queues: Vec<Queue>,
+    /// Active request-scoped queues of pending jobs; a queue leaves the
+    /// list when its last pending job is taken (jobs already dispatched
+    /// keep running).
+    queues: Vec<VecDeque<Job>>,
     /// Round-robin cursor over `queues`.
     rr: usize,
     /// Jobs currently executing on workers.
@@ -113,58 +108,31 @@ struct PoolShared {
 }
 
 impl PoolShared {
-    /// Takes the next dispatchable job round-robin across queues,
-    /// dropping cancelled queues' pending jobs on the way.
+    /// Takes the next dispatchable job round-robin across queues.
     fn take(sched: &mut Sched) -> Option<Job> {
-        while !sched.queues.is_empty() {
-            if sched.rr >= sched.queues.len() {
-                sched.rr = 0;
-            }
-            let q = &mut sched.queues[sched.rr];
-            if q.cancel.load(Ordering::SeqCst) {
-                // Cancellation token tripped: discard the queue's
-                // remaining jobs without running them.
-                sched.queues.remove(sched.rr);
-                continue;
-            }
-            let job = q.jobs.pop_front();
-            if q.jobs.is_empty() {
-                sched.queues.remove(sched.rr);
-            } else {
-                sched.rr += 1;
-            }
-            if let Some(job) = job {
-                return Some(job);
-            }
+        if sched.queues.is_empty() {
+            return None;
         }
-        None
-    }
-}
-
-/// Handle to one submitted request queue.
-#[derive(Debug)]
-pub struct QueueHandle {
-    cancel: Arc<AtomicBool>,
-}
-
-impl QueueHandle {
-    /// The queue's cancellation token: share it with the jobs
-    /// themselves so long-running work can poll it too.
-    pub fn cancel_token(&self) -> Arc<AtomicBool> {
-        Arc::clone(&self.cancel)
-    }
-
-    /// Trips the cancellation token: pending jobs of this queue are
-    /// discarded; jobs already dispatched run to completion.
-    pub fn cancel(&self) {
-        self.cancel.store(true, Ordering::SeqCst);
+        if sched.rr >= sched.queues.len() {
+            sched.rr = 0;
+        }
+        let q = &mut sched.queues[sched.rr];
+        // Queues are never empty: `try_submit` admits only non-empty
+        // job lists and a queue leaves the list with its last job.
+        let job = q.pop_front();
+        if q.is_empty() {
+            sched.queues.remove(sched.rr);
+        } else {
+            sched.rr += 1;
+        }
+        job
     }
 }
 
 /// A long-lived worker pool multiplexing request-scoped job queues.
 ///
 /// See the module docs for the scheduling contract (round-robin
-/// fairness, cancellation, bounded admission).
+/// fairness, bounded admission).
 pub struct SharedPool {
     shared: Arc<PoolShared>,
     workers: Vec<std::thread::JoinHandle<()>>,
@@ -223,12 +191,6 @@ impl SharedPool {
                         sched.running += 1;
                         break Some(job);
                     }
-                    // `take` may have emptied the queue list by
-                    // discarding cancelled queues; drain() waiters only
-                    // learn about quiescence from us.
-                    if sched.running == 0 {
-                        shared.idle.notify_all();
-                    }
                     if sched.shutdown {
                         break None;
                     }
@@ -252,36 +214,18 @@ impl SharedPool {
     /// [`PoolBusy`] when the active-queue limit is reached
     /// (admission backpressure). An empty job list is accepted and
     /// completes immediately.
-    pub fn try_submit(&self, jobs: Vec<Job>) -> Result<QueueHandle, PoolBusy> {
-        let cancel = Arc::new(AtomicBool::new(false));
-        let handle = QueueHandle {
-            cancel: Arc::clone(&cancel),
-        };
+    pub fn try_submit(&self, jobs: Vec<Job>) -> Result<(), PoolBusy> {
         if jobs.is_empty() {
-            return Ok(handle);
+            return Ok(());
         }
         let mut sched = self.shared.sched.lock().expect("pool scheduler poisoned");
         if sched.queues.len() >= self.max_queues {
             return Err(PoolBusy);
         }
-        sched.queues.push(Queue {
-            jobs: jobs.into(),
-            cancel,
-        });
+        sched.queues.push(jobs.into());
         drop(sched);
         self.shared.work.notify_all();
-        Ok(handle)
-    }
-
-    /// Convenience: submit boxed closures built from an iterator.
-    pub fn try_submit_jobs<F>(
-        &self,
-        jobs: impl IntoIterator<Item = F>,
-    ) -> Result<QueueHandle, PoolBusy>
-    where
-        F: FnOnce() + Send + 'static,
-    {
-        self.try_submit(jobs.into_iter().map(|f| Box::new(f) as Job).collect())
+        Ok(())
     }
 
     /// Blocks until no queue holds pending jobs and no job is running.
@@ -316,6 +260,14 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
     use std::time::Duration;
+
+    /// Submits closures as one request queue.
+    fn submit<F: FnOnce() + Send + 'static>(
+        pool: &SharedPool,
+        jobs: impl IntoIterator<Item = F>,
+    ) -> Result<(), PoolBusy> {
+        pool.try_submit(jobs.into_iter().map(|f| Box::new(f) as Job).collect())
+    }
 
     /// Every result of an uncancelled run, in index order.
     fn run_indexed<T: Send>(count: usize, jobs: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
@@ -405,7 +357,7 @@ mod tests {
                     }
                 })
                 .collect();
-            pool.try_submit_jobs(handles).unwrap();
+            submit(&pool, handles).unwrap();
         }
         pool.drain();
         assert_eq!(counter.load(Ordering::Relaxed), 30);
@@ -421,11 +373,14 @@ mod tests {
         let gate = Arc::new(AtomicBool::new(false));
         {
             let gate = Arc::clone(&gate);
-            pool.try_submit_jobs([move || {
-                while !gate.load(Ordering::SeqCst) {
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-            }])
+            submit(
+                &pool,
+                [move || {
+                    while !gate.load(Ordering::SeqCst) {
+                        std::thread::sleep(Duration::from_millis(1));
+                    }
+                }],
+            )
             .unwrap();
         }
         for tag in ["a", "b"] {
@@ -435,43 +390,13 @@ mod tests {
                     move || order.lock().unwrap().push(format!("{tag}{i}"))
                 })
                 .collect();
-            pool.try_submit_jobs(jobs).unwrap();
+            submit(&pool, jobs).unwrap();
         }
         gate.store(true, Ordering::SeqCst);
         pool.drain();
         let order = order.lock().unwrap().clone();
         // One worker, two queues: dispatch alternates a0 b0 a1 b1 a2 b2.
         assert_eq!(order, ["a0", "b0", "a1", "b1", "a2", "b2"]);
-        pool.shutdown();
-    }
-
-    #[test]
-    fn cancelled_queue_drops_pending_jobs() {
-        let pool = SharedPool::new(1, 8);
-        let gate = Arc::new(AtomicBool::new(false));
-        {
-            let gate = Arc::clone(&gate);
-            pool.try_submit_jobs([move || {
-                while !gate.load(Ordering::SeqCst) {
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-            }])
-            .unwrap();
-        }
-        let ran = Arc::new(AtomicU64::new(0));
-        let jobs: Vec<_> = (0..5)
-            .map(|_| {
-                let ran = Arc::clone(&ran);
-                move || {
-                    ran.fetch_add(1, Ordering::Relaxed);
-                }
-            })
-            .collect();
-        let handle = pool.try_submit_jobs(jobs).unwrap();
-        handle.cancel();
-        gate.store(true, Ordering::SeqCst);
-        pool.drain();
-        assert_eq!(ran.load(Ordering::Relaxed), 0, "pending jobs discarded");
         pool.shutdown();
     }
 
@@ -497,11 +422,11 @@ mod tests {
         ])
         .unwrap();
         // Queue 2 must be refused while queue 1 still has pending jobs.
-        assert_eq!(pool.try_submit_jobs([|| {}]).unwrap_err(), PoolBusy);
+        assert_eq!(submit(&pool, [|| {}]).unwrap_err(), PoolBusy);
         gate.store(true, Ordering::SeqCst);
         pool.drain();
         // Once drained, admission reopens.
-        pool.try_submit_jobs([|| {}]).unwrap();
+        submit(&pool, [|| {}]).unwrap();
         pool.drain();
         pool.shutdown();
     }
@@ -509,13 +434,16 @@ mod tests {
     #[test]
     fn panicking_job_does_not_kill_the_pool() {
         let pool = SharedPool::new(2, 4);
-        pool.try_submit_jobs([|| panic!("job blew up")]).unwrap();
+        submit(&pool, [|| panic!("job blew up")]).unwrap();
         pool.drain();
         let ran = Arc::new(AtomicU64::new(0));
         let r = Arc::clone(&ran);
-        pool.try_submit_jobs([move || {
-            r.fetch_add(1, Ordering::Relaxed);
-        }])
+        submit(
+            &pool,
+            [move || {
+                r.fetch_add(1, Ordering::Relaxed);
+            }],
+        )
         .unwrap();
         pool.drain();
         assert_eq!(ran.load(Ordering::Relaxed), 1);
@@ -528,18 +456,24 @@ mod tests {
         let gate = Arc::new(AtomicBool::new(false));
         {
             let gate = Arc::clone(&gate);
-            pool.try_submit_jobs([move || {
-                while !gate.load(Ordering::SeqCst) {
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-            }])
+            submit(
+                &pool,
+                [move || {
+                    while !gate.load(Ordering::SeqCst) {
+                        std::thread::sleep(Duration::from_millis(1));
+                    }
+                }],
+            )
             .unwrap();
         }
         let ran = Arc::new(AtomicU64::new(0));
         let r = Arc::clone(&ran);
-        pool.try_submit_jobs([move || {
-            r.fetch_add(1, Ordering::Relaxed);
-        }])
+        submit(
+            &pool,
+            [move || {
+                r.fetch_add(1, Ordering::Relaxed);
+            }],
+        )
         .unwrap();
         gate.store(true, Ordering::SeqCst);
         pool.shutdown();

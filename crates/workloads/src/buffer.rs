@@ -58,8 +58,8 @@ pub fn unpack_access(word: u64) -> Access {
 /// A materialized trace: packed accesses in fixed-size chunks.
 ///
 /// Build one with [`TraceBuffer::materialize`], replay it with
-/// [`iter`](TraceBuffer::iter) (or walk the raw [`chunks`]
-/// (TraceBuffer::chunks) for a chunked execution loop).
+/// [`iter`](TraceBuffer::iter) (or walk the raw
+/// [`chunks`](TraceBuffer::chunks) for a chunked execution loop).
 #[derive(Debug, Clone)]
 pub struct TraceBuffer {
     /// Packed words; every chunk is `chunk_len` long except possibly
@@ -121,18 +121,6 @@ impl TraceBuffer {
     /// [`unpack_access`].
     pub fn chunks(&self) -> impl Iterator<Item = &[u64]> {
         self.chunks.iter().map(|c| &**c)
-    }
-
-    /// Approximate resident size in bytes (the packed words; per-chunk
-    /// overhead is negligible).
-    pub fn approx_bytes(&self) -> u64 {
-        self.len * 8
-    }
-
-    /// Bytes a buffer of `accesses` accesses will occupy — for memory
-    /// budgeting *before* materializing.
-    pub fn bytes_for(accesses: u64) -> u64 {
-        accesses * 8
     }
 
     /// A replaying iterator over the whole buffer.
@@ -251,8 +239,9 @@ mod tests {
     fn memory_accounting_matches_len() {
         let spec = crate::workload("gcc").unwrap();
         let buf = TraceBuffer::materialize(spec.trace(5_000, 1));
-        assert_eq!(buf.approx_bytes(), 40_000);
-        assert_eq!(TraceBuffer::bytes_for(5_000), 40_000);
+        // One packed word per access.
+        assert_eq!(buf.len(), 5_000);
+        assert_eq!(buf.chunks().map(<[u64]>::len).sum::<usize>(), 5_000);
         assert!(!buf.is_empty());
     }
 

@@ -149,13 +149,6 @@ pub struct Trace {
     burst_left: u32,
 }
 
-impl Trace {
-    /// Total accesses this trace will produce.
-    pub fn len_total(&self) -> u64 {
-        self.len
-    }
-}
-
 impl Iterator for Trace {
     type Item = Access;
 
@@ -217,7 +210,7 @@ mod tests {
     fn trace_has_exact_length() {
         let w = two_phase_spec();
         let t = w.trace(1000, 1);
-        assert_eq!(t.len_total(), 1000);
+        assert_eq!(t.len, 1000);
         assert_eq!(t.count(), 1000);
     }
 

@@ -99,6 +99,11 @@ else
     echo "==> clippy not installed; skipping lint step"
 fi
 
+# Every intra-doc link must resolve: a link to a deleted or private
+# item fails here instead of rotting silently.
+echo "==> cargo doc (rustdoc warnings are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc -q --offline --no-deps --workspace --lib
+
 # Serve smoke: boot the daemon on an ephemeral loopback port and push
 # a 2x2 sweep through a real client with offline verification: server
 # and offline sweep run the same streamed fused groups, so
