@@ -132,10 +132,11 @@ pub struct CacheLevel {
     /// scanning the line array (reference path). Results are identical;
     /// see [`CacheLevel::with_tag_filter`].
     tag_filter: bool,
-    /// Structure-of-arrays L1 mode: the packed per-set LRU stacks are
-    /// this level's authoritative recency order (replacing `lru_seq`
-    /// comparisons) and [`CacheLevel::try_demand_hit`] becomes legal.
-    /// Only valid for levels driven by `BaselinePolicy` + `Lru`.
+    /// Structure-of-arrays recency mode: the packed per-set LRU stacks
+    /// are this level's authoritative recency order (replacing `lru_seq`
+    /// comparisons). Only valid for levels whose replacement is `Lru`;
+    /// on a `BaselinePolicy` level (the L1) it also makes
+    /// [`CacheLevel::try_demand_hit`] legal.
     packed_lru: bool,
     /// Per-set packed LRU stacks (maintained when `packed_lru`).
     lru_stacks: Vec<PackedLruStack>,
@@ -152,9 +153,11 @@ pub struct CacheLevel {
     /// kept per set so a set's timestamps depend only on that set's own
     /// history.
     set_counters: Vec<u64>,
-    /// Set-local accesses per 6-bit timestamp step: 4·ways / 64, so the
-    /// 64-stamp wrap window still spans ≈4C level accesses.
-    set_stamp_granule: u64,
+    /// log2 of the set-local accesses per 6-bit timestamp step
+    /// (4·ways / 64, at least 1, so the 64-stamp wrap window still spans
+    /// ≈4C level accesses). The granule is a power of two, so a stamp is
+    /// a shift of the set counter, not a division.
+    set_stamp_shift: u32,
     /// Multiplier converting a set-local stamp delta into an approximate
     /// level-access reuse distance: `set_stamp_granule * sets`.
     rd_scale: u64,
@@ -194,6 +197,11 @@ impl CacheLevel {
         // counter is per set, so the granule is in set-local accesses and
         // distances scale back up by the set count.
         let set_stamp_granule = (4 * geom.ways as u64 / 64).max(1);
+        assert!(
+            set_stamp_granule.is_power_of_two(),
+            "timestamp granule {set_stamp_granule} of a {}-way level is not a power of two",
+            geom.ways
+        );
         let rd_scale = set_stamp_granule * geom.sets as u64;
         let miss_latency = geom.way_latency.iter().copied().max().unwrap_or(1);
         let sublevels = geom.sublevels();
@@ -225,7 +233,7 @@ impl CacheLevel {
             lru_stacks,
             hit_memo,
             seq: 0,
-            set_stamp_granule,
+            set_stamp_shift: set_stamp_granule.trailing_zeros(),
             rd_scale,
             stats: CacheStats::new(sublevels),
             ledger: EnergyLedger::new(ways),
@@ -249,13 +257,15 @@ impl CacheLevel {
         self
     }
 
-    /// Enables the structure-of-arrays L1 mode: victim choice reads the
-    /// packed per-set LRU stack instead of comparing `lru_seq` stamps
-    /// (equivalent orders — every touch point updates both), and
-    /// [`CacheLevel::try_demand_hit`] becomes legal. Only valid for a
-    /// level driven by `BaselinePolicy` + `Lru` (the L1): with any other
-    /// replacement policy the stack's LRU order would override the
-    /// policy's victim choice.
+    /// Enables the structure-of-arrays recency mode: victim choice reads
+    /// the packed per-set LRU stack instead of comparing `lru_seq`
+    /// stamps (equivalent orders — every touch point updates both).
+    /// Only valid for a level whose replacement policy is `Lru`: with
+    /// any other policy the stack's LRU order would override the
+    /// policy's victim choice. Any placement policy works, since chunk
+    /// masks, bypasses and promotion swaps all go through the stack.
+    /// On a level driven by `BaselinePolicy` (the L1) it also makes
+    /// [`CacheLevel::try_demand_hit`] legal.
     ///
     /// # Panics
     ///
@@ -356,13 +366,14 @@ impl CacheLevel {
     }
 
     /// Current 6-bit timestamp of `set`, derived from its access counter.
+    #[inline]
     pub fn stamp6_of(&self, set: usize) -> u8 {
-        ((self.set_counters[set] / self.set_stamp_granule) % 64) as u8
+        ((self.set_counters[set] >> self.set_stamp_shift) % 64) as u8
     }
 
     /// Set-local accesses per timestamp step.
     pub fn set_stamp_granule(&self) -> u64 {
-        self.set_stamp_granule
+        1 << self.set_stamp_shift
     }
 
     /// The level's energy account, rebuilt from the integer event ledger
@@ -667,12 +678,7 @@ impl CacheLevel {
         self.stats.hits_per_sublevel[self.geom.sublevel(way)] += 1;
         self.ledger.count_way(EnergyCategory::Access, way);
         let wait = core::mem::take(&mut self.port_backlog[set]);
-        // Granule 1 (the L1's) needs no division.
-        let stamp_now = if self.set_stamp_granule == 1 {
-            (self.set_counters[set] % 64) as u8
-        } else {
-            self.stamp6_of(set)
-        };
+        let stamp_now = self.stamp6_of(set);
         {
             let slot = &mut self.lines[base + way];
             slot.timestamp = stamp_now;

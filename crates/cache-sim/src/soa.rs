@@ -1,16 +1,19 @@
-//! Structure-of-arrays helpers for the L1 fast path.
+//! Structure-of-arrays recency for LRU-replaced levels.
 //!
 //! [`PackedLruStack`] packs a set's full LRU recency order into one
 //! u64 — sixteen 4-bit way slots, most-recent first — so a hit's LRU
 //! update is a handful of straight-line shifts/masks instead of a
-//! per-line sequence-number store, and victim selection is a short
-//! scan from the LRU end. On levels that enable it (the L1), the stack
-//! replaces `lru_seq` ordering: the two are equivalent because every
-//! touch point (hit, fill, promotion swap) updates both orders
+//! per-line sequence-number store, and victim selection never reads
+//! the set's line states. On levels that enable it (the L1, and every
+//! `Lru`-replaced L2/L3 of at most 16 ways except NuRAPID's), the
+//! stack replaces `lru_seq` ordering: the two are equivalent because
+//! every touch point (hit, fill, promotion swap) updates both orders
 //! identically, and victim candidates are always valid lines (invalid
 //! ways are filled first), so stale positions of invalidated ways are
 //! never consulted. The `properties` suite holds stack-vs-`Lru`
-//! equivalence over random access/evict sequences for every way count.
+//! equivalence over random access/evict/swap sequences and way masks
+//! for every way count, and a packed level against the `lru_seq` level
+//! under demotion cascades and promotions.
 
 /// A per-set LRU recency stack packed into one u64.
 ///

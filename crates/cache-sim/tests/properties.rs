@@ -168,7 +168,9 @@ fn fills_land_in_the_insertion_mask() {
 
 /// The packed SoA LRU stack picks the same victim as the reference
 /// `Lru` (min `lru_seq`) for every way count 1–16, over random
-/// touch/evict/refill sequences with random candidate masks.
+/// touch/evict/refill sequences with random non-empty candidate masks,
+/// and promotion swaps (a hit touch, then the hit line trades places
+/// with another way, its recency travelling with it).
 #[test]
 fn packed_stack_matches_reference_lru_for_every_way_count() {
     let mut rng = SplitMix64::new(0x665);
@@ -204,9 +206,140 @@ fn packed_stack_matches_reference_lru_for_every_way_count() {
                     seq += 1;
                     set[w].lru_seq = seq;
                     stack.touch(w);
+                    if rng.next_below(3) == 0 {
+                        let target = rng.next_below(ways as u64) as usize;
+                        set.swap(w, target);
+                        stack.swap_ways(w, target);
+                    }
                 }
             }
+            let mut by_recency: Vec<usize> = (0..ways).collect();
+            by_recency.sort_by_key(|&w| std::cmp::Reverse(set[w].lru_seq));
+            assert_eq!(stack.order(ways), by_recency, "ways {ways}");
         }
+    }
+}
+
+/// A cascading placement that also promotes every hit outside the
+/// nearest sublevel into it, the NuRAPID shape.
+#[derive(Debug)]
+struct PromotingCascade;
+
+impl PlacementPolicy for PromotingCascade {
+    fn name(&self) -> &'static str {
+        "promoting cascade"
+    }
+
+    fn insertion_mask(&mut self, geom: &CacheGeometry, req: &FillRequest) -> Option<WayMask> {
+        CascadePolicy.insertion_mask(geom, req)
+    }
+
+    fn demotion_mask(
+        &mut self,
+        geom: &CacheGeometry,
+        line: &LineState,
+        from_way: usize,
+    ) -> Option<WayMask> {
+        CascadePolicy.demotion_mask(geom, line, from_way)
+    }
+
+    fn promotion_mask(
+        &mut self,
+        geom: &CacheGeometry,
+        _line: &LineState,
+        hit_way: usize,
+    ) -> Option<WayMask> {
+        (geom.sublevel(hit_way) > 0).then(|| geom.sublevel_ways(0))
+    }
+
+    fn classify_insertion(&self, _geom: &CacheGeometry, _req: &FillRequest) -> InsertionClass {
+        InsertionClass::Other
+    }
+}
+
+/// A packed-LRU level (the L2/L3 fast path) is a drop-in replacement
+/// for the `lru_seq` reference level under chunk-restricted fills,
+/// demotion cascades, promotion swaps and invalidations: same verdicts,
+/// latencies, victims, statistics and energy over random streams.
+#[test]
+fn packed_level_matches_reference_under_cascades_and_promotions() {
+    let mut rng = SplitMix64::new(0x887);
+    let geom = || {
+        CacheGeometry::from_sublevels(
+            4,
+            &[
+                (4, Energy::from_pj(10.0), 2),
+                (4, Energy::from_pj(20.0), 4),
+                (8, Energy::from_pj(40.0), 6),
+            ],
+        )
+    };
+    for case in 0..CASES / 4 {
+        let mut fast = CacheLevel::new("f", geom()).with_packed_lru(true);
+        let mut reference = CacheLevel::new("r", geom()).with_tag_filter(false);
+        let (mut fast_pol, mut ref_pol) = (PromotingCascade, PromotingCascade);
+        let (mut fast_repl, mut ref_repl) = (Lru::new(), Lru::new());
+        let addrs = random_addrs(&mut rng, 160, 200, 800);
+        for (i, &line) in addrs.iter().enumerate() {
+            if rng.next_below(16) == 0 {
+                let f = fast.invalidate(line).map(|e| (e.addr, e.dirty));
+                let r = reference.invalidate(line).map(|e| (e.addr, e.dirty));
+                assert_eq!(f, r, "case {case}: invalidation diverged at {i}");
+                continue;
+            }
+            let kind = if rng.next_below(4) == 0 {
+                AccessKind::Write
+            } else {
+                AccessKind::Read
+            };
+            let now = i as u64;
+            let f = fast.access(
+                line,
+                kind,
+                AccessClass::Demand,
+                now,
+                &mut fast_pol,
+                &mut fast_repl,
+            );
+            let r = reference.access(
+                line,
+                kind,
+                AccessClass::Demand,
+                now,
+                &mut ref_pol,
+                &mut ref_repl,
+            );
+            assert_eq!(
+                f.is_hit(),
+                r.is_hit(),
+                "case {case}: verdict diverged at {i}"
+            );
+            assert_eq!(
+                f.latency(),
+                r.latency(),
+                "case {case}: latency diverged at {i}"
+            );
+            if !f.is_hit() {
+                let mut req = FillRequest::new(line);
+                req.dirty = kind.is_write();
+                let fo = fast.fill(req, now, &mut fast_pol, &mut fast_repl);
+                let ro = reference.fill(req, now, &mut ref_pol, &mut ref_repl);
+                let fe: Vec<_> = fo.evicted().map(|e| (e.addr, e.dirty)).collect();
+                let re: Vec<_> = ro.evicted().map(|e| (e.addr, e.dirty)).collect();
+                assert_eq!(fe, re, "case {case}: victims diverged at {i}");
+            }
+            assert_eq!(fast.probe_way(line), reference.probe_way(line));
+        }
+        assert!(fast.stats.promotions > 0 && fast.stats.movements > 0);
+        assert_eq!(fast.stats.promotions, reference.stats.promotions);
+        assert_eq!(fast.stats.movements, reference.stats.movements);
+        assert_eq!(fast.stats.evictions, reference.stats.evictions);
+        assert_eq!(fast.stats.writebacks, reference.stats.writebacks);
+        assert_eq!(
+            fast.stats.hits_per_sublevel,
+            reference.stats.hits_per_sublevel
+        );
+        assert_eq!(fast.energy().total(), reference.energy().total());
     }
 }
 

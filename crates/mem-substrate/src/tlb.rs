@@ -140,6 +140,11 @@ impl Tlb {
     /// paying the map lookup twice.
     #[inline]
     pub fn probe(&self, page: PageId) -> Option<usize> {
+        // Repeat touches of the MRU entry (nearly every access of an
+        // L1-hit run) answer without hashing the page.
+        if self.head != NONE && self.slots[self.head].page == page {
+            return Some(self.head);
+        }
         self.map.get(&page).copied()
     }
 
@@ -189,8 +194,9 @@ impl Tlb {
     }
 
     /// `true` if `page` is resident (no recency update).
+    #[inline]
     pub fn contains(&self, page: PageId) -> bool {
-        self.map.contains_key(&page)
+        self.probe(page).is_some()
     }
 }
 
@@ -275,6 +281,24 @@ mod tests {
                 assert_eq!(evicted, model_evicted.map(PageId));
             }
         }
+    }
+
+    #[test]
+    fn mru_repeats_count_and_follow_slot_reuse() {
+        let mut t = Tlb::new(1);
+        assert!(!t.contains(PageId(1)));
+        t.insert(PageId(1));
+        for _ in 0..3 {
+            assert!(t.contains(PageId(1)));
+            assert!(t.lookup(PageId(1)));
+        }
+        assert_eq!((t.hits, t.misses), (3, 0));
+        // The MRU slot is recycled for page 2: page 1 must miss.
+        assert_eq!(t.insert(PageId(2)), Some(PageId(1)));
+        assert!(!t.contains(PageId(1)));
+        assert!(!t.lookup(PageId(1)));
+        assert!(t.lookup(PageId(2)));
+        assert_eq!((t.hits, t.misses), (4, 1));
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! System configuration: paper Table 1 plus our documented additions.
 
 use crate::dispatch::{AnyPlacement, AnyReplacement};
-use cache_sim::{BaselinePolicy, CacheGeometry, CacheLevel, Drrip, Lru, Ship, SublevelEnergies};
+use cache_sim::{
+    BaselinePolicy, CacheGeometry, CacheLevel, Drrip, Lru, PackedLruStack, Ship, SublevelEnergies,
+};
 use energy_model::{
     BankGrid, Energy, HierarchySpec, LevelEnergyParams, LevelSpec, TechnologyParams, Topology,
 };
@@ -395,11 +397,29 @@ impl SystemConfig {
             .with_packed_lru(!self.reference_hot_path)
     }
 
+    /// Whether an L2/L3 of `geom` keeps its recency in packed LRU
+    /// stacks: on the fast path only (the reference path keeps the
+    /// `lru_seq` scan), only under plain `Lru` replacement (LRU-PEA's
+    /// eviction priority, DRRIP and SHiP choose their own victims), and
+    /// only where the 16-slot stack holds every way. NuRAPID stays on
+    /// the `lru_seq` scan too: its hits touch and swap far more often
+    /// than its fills pick victims, so the stack upkeep cost more than
+    /// it saved (DESIGN.md §9).
+    fn packed_lru_below_l1(&self, geom: &CacheGeometry) -> bool {
+        !self.reference_hot_path
+            && !matches!(self.policy, PolicyKind::LruPea | PolicyKind::NuRapid)
+            && self.replacement == ReplacementKind::Lru
+            && geom.ways <= PackedLruStack::MAX_WAYS
+    }
+
     /// Builds the L2 cache level; the regular cache clocks hits at the
     /// flat Table 1 latency, NUCA/SLIP policies expose per-way latency.
     pub fn build_l2(&self) -> CacheLevel {
-        let mut l2 = CacheLevel::new("L2", self.l2_geometry())
+        let geom = self.l2_geometry();
+        let packed = self.packed_lru_below_l1(&geom);
+        let mut l2 = CacheLevel::new("L2", geom)
             .with_tag_filter(!self.reference_hot_path)
+            .with_packed_lru(packed)
             .with_metadata_energy(self.tech.l2.metadata_access)
             .with_mvq_lookup_energy(self.tech.movement_queue_lookup)
             .with_miss_latency(self.l2_uniform_latency);
@@ -411,8 +431,11 @@ impl SystemConfig {
 
     /// Builds the L3 cache level.
     pub fn build_l3(&self) -> CacheLevel {
-        let mut l3 = CacheLevel::new("L3", self.l3_geometry())
+        let geom = self.l3_geometry();
+        let packed = self.packed_lru_below_l1(&geom);
+        let mut l3 = CacheLevel::new("L3", geom)
             .with_tag_filter(!self.reference_hot_path)
+            .with_packed_lru(packed)
             .with_metadata_energy(self.tech.l3.metadata_access)
             .with_mvq_lookup_energy(self.tech.movement_queue_lookup)
             .with_miss_latency(self.l3_uniform_latency);

@@ -21,10 +21,14 @@
 //! walk: an L1 hit on a TLB-resident line retires through the cache's
 //! structure-of-arrays probe and way memo (`CacheLevel::try_demand_hit`)
 //! and is credited its access and cycles on the spot; anything else
-//! falls into the walk. The fast probe and the memo are there for
-//! L1-hit-heavy replays (the repo benchmark's `cell_l1`, a 98.6%-L1-hit
-//! `.trc` replay); the probe backoff keeps their failed probes off runs
-//! that almost never hit the L1 (`cell_llc`, the built-in profiles).
+//! falls into the walk. Below the L1 the walk keeps LRU order in the
+//! same packed per-set stacks wherever `SystemConfig` allows
+//! (`Lru`-replaced L2/L3 of at most 16 ways, NuRAPID and LRU-PEA
+//! excepted), and a warmed walk allocates nothing. The fast probe and
+//! the memo are there for L1-hit-heavy replays (the repo benchmark's
+//! `cell_l1`, a 98.6%-L1-hit `.trc` replay); the probe backoff keeps
+//! their failed probes off runs that almost never hit the L1
+//! (`cell_llc`, the built-in profiles).
 //! Every path is bit-identical to `reference_hot_path = true`.
 
 use crate::config::{PolicySeeds, SystemConfig};

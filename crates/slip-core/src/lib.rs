@@ -38,7 +38,7 @@
 //!
 //! let decision = eou.optimize(&dist);
 //! // An energy-optimized SLIP keeps the near chunk separate.
-//! assert_eq!(decision.slip.chunks()[0], 0..=0);
+//! assert_eq!(decision.slip.chunks().next(), Some(0..=0));
 //! ```
 
 pub mod eou;
@@ -57,4 +57,4 @@ pub use partition::{interleaved_partitions, PartitionedSlip};
 pub use placement::{SlipLevel, SlipPlacement};
 pub use rd_dist::{bin_for_distance, RdDistribution, PAPER_BINS, PAPER_BIN_BITS};
 pub use sampling::{PageState, SamplingConfig, TimeSampler, Transition};
-pub use slip::{Slip, SlipError, MAX_SUBLEVELS};
+pub use slip::{Slip, SlipChunks, SlipError, MAX_SUBLEVELS};

@@ -124,12 +124,8 @@ fn build_coefficients(
         "SLIP and model must agree on sublevel count"
     );
     let s = params.sublevels();
-    let chunks = slip.chunks();
     let m_used = slip.used_sublevels();
-    let chunk_e: Vec<Energy> = chunks
-        .iter()
-        .map(|c| params.chunk_energy(c.clone()))
-        .collect();
+    let chunk_e: Vec<Energy> = slip.chunks().map(|c| params.chunk_energy(c)).collect();
     let mut alpha = vec![Energy::ZERO; s + 1];
 
     // Access energy: bin i (< m_used) is served from the chunk holding
@@ -144,8 +140,12 @@ fn build_coefficients(
     // Movement energy: crossing out of chunk k costs Ē_k + Ē_{k+1} for
     // every reference with reuse distance beyond chunk k's cumulative
     // capacity (bins starting at the chunk-end sublevel + 1).
-    for k in 0..chunks.len().saturating_sub(1) {
-        let first_bin = *chunks[k].end() + 1;
+    for (k, chunk) in slip
+        .chunks()
+        .enumerate()
+        .take(chunk_e.len().saturating_sub(1))
+    {
+        let first_bin = *chunk.end() + 1;
         let cost = chunk_e[k] + chunk_e[k + 1];
         for a in alpha.iter_mut().skip(first_bin) {
             *a += cost;
@@ -154,7 +154,7 @@ fn build_coefficients(
 
     // Miss energy, plus (for the ABP-aware objective) the re-insertion
     // of the line into chunk 0 that every miss implies.
-    let miss_cost = if chunks.is_empty() || !include_insertion {
+    let miss_cost = if chunk_e.is_empty() || !include_insertion {
         params.next_level_energy
     } else {
         params.next_level_energy + chunk_e[0]
@@ -192,28 +192,24 @@ pub fn slip_energy(params: &LevelModelParams, slip: Slip, probs: &[f64]) -> Ener
 /// Panics if `probs.len() != params.bins()`.
 pub fn slip_energy_direct(params: &LevelModelParams, slip: Slip, probs: &[f64]) -> Energy {
     assert_eq!(probs.len(), params.bins(), "one probability per bin");
-    let chunks = slip.chunks();
-    if chunks.is_empty() {
+    if slip.is_all_bypass() {
         // All-Bypass: every reference goes to the next level.
         return params.next_level_energy * probs.iter().sum::<f64>();
     }
-    let chunk_e: Vec<Energy> = chunks
-        .iter()
-        .map(|c| params.chunk_energy(c.clone()))
-        .collect();
+    let chunk_e: Vec<Energy> = slip.chunks().map(|c| params.chunk_energy(c)).collect();
     let m_used = slip.used_sublevels();
 
     // Eq. 3: accesses served per chunk.
     let mut access = Energy::ZERO;
-    for (k, c) in chunks.iter().enumerate() {
-        let f: f64 = probs[*c.start()..=*c.end()].iter().sum();
+    for (k, c) in slip.chunks().enumerate() {
+        let f: f64 = probs[c].iter().sum();
         access += chunk_e[k] * f;
     }
 
     // Eq. 2: movements out of each non-final chunk.
     let mut movement = Energy::ZERO;
-    for k in 0..chunks.len() - 1 {
-        let p_beyond: f64 = probs[*chunks[k].end() + 1..].iter().sum();
+    for (k, c) in slip.chunks().enumerate().take(chunk_e.len() - 1) {
+        let p_beyond: f64 = probs[*c.end() + 1..].iter().sum();
         movement += (chunk_e[k] + chunk_e[k + 1]) * p_beyond;
     }
 
@@ -359,7 +355,7 @@ mod tests {
         assert!(slip_energy(&p, best, &probs) < e_def, "best {best}");
         // And the winner's first chunk is the energy-efficient near
         // sublevel alone.
-        assert_eq!(best.chunks()[0], 0..=0, "best {best}");
+        assert_eq!(best.chunks().next(), Some(0..=0), "best {best}");
     }
 
     #[test]
@@ -400,8 +396,8 @@ mod tests {
             let m = slip.used_sublevels();
             let e0 = slip
                 .chunks()
-                .first()
-                .map(|c| p.chunk_energy(c.clone()))
+                .next()
+                .map(|c| p.chunk_energy(c))
                 .unwrap_or(Energy::ZERO);
             for (bin, (a, b)) in with.iter().zip(&without).enumerate() {
                 let diff = (*a - *b).as_pj();

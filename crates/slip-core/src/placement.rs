@@ -119,10 +119,9 @@ impl SlipPlacement {
     }
 
     fn chunk_mask(&mut self, chunk: core::ops::RangeInclusive<usize>) -> WayMask {
-        if self.randomize_sublevel && chunk.clone().count() > 1 {
+        if self.randomize_sublevel && chunk.start() < chunk.end() {
             let lo = *chunk.start();
-            let weights: Vec<u64> = self.sublevel_weights[chunk.clone()].to_vec();
-            let pick = lo + self.rng.pick_weighted(&weights);
+            let pick = lo + self.rng.pick_weighted(&self.sublevel_weights[chunk]);
             return self.sublevel_masks[pick];
         }
         let mut m = WayMask::EMPTY;
@@ -140,8 +139,7 @@ impl PlacementPolicy for SlipPlacement {
 
     fn insertion_mask(&mut self, _geom: &CacheGeometry, req: &FillRequest) -> Option<WayMask> {
         let slip = self.slip_of_code(req.slip_codes[self.level.index()]);
-        let chunks = slip.chunks();
-        let first = chunks.first()?.clone();
+        let first = slip.chunks().next()?;
         Some(self.chunk_mask(first))
     }
 
@@ -154,10 +152,12 @@ impl PlacementPolicy for SlipPlacement {
         let slip = self.slip_of_code(line.slip_codes[self.level.index()]);
         let sublevel = geom.sublevel(from_way);
         // A line may sit outside its SLIP's sublevels if its page's
-        // policy changed while it was resident; evict it.
-        let chunk = slip.chunk_of_sublevel(sublevel)?;
-        let chunks = slip.chunks();
-        let next = chunks.get(chunk + 1)?.clone();
+        // policy changed while it was resident; evict it. Otherwise it
+        // moves to the chunk after the one holding `sublevel`, if any:
+        // one pass of the decoder finds both.
+        let mut chunks = slip.chunks();
+        chunks.position(|c| c.contains(&sublevel))?;
+        let next = chunks.next()?;
         Some(self.chunk_mask(next))
     }
 

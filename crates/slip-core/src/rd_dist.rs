@@ -10,7 +10,12 @@
 //! *all* bins are halved, which both avoids saturation and exponentially
 //! decays stale history.
 
+use crate::slip::MAX_SUBLEVELS;
 use core::fmt;
+
+/// Most bins a distribution can hold: one per sublevel of the widest
+/// supported level, plus the beyond-capacity bin.
+pub const MAX_BINS: usize = MAX_SUBLEVELS + 1;
 
 /// Number of distribution bins used by the paper (3 sublevels + 1).
 pub const PAPER_BINS: usize = 4;
@@ -36,7 +41,11 @@ pub const PAPER_BIN_BITS: u32 = 4;
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct RdDistribution {
-    counts: Vec<u16>,
+    /// Counters inline (no heap block per page); slots at and above
+    /// `bins` stay zero, so the derived comparisons see only the used
+    /// prefix.
+    counts: [u16; MAX_BINS],
+    bins: u8,
     max_count: u16,
 }
 
@@ -46,12 +55,15 @@ impl RdDistribution {
     ///
     /// # Panics
     ///
-    /// Panics if `bins` is zero or `bits` is not in `1..=16`.
+    /// Panics if `bins` is not in `1..=MAX_BINS` or `bits` is not in
+    /// `1..=16`.
     pub fn new(bins: usize, bits: u32) -> Self {
         assert!(bins > 0, "at least one bin required");
+        assert!(bins <= MAX_BINS, "at most {MAX_BINS} bins supported");
         assert!((1..=16).contains(&bits), "counter width must be 1..=16");
         RdDistribution {
-            counts: vec![0; bins],
+            counts: [0; MAX_BINS],
+            bins: bins as u8,
             max_count: ((1u32 << bits) - 1) as u16,
         }
     }
@@ -63,7 +75,7 @@ impl RdDistribution {
 
     /// Number of bins.
     pub fn bins(&self) -> usize {
-        self.counts.len()
+        usize::from(self.bins)
     }
 
     /// Maximum value a counter may hold.
@@ -73,18 +85,18 @@ impl RdDistribution {
 
     /// Raw counter values.
     pub fn counts(&self) -> &[u16] {
-        &self.counts
+        &self.counts[..self.bins()]
     }
 
     /// Sum of all counters.
     pub fn total(&self) -> u32 {
-        self.counts.iter().map(|&c| u32::from(c)).sum()
+        self.counts().iter().map(|&c| u32::from(c)).sum()
     }
 
     /// `true` if no observations have been recorded (or all have decayed
     /// away).
     pub fn is_empty(&self) -> bool {
-        self.counts.iter().all(|&c| c == 0)
+        self.counts().iter().all(|&c| c == 0)
     }
 
     /// Records one reference whose reuse distance falls in `bin`.
@@ -97,8 +109,9 @@ impl RdDistribution {
     ///
     /// Panics if `bin` is out of range.
     pub fn observe(&mut self, bin: usize) {
-        assert!(bin < self.counts.len(), "bin {bin} out of range");
+        assert!(bin < self.bins(), "bin {bin} out of range");
         if self.counts[bin] == self.max_count {
+            // Unused slots are zero and stay zero.
             for c in &mut self.counts {
                 *c /= 2;
             }
@@ -114,7 +127,7 @@ impl RdDistribution {
     /// [`write_probabilities`](Self::write_probabilities); hot paths
     /// should reuse a buffer with that method instead.
     pub fn probabilities(&self) -> Vec<f64> {
-        let mut out = vec![0.0; self.counts.len()];
+        let mut out = vec![0.0; self.bins()];
         self.write_probabilities(&mut out);
         out
     }
@@ -128,13 +141,13 @@ impl RdDistribution {
     ///
     /// Panics if `out.len()` differs from the bin count.
     pub fn write_probabilities(&self, out: &mut [f64]) {
-        assert_eq!(out.len(), self.counts.len(), "one slot per bin");
+        assert_eq!(out.len(), self.bins(), "one slot per bin");
         let total = self.total();
         if total == 0 {
-            out.fill(1.0 / self.counts.len() as f64);
+            out.fill(1.0 / self.bins() as f64);
             return;
         }
-        for (o, &c) in out.iter_mut().zip(&self.counts) {
+        for (o, &c) in out.iter_mut().zip(self.counts()) {
             *o = f64::from(c) / total as f64;
         }
     }
@@ -148,11 +161,11 @@ impl RdDistribution {
     pub fn to_bits(&self) -> u64 {
         let width = 16 - self.max_count.leading_zeros();
         assert!(
-            width as usize * self.counts.len() <= 64,
+            width as usize * self.bins() <= 64,
             "packed distribution exceeds 64 bits"
         );
         let mut out = 0u64;
-        for (i, &c) in self.counts.iter().enumerate() {
+        for (i, &c) in self.counts().iter().enumerate() {
             out |= u64::from(c) << (i as u32 * width);
         }
         out
@@ -172,14 +185,14 @@ impl RdDistribution {
     /// Storage size of the packed form, in bits.
     pub fn storage_bits(&self) -> u32 {
         let width = 16 - self.max_count.leading_zeros();
-        width * self.counts.len() as u32
+        width * u32::from(self.bins)
     }
 }
 
 impl fmt::Display for RdDistribution {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "[")?;
-        for (i, c) in self.counts.iter().enumerate() {
+        for (i, c) in self.counts().iter().enumerate() {
             if i > 0 {
                 write!(f, ", ")?;
             }
@@ -222,7 +235,7 @@ mod tests {
         // Paper §4.1: counts [4, 15, 0, 12], new access in the bin
         // holding 15 => [2, 8, 0, 6].
         let mut d = RdDistribution::paper_default();
-        d.counts = vec![4, 15, 0, 12];
+        d.counts[..4].copy_from_slice(&[4, 15, 0, 12]);
         d.observe(1);
         assert_eq!(d.counts(), &[2, 8, 0, 6]);
     }
@@ -322,6 +335,25 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn observe_rejects_bad_bin() {
         RdDistribution::paper_default().observe(4);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 9 bins")]
+    fn rejects_more_bins_than_sublevels_allow() {
+        RdDistribution::new(MAX_BINS + 1, 4);
+    }
+
+    #[test]
+    fn widest_distribution_halves_every_bin() {
+        let mut d = RdDistribution::new(MAX_BINS, 2);
+        for bin in 0..MAX_BINS {
+            d.observe(bin);
+            d.observe(bin);
+        }
+        d.observe(MAX_BINS - 1);
+        d.observe(MAX_BINS - 1); // saturated: halves all, then +1
+        assert_eq!(d.counts(), &[1, 1, 1, 1, 1, 1, 1, 1, 2]);
+        assert_eq!(RdDistribution::from_bits(MAX_BINS, 2, d.to_bits()), d);
     }
 
     #[test]

@@ -222,42 +222,84 @@ impl Slip {
     }
 
     /// The chunks of this SLIP as inclusive sublevel ranges, nearest
-    /// chunk first.
-    pub fn chunks(self) -> Vec<core::ops::RangeInclusive<usize>> {
-        let m = self.used_sublevels();
-        if m == 0 {
-            return Vec::new();
+    /// chunk first, decoded straight from the code's bits (no
+    /// allocation).
+    pub fn chunks(self) -> SlipChunks {
+        let used = self.used_sublevels();
+        SlipChunks {
+            next_start: 0,
+            used: used as u8,
+            // The length bit is not a boundary; bits below it are.
+            boundaries: if used == 0 {
+                0
+            } else {
+                self.code & !(1 << (used - 1))
+            },
         }
-        let boundaries = self.code & !(1 << (m - 1));
-        let mut out = Vec::new();
-        let mut start = 0usize;
-        for s in 0..m {
-            let is_boundary = s + 1 < m && boundaries & (1 << s) != 0;
-            if is_boundary || s + 1 == m {
-                out.push(start..=s);
-                start = s + 1;
-            }
-        }
-        out
     }
 
     /// The chunk index containing sublevel `s`, if this SLIP uses it.
     pub fn chunk_of_sublevel(self, s: usize) -> Option<usize> {
-        self.chunks().iter().position(|c| c.contains(&s))
+        self.chunks().position(|c| c.contains(&s))
     }
 }
+
+/// Iterator over a [`Slip`]'s chunks, nearest first (see
+/// [`Slip::chunks`]).
+#[derive(Debug, Clone)]
+pub struct SlipChunks {
+    /// First sublevel of the next chunk.
+    next_start: u8,
+    /// Sublevels the SLIP uses (`m`); iteration ends there.
+    used: u8,
+    /// Bit `i` marks a chunk boundary after sublevel `i`.
+    boundaries: u8,
+}
+
+impl Iterator for SlipChunks {
+    type Item = core::ops::RangeInclusive<usize>;
+
+    #[inline]
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.next_start >= self.used {
+            return None;
+        }
+        let start = self.next_start;
+        // `start < used <= 8`, so the shift is in range.
+        let ahead = self.boundaries >> start;
+        let end = if ahead == 0 {
+            self.used - 1
+        } else {
+            start + ahead.trailing_zeros() as u8
+        };
+        self.next_start = end + 1;
+        Some(usize::from(start)..=usize::from(end))
+    }
+
+    #[inline]
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let n = if self.next_start >= self.used {
+            0
+        } else {
+            1 + (self.boundaries >> self.next_start).count_ones() as usize
+        };
+        (n, Some(n))
+    }
+}
+
+impl ExactSizeIterator for SlipChunks {}
 
 impl fmt::Display for Slip {
     /// Formats in the paper's notation, e.g. `{[0],[1,2]}` (sublevel
     /// indices), `{}` for the All-Bypass Policy.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{{")?;
-        for (i, c) in self.chunks().iter().enumerate() {
+        for (i, c) in self.chunks().enumerate() {
             if i > 0 {
                 write!(f, ",")?;
             }
             write!(f, "[")?;
-            for (j, s) in c.clone().enumerate() {
+            for (j, s) in c.enumerate() {
                 if j > 0 {
                     write!(f, ",")?;
                 }
@@ -319,7 +361,7 @@ mod tests {
             for slip in Slip::enumerate(s) {
                 let back = Slip::from_code(s, slip.code()).unwrap();
                 assert_eq!(back, slip);
-                assert_eq!(back.chunks(), slip.chunks());
+                assert!(back.chunks().eq(slip.chunks()));
             }
         }
     }
@@ -327,7 +369,7 @@ mod tests {
     #[test]
     fn chunk_ends_round_trip() {
         for slip in Slip::enumerate(4) {
-            let ends: Vec<usize> = slip.chunks().iter().map(|c| *c.end()).collect();
+            let ends: Vec<usize> = slip.chunks().map(|c| *c.end()).collect();
             let back = Slip::from_chunk_ends(4, &ends).unwrap();
             assert_eq!(back, slip, "ends {ends:?}");
         }
@@ -353,9 +395,8 @@ mod tests {
     fn chunks_partition_used_prefix() {
         for s in 1..=6 {
             for slip in Slip::enumerate(s) {
-                let chunks = slip.chunks();
                 let mut next = 0usize;
-                for c in &chunks {
+                for c in slip.chunks() {
                     assert_eq!(*c.start(), next, "{slip}");
                     next = *c.end() + 1;
                 }

@@ -6,11 +6,14 @@
 //! deterministic without an external property-testing framework.
 
 use cache_sim::rng::SplitMix64;
+use cache_sim::{CacheGeometry, FillRequest, LineAddr, LineState, PlacementPolicy, WayMask};
 use energy_model::Energy;
 use slip_core::{
     coefficients, coefficients_paper, slip_energy, EnergyOptimizerUnit, EouObjective,
-    LevelModelParams, PageState, RdDistribution, SamplingConfig, Slip, TimeSampler,
+    LevelModelParams, PageState, RdDistribution, SamplingConfig, Slip, SlipLevel, SlipPlacement,
+    TimeSampler,
 };
+use std::ops::RangeInclusive;
 
 const CASES: u64 = 128;
 
@@ -46,7 +49,8 @@ fn chunk_structure_and_rebuild() {
             assert!(slip.num_chunks() <= slip.used_sublevels());
             assert_eq!(slip.num_chunks() == 0, slip.is_all_bypass());
             assert_eq!(slip.chunks().len(), slip.num_chunks());
-            let ends: Vec<usize> = slip.chunks().iter().map(|c| *c.end()).collect();
+            assert_eq!(slip.chunks().count(), slip.num_chunks());
+            let ends: Vec<usize> = slip.chunks().map(|c| *c.end()).collect();
             let back = Slip::from_chunk_ends(sublevels, &ends).expect("valid ends");
             assert_eq!(back, slip);
         }
@@ -204,5 +208,108 @@ fn model_is_linear() {
         let a = slip_energy(&params, slip, &p).as_pj() * k;
         let b = slip_energy(&params, slip, &scaled).as_pj();
         assert!((a - b).abs() < 1e-9);
+    }
+}
+
+/// The heap-allocating chunk decoder `Slip::chunks` used to be, kept
+/// here as the reference for the allocation-free one.
+fn vec_chunks(slip: Slip) -> Vec<RangeInclusive<usize>> {
+    let m = slip.used_sublevels();
+    if m == 0 {
+        return Vec::new();
+    }
+    let boundaries = slip.code() & !(1 << (m - 1));
+    let mut out = Vec::new();
+    let mut start = 0usize;
+    for s in 0..m {
+        let is_boundary = s + 1 < m && boundaries & (1 << s) != 0;
+        if is_boundary || s + 1 == m {
+            out.push(start..=s);
+            start = s + 1;
+        }
+    }
+    out
+}
+
+/// A level with `sublevels` sublevels of `ways_per` ways each.
+fn striped_geometry(sublevels: usize, ways_per: usize) -> CacheGeometry {
+    let rows: Vec<(usize, Energy, u32)> = (0..sublevels)
+        .map(|i| (ways_per, Energy::from_pj(10.0 + i as f64), 4 + i as u32))
+        .collect();
+    CacheGeometry::from_sublevels(16, &rows)
+}
+
+/// A chunk's way mask as SLIP placement defined it over the `Vec`
+/// decoder: the union of the chunk's sublevels, or, when `rng` is
+/// given (the randomized variant), one of a multi-sublevel chunk's
+/// sublevels drawn by way count.
+fn vec_chunk_mask(
+    geom: &CacheGeometry,
+    chunk: &RangeInclusive<usize>,
+    rng: Option<&mut SplitMix64>,
+) -> WayMask {
+    if let Some(rng) = rng.filter(|_| chunk.start() < chunk.end()) {
+        let weights: Vec<u64> = chunk
+            .clone()
+            .map(|s| geom.sublevel_ways(s).count() as u64)
+            .collect();
+        return geom.sublevel_ways(chunk.start() + rng.pick_weighted(&weights));
+    }
+    chunk
+        .clone()
+        .fold(WayMask::EMPTY, |m, s| m.union(geom.sublevel_ways(s)))
+}
+
+/// For S = 1..=8, every code and every sublevel, the allocation-free
+/// decoder, `chunk_of_sublevel` and SLIP placement's insertion and
+/// demotion masks (plain and sublevel-randomized) agree with the
+/// `Vec` decoder.
+#[test]
+fn chunk_decoder_matches_vec_decoder() {
+    const SEED: u64 = 0x5eed;
+    for sublevels in 1usize..=8 {
+        let geom = striped_geometry(sublevels, 16 / sublevels);
+        let mut plain = SlipPlacement::new(SlipLevel::L2, &geom);
+        let mut randomized =
+            SlipPlacement::new(SlipLevel::L3, &geom).with_randomized_victim_sublevel(SEED);
+        let mut rng = SplitMix64::new(SEED);
+        for code in 0..(1u16 << sublevels) {
+            let slip = Slip::from_code(sublevels, code as u8).expect("valid");
+            let reference = vec_chunks(slip);
+            assert_eq!(slip.chunks().collect::<Vec<_>>(), reference, "{slip}");
+            assert_eq!(slip.chunks().len(), reference.len(), "{slip}");
+
+            let mut req = FillRequest::new(LineAddr(0));
+            req.slip_codes = [slip.code(); 2];
+            let expect = reference.first().map(|c| vec_chunk_mask(&geom, c, None));
+            assert_eq!(plain.insertion_mask(&geom, &req), expect, "{slip}");
+            let expect = reference
+                .first()
+                .map(|c| vec_chunk_mask(&geom, c, Some(&mut rng)));
+            assert_eq!(randomized.insertion_mask(&geom, &req), expect, "{slip}");
+
+            let mut line = LineState::new(LineAddr(0));
+            line.slip_codes = [slip.code(); 2];
+            for sublevel in 0..sublevels {
+                let k = reference.iter().position(|c| c.contains(&sublevel));
+                assert_eq!(slip.chunk_of_sublevel(sublevel), k, "{slip} s{sublevel}");
+                let next = k.and_then(|k| reference.get(k + 1));
+                // Every way of the sublevel demotes alike.
+                for way in geom.sublevel_ways(sublevel).iter() {
+                    let expect = next.map(|c| vec_chunk_mask(&geom, c, None));
+                    assert_eq!(
+                        plain.demotion_mask(&geom, &line, way),
+                        expect,
+                        "{slip} way {way}"
+                    );
+                    let expect = next.map(|c| vec_chunk_mask(&geom, c, Some(&mut rng)));
+                    assert_eq!(
+                        randomized.demotion_mask(&geom, &line, way),
+                        expect,
+                        "{slip} way {way}"
+                    );
+                }
+            }
+        }
     }
 }

@@ -103,7 +103,7 @@ fn tight_loop_pages_prefer_near_chunks() {
     // are both energy-optimal placements).
     let near_first = loop_slips
         .iter()
-        .filter(|s| s.chunks().first().is_some_and(|c| *c.end() <= 1))
+        .filter(|s| s.chunks().next().is_some_and(|c| *c.end() <= 1))
         .count();
     assert!(
         near_first as f64 / loop_slips.len() as f64 > 0.6,
